@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .errors import PrimelabError
+from .errors import ConfigError, PrimelabError
 from .generators import (
     Algorithm,
     GenConfig,
@@ -171,7 +171,10 @@ def _cmd_audit_primeinc(args) -> int:
 
 
 def _cmd_gap_census(args) -> int:
-    lambdas = [float(s) for s in args.lambdas.split(",") if s]
+    try:
+        lambdas = [float(s) for s in args.lambdas.split(",") if s]
+    except ValueError as exc:
+        raise ConfigError(f"--lambdas: {exc}") from exc
     census = gap_census(args.x, lambdas)
     if args.format == "csv":
         _emit(report_emit([census], "csv"), args.out)

@@ -8,7 +8,6 @@ checked.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +22,8 @@ from .ntheory import Modulus, PrimeTable, sieve
 DEFAULT_WORK_CAP = 10**10
 
 
-def _primes_upto(x: int, table: PrimeTable | None) -> np.ndarray:
+def primes_upto(x: int, table: PrimeTable | None = None) -> np.ndarray:
+    """The primes <= x, from `table` (which must cover x) or a new sieve."""
     if table is None:
         table = sieve(x)
     if table.bound < x:
@@ -52,7 +52,7 @@ class ClassProfile:
 
 
 def class_profile(x: int, q: int, table: PrimeTable | None = None) -> ClassProfile:
-    primes_x = _primes_upto(x, table)
+    primes_x = primes_upto(x, table)
     mod = Modulus.from_int(q)
     counts_arr = _class_counts(primes_x, q)
     pi_x = len(primes_x)
@@ -70,7 +70,7 @@ def class_profile(x: int, q: int, table: PrimeTable | None = None) -> ClassProfi
 
 def exact_dist_trivial(x: int, table: PrimeTable | None = None) -> FiniteDist:
     """Uniform over the primes <= x."""
-    primes_x = _primes_upto(x, table)
+    primes_x = primes_upto(x, table)
     u = Fraction(1, len(primes_x))
     return FiniteDist(len(primes_x), {int(p): u for p in primes_x})
 
@@ -82,7 +82,7 @@ def exact_dist_primeinc(x: int, table: PrimeTable | None = None) -> FiniteDist:
     the starts 1 and 2), and p_max the largest prime <= x; gaps telescope
     so the masses sum to exactly 1.
     """
-    primes_x = _primes_upto(x, table)
+    primes_x = primes_upto(x, table)
     pmax = int(primes_x[-1])
     gaps = np.empty(len(primes_x), dtype=np.int64)
     gaps[0] = 2
@@ -105,24 +105,18 @@ def exact_dist_basic(
     """
     if q >= x:
         raise DomainError(f"modulus {q} must be < x = {x}")
-    primes_x = _primes_upto(x, table)
+    primes_x = primes_upto(x, table)
     mod = Modulus.from_int(q)
     counts = _class_counts(primes_x, q)
     empty = [
         a for a in range(q) if math.gcd(a, q) == 1 and counts[a] == 0
     ]
-    weight = mod.phi - len(empty)
-    mass: dict[int, Fraction] = {}
-    for p in primes_x.tolist():
-        if q % p == 0:
-            mass[p] = Fraction(0)
-        else:
-            mass[p] = Fraction(1, weight * int(counts[p % q]))
+    mass, phi_star = _nofallback_law(class_census(x, [q], primes_x), primes_x)
     meta = {
         "conditional": bool(empty),
         "empty_classes": empty,
         "phi": mod.phi,
-        "phi_star": weight,
+        "phi_star": phi_star,
     }
     return FiniteDist(len(primes_x), mass, meta=meta)
 
@@ -145,41 +139,22 @@ def exact_dist_erh_fallback(
         raise DomainError(f"modulus {q} must be < x = {x}")
     if T < 1:
         raise DomainError(f"T must be >= 1, got {T}")
-    primes_x = _primes_upto(x, table)
-    pi_x = len(primes_x)
-    mod = Modulus.from_int(q)
-    counts = _class_counts(primes_x, q)
-
-    class_term: dict[int, Fraction] = {}
-    fallback_total = Fraction(0)
-    for a in range(q):
-        if math.gcd(a, q) != 1:
-            continue
-        c = int(counts[a])
-        xi = Fraction(c, (x - a) // q + 1)
-        fail = (1 - xi) ** T
-        fallback_total += fail
-        if c > 0:
-            class_term[a] = (1 - fail) / (mod.phi * c)
-
-    uniform_part = fallback_total / (mod.phi * pi_x)
-    mass: dict[int, Fraction] = {}
-    for p in primes_x.tolist():
-        m = uniform_part
-        if q % p != 0:
-            term = class_term.get(p % q)
-            if term is not None:
-                m = m + term
-        mass[p] = m
-    return FiniteDist(pi_x, mass)
+    primes_x = primes_upto(x, table)
+    Modulus.from_int(q)  # rejects q < 2
+    mass, _ = _fallback_law(class_census(x, [q], primes_x), primes_x, T)
+    return FiniteDist(len(primes_x), mass)
 
 
-def _check_work_cap(Q: int, pi_x: int, work_cap: int):
-    if Q * pi_x > work_cap:
+def _range_census(x: int, A: float, table, work_cap: int):
+    """(primes <= x, Q, census of the moduli in (Q/2, Q])."""
+    primes_x = primes_upto(x, table)
+    Q = derived_Q(x, A)
+    if Q * len(primes_x) > work_cap:
         raise ResourceLimitError(
-            f"random-modulus sweep needs ~{Q * pi_x} class lookups "
+            f"random-modulus sweep needs ~{Q * len(primes_x)} class lookups "
             f"(cap {work_cap}); increase A or decrease x"
         )
+    return primes_x, Q, class_census(x, range(Q // 2 + 1, Q + 1), primes_x)
 
 
 def exact_dist_uncond_nofallback(
@@ -197,32 +172,9 @@ def exact_dist_uncond_nofallback(
 
     where F* counts the selectable (q, a) pairs with a nonempty class.
     """
-    primes_x = _primes_upto(x, table)
-    pi_x = len(primes_x)
-    Q = derived_Q(x, A)
-    _check_work_cap(Q, pi_x, work_cap)
-
-    per_prime: list[Counter] = [Counter() for _ in range(pi_x)]
-    f_star = 0
-    for q in range(Q // 2 + 1, Q + 1):
-        counts_q = _class_counts(primes_x, q)
-        units = np.gcd(np.arange(q, dtype=np.int64), q) == 1
-        f_star += int(np.count_nonzero(units & (counts_q > 0)))
-        residues = primes_x % q
-        class_sizes = counts_q[residues]
-        divides = np.mod(q, primes_x) == 0
-        for i in np.flatnonzero(~divides).tolist():
-            per_prime[i][int(class_sizes[i])] += 1
-
-    mass: dict[int, Fraction] = {}
-    for i, p in enumerate(primes_x.tolist()):
-        total = sum(
-            (Fraction(mult, size) for size, mult in per_prime[i].items()),
-            Fraction(0),
-        )
-        mass[p] = total / f_star
-    meta = {"Q": Q, "F_star": f_star}
-    return FiniteDist(pi_x, mass, meta=meta)
+    primes_x, Q, census = _range_census(x, A, table, work_cap)
+    mass, f_star = _nofallback_law(census, primes_x)
+    return FiniteDist(len(primes_x), mass, meta={"Q": Q, "F_star": f_star})
 
 
 def exact_dist_uncond(
@@ -239,38 +191,129 @@ def exact_dist_uncond(
     """
     if T < 1:
         raise DomainError(f"T must be >= 1, got {T}")
-    primes_x = _primes_upto(x, table)
+    primes_x, Q, census = _range_census(x, A, table, work_cap)
+    mass, f_q = _fallback_law(census, primes_x, T)
+    return FiniteDist(len(primes_x), mass, meta={"Q": Q, "F": f_q, "T": T})
+
+
+# ---------------------------------------------------------------------------
+# the class census and the two laws built on it
+
+# Raw prime hits buffered before they are merged into distinct pairs.
+_HIT_CHUNK = 1 << 18
+
+
+@dataclass(frozen=True)
+class ClassCensus:
+    """Integer census of the unit classes (q, a) of a modulus range.
+
+    Class (q, a) has key (c, m): c = pi(x; q, a) primes among its
+    m = floor((x - a) / q) + 1 members <= x.  classes[k] classes have key
+    (c[k], m[k]); prime primes_x[hit_prime[j]] lies in hits[j] classes of
+    key hit_key[j] (a prime dividing q in none of q's).  The i-th modulus
+    has units[i] = phi(q) classes, holding unit_primes[i] primes.
+    """
+
+    c: np.ndarray
+    m: np.ndarray
+    classes: np.ndarray
+    hit_prime: np.ndarray
+    hit_key: np.ndarray
+    hits: np.ndarray
+    units: np.ndarray
+    unit_primes: np.ndarray
+
+
+def class_census(
+    x: int, qs, primes_x: np.ndarray, with_hits: bool = True
+) -> ClassCensus:
+    """Census of the moduli in the sequence qs, one numpy pass per q.
+
+    Raw hits are merged into distinct (prime, key) pairs every _HIT_CHUNK,
+    which bounds memory; with_hits=False skips them for callers that need
+    only the class counts.  Weighted bincounts are float64, which is exact
+    for counts below 2^53.
+    """
     pi_x = len(primes_x)
-    Q = derived_Q(x, A)
-    _check_work_cap(Q, pi_x, work_cap)
-
-    acc: list[Fraction] = [Fraction(0)] * pi_x
-    fallback_total = Fraction(0)
-    f_q = 0
-    for q in range(Q // 2 + 1, Q + 1):
-        counts_q = _class_counts(primes_x, q)
-        class_term: dict[int, Fraction] = {}
-        for a in range(q):
-            if math.gcd(a, q) != 1:
-                continue
-            f_q += 1
-            c = int(counts_q[a])
-            xi = Fraction(c, (x - a) // q + 1)
-            fail = (1 - xi) ** T
-            fallback_total += fail
-            if c > 0:
-                class_term[a] = (1 - fail) / c
+    base = x // min(qs) + 2  # key (c, m) is coded c * base + m
+    key_index: dict[int, int] = {}
+    class_keys, class_counts, units, unit_primes, raw = [], [], [], [], []
+    pairs = hits = np.zeros(0, dtype=np.int64)  # key * pi_x + prime
+    for q in qs:
         residues = primes_x % q
-        divides = np.mod(q, primes_x) == 0
-        for i in np.flatnonzero(~divides).tolist():
-            term = class_term.get(int(residues[i]))
-            if term is not None:
-                acc[i] += term
+        a = np.arange(q)
+        unit = np.gcd(a, q) == 1
+        codes = np.bincount(residues, minlength=q) * base + (x - a) // q + 1
+        local, counts = np.unique(codes[unit], return_counts=True)
+        keys = np.array([key_index.setdefault(k, len(key_index))
+                         for k in local.tolist()])
+        class_keys.append(keys)
+        class_counts.append(counts)
+        units.append(counts.sum())
+        unit_primes.append((local // base * counts).sum())
+        if with_hits:
+            in_unit = np.flatnonzero(unit[residues])
+            where = np.searchsorted(local, codes[residues[in_unit]])
+            raw.append(keys[where] * pi_x + in_unit)
+        if raw and (q == qs[-1] or sum(map(len, raw)) >= _HIT_CHUNK):
+            new, n = np.unique(np.concatenate(raw), return_counts=True)
+            pairs, inverse = np.unique(np.concatenate([pairs, new]),
+                                       return_inverse=True)
+            hits = np.bincount(inverse, np.concatenate([hits, n]))
+            raw = []
+    key_codes = np.array(list(key_index))
+    classes = np.bincount(np.concatenate(class_keys),
+                          np.concatenate(class_counts))
+    return ClassCensus(
+        c=key_codes // base, m=key_codes % base,
+        classes=classes.astype(np.int64),
+        hit_prime=pairs % pi_x, hit_key=pairs // pi_x,
+        hits=hits.astype(np.int64),
+        units=np.array(units), unit_primes=np.array(unit_primes),
+    )
 
-    uniform_part = fallback_total / pi_x
-    mass = {
-        int(p): (acc[i] + uniform_part) / f_q
-        for i, p in enumerate(primes_x.tolist())
-    }
-    meta = {"Q": Q, "F": f_q, "T": T}
-    return FiniteDist(pi_x, mass, meta=meta)
+
+def _prime_masses(census, primes_x, key_num, common, denom):
+    """mass(p) = (common + sum of key_num[k] over the classes holding p)
+    / denom, summed in integers and reduced once per prime."""
+    num = [common] * len(primes_x)
+    for i, k, h in zip(census.hit_prime.tolist(), census.hit_key.tolist(),
+                       census.hits.tolist()):
+        num[i] += h * key_num[k]
+    return {p: Fraction(n, denom) for p, n in zip(primes_x.tolist(), num)}
+
+
+def _nofallback_law(census: ClassCensus, primes_x: np.ndarray):
+    """(mass, F*) of a uniform (q, a) among the F* nonempty classes, then a
+    uniform prime of it: mass(p) = (1/F*) * sum of 1/c over p's classes."""
+    cs = census.c.tolist()
+    f_star = int(census.classes[census.c > 0].sum())
+    lcm_c = math.lcm(*(c for c in cs if c))
+    key_num = [lcm_c // c if c else 0 for c in cs]
+    return _prime_masses(census, primes_x, key_num, 0, lcm_c * f_star), f_star
+
+
+def _fallback_law(census: ClassCensus, primes_x: np.ndarray, T: int):
+    """(mass, F) of a uniform (q, a) among all F unit classes, T residue
+    draws, then the trivial fallback.  With fail = (1 - c/m)^T,
+
+        mass(p) = (1/F) * [ sum over p's classes of (1 - fail) / c
+                            + sum over all classes of fail / pi(x) ],
+
+    each key's term brought once to the denominator lcm(c) lcm(m)^T pi(x).
+    """
+    pi_x = len(primes_x)
+    f_q = int(census.classes.sum())
+    lcm_c = math.lcm(*(c for c in census.c.tolist() if c))
+    lcm_m = math.lcm(*census.m.tolist())
+    key_num, fallback = [], 0
+    for c, m, n in zip(census.c.tolist(), census.m.tolist(),
+                       census.classes.tolist()):
+        scale = (lcm_m // m) ** T  # lcm(m)^T / m^T
+        fail_num = (m - c) ** T * scale
+        fallback += n * fail_num * lcm_c
+        key_num.append(
+            (m ** T * scale - fail_num) * (lcm_c // c) * pi_x if c else 0
+        )
+    denom = lcm_c * lcm_m ** T * pi_x * f_q
+    return _prime_masses(census, primes_x, key_num, fallback, denom), f_q

@@ -22,7 +22,12 @@ from .errors import (
     NonTerminationError,
     PrimelabError,
 )
-from .exactdist import exact_dist_primeinc
+from .exactdist import (
+    class_census,
+    class_profile,
+    exact_dist_primeinc,
+    primes_upto,
+)
 from .generators import (
     Algorithm,
     GenConfig,
@@ -220,15 +225,14 @@ def gap_census(
     """Exact census of prime gaps at thresholds lambda * ln x."""
     if x < 100:
         raise DomainError(f"gap census needs x >= 100, got {x}")
-    if table is None:
-        table = sieve(x)
-    if table.bound < x:
-        raise DomainError(f"table bound {table.bound} below x = {x}")
-    primes_x = table.primes[: table.count_leq(x)]
+    lambdas = list(lambdas)
+    bad = [lam for lam in lambdas if not (0 <= lam < math.inf)]
+    if bad:
+        raise DomainError(f"lambda must be finite and >= 0, got {bad}")
+    primes_x = primes_upto(x, table)
     gaps = np.diff(primes_x)
     lnx = math.log(x)
     pi_x = len(primes_x)
-    lambdas = list(lambdas)
     F_values = {
         lam: int(np.count_nonzero(gaps <= lam * lnx)) for lam in lambdas
     }
@@ -280,14 +284,10 @@ def primeinc_audit(
         table = sieve(x)
     dist = exact_dist_primeinc(x, table)
     delta1 = metrics_of(dist).delta1
-    census = gap_census(x, [2.0], table) if x >= 100 else None
     lnx = math.log(x)
-    primes_x = table.primes[: table.count_leq(x)]
+    primes_x = primes_upto(x, table)
     pi_x = len(primes_x)
-    if census is not None:
-        F = census.F_values[2.0]
-    else:
-        F = int(np.count_nonzero(np.diff(primes_x) <= 2 * lnx))
+    F = int(np.count_nonzero(np.diff(primes_x) <= 2 * lnx))
     bound_small = lnx / x * F
     bound_large = lnx / x * (pi_x - 1 - F)
 
@@ -366,14 +366,10 @@ def error_term_profile(
         raise ConfigError("provide exactly one of q or A")
     if table is None:
         table = sieve(x)
-    if table.bound < x:
-        raise DomainError(f"table bound {table.bound} below x = {x}")
-    primes_x = table.primes[: table.count_leq(x)]
+    primes_x = primes_upto(x, table)
     pi_x = len(primes_x)
 
     if q is not None:
-        from .exactdist import class_profile
-
         profile = class_profile(x, q, table)
         errors = profile.error_terms
         threshold = math.sqrt(pi_x / len(errors))
@@ -389,15 +385,15 @@ def error_term_profile(
         )
 
     Q = derived_Q(x, A)
-    phi = totient_sieve(Q)
-    total = Fraction(0)
-    for modulus in range(Q // 2 + 1, Q + 1):
-        counts = np.bincount(primes_x % modulus, minlength=modulus)
-        units = np.gcd(np.arange(modulus, dtype=np.int64), modulus) == 1
-        phi_q = int(phi[modulus])
-        # sum over units of (phi*count - pi)^2 / phi^2, in exact integers
-        diffs = phi_q * counts[units].astype(object) - pi_x
-        total += Fraction(int(np.sum(diffs * diffs)), phi_q * phi_q)
+    census = class_census(x, range(Q // 2 + 1, Q + 1), primes_x,
+                          with_hits=False)
+    # per modulus, sum over units of (c - pi/phi)^2
+    #   = sum c^2 - pi * (2 * (primes coprime to q) - pi) / phi
+    total = int((census.classes * census.c ** 2).sum()) - sum(
+        Fraction(pi_x * (2 * covered - pi_x), phi)
+        for covered, phi in zip(census.unit_primes.tolist(),
+                                census.units.tolist())
+    )
     scale = x * Q / math.log(Q)
     return RangeErrorProfile(
         x=x, A=A, Q=Q, sum_sq_error=float(total), scale=scale,

@@ -11,9 +11,11 @@ with equality) or floats (1e-9/1e-12 tolerances).
 """
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from operator import attrgetter
 
 from .errors import DomainError
 
@@ -38,14 +40,14 @@ class FiniteDist:
             raise DomainError(
                 f"{len(mass)} stored outcomes exceed space size {space_size}"
             )
-        exact = all(isinstance(v, Rational) for v in mass.values())
-        total = sum(mass.values())
+        groups, exact = _grouped(mass)
+        total = (_exact_sum if exact else sum)(n * v for v, n in groups)
         if exact:
             if total != 1:
                 raise DomainError(f"exact masses must sum to 1, got {total}")
         elif not (1 - _SUM_TOL <= total <= 1 + _SUM_TOL):
             raise DomainError(f"masses sum to {total}, not within 1e-9 of 1")
-        if any(v < 0 or v > 1 for v in mass.values()):
+        if any(v < 0 or v > 1 for v, _ in groups):
             raise DomainError("masses must lie in [0, 1]")
         self.space_size = space_size
         self.mass = mass
@@ -94,6 +96,35 @@ class DistMetrics:
     hmin_bits: float              # min-entropy, -log2 gamma
 
 
+def _grouped(mass: dict):
+    """([(distinct mass, multiplicity)], whether all masses are exact).
+    Exact masses are grouped by (numerator, denominator), which hashes far
+    faster than a Fraction."""
+    values = list(mass.values())
+    exact = all(isinstance(v, Rational) for v in values)
+    if not exact:
+        return list(Counter(values).items()), False
+    key = attrgetter("numerator", "denominator")
+    first = dict(zip(map(key, values), values))
+    return [(first[k], n) for k, n in Counter(map(key, values)).items()], True
+
+
+def _exact_sum(terms) -> Fraction:
+    """Exact sum of rationals: numerators are added per denominator, then
+    over a common denominator that grows (one gcd) only when a denominator
+    does not divide it, not with a gcd on large integers at every term."""
+    by_den: dict[int, int] = defaultdict(int)
+    for t in terms:
+        by_den[t.denominator] += t.numerator
+    num, den = 0, 1
+    for d in sorted(by_den, reverse=True):
+        if den % d:
+            step = d // math.gcd(den, d)
+            num, den = num * step, den * step
+        num += by_den[d] * (den // d)
+    return Fraction(num, den)
+
+
 def _check_identities(size, d1, d2, beta, gamma, exact):
     u = Fraction(1, size) if exact else 1.0 / size
     slack = 0 if exact else _ID_TOL
@@ -117,18 +148,18 @@ def metrics_of(dist: FiniteDist) -> DistMetrics:
     Outcomes omitted from storage contribute (space_size - stored) copies
     of |0 - 1/|S|| to each sum.
     """
-    values = list(dist.mass.values())
-    if not values:
+    groups, exact = _grouped(dist.mass)
+    if not groups:
         raise DomainError("cannot compute metrics of an empty distribution")
     size = dist.space_size
-    exact = dist.is_exact
+    total = _exact_sum if exact else sum
     u = Fraction(1, size) if exact else 1.0 / size
-    omitted = size - len(values)
+    omitted = size - len(dist.mass)
 
-    delta1 = sum(abs(v - u) for v in values) + omitted * u
-    delta2_sq = sum((v - u) ** 2 for v in values) + omitted * u * u
-    beta = sum(v * v for v in values)
-    gamma = max(values)
+    delta1 = total(n * abs(v - u) for v, n in groups) + omitted * u
+    delta2_sq = total(n * (v - u) ** 2 for v, n in groups) + omitted * u * u
+    beta = total(n * v ** 2 for v, n in groups)
+    gamma = max(v for v, _ in groups)
 
     _check_identities(size, delta1, delta2_sq, beta, gamma, exact)
     return DistMetrics(

@@ -72,6 +72,18 @@ def test_gap_census_cli(capsys):
     assert record["kind"] == "gap_census"
 
 
+@pytest.mark.parametrize("lambdas,error", [
+    ("a", "ConfigError"),
+    ("1,nan", "DomainError"),
+])
+def test_gap_census_cli_bad_lambdas(capsys, lambdas, error):
+    code, out, err = run_cli(
+        capsys, "gap-census", "--x", "1000", "--lambdas", lambdas,
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == error
+
+
 def test_audit_cli(capsys):
     code, out, _ = run_cli(
         capsys, "audit-primeinc", "--x", "1000", "--trials", "200",

@@ -1,10 +1,15 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from primelab import exactdist
 from primelab.errors import DomainError, ResourceLimitError
 from primelab.exactdist import (
+    class_census,
     class_profile,
     exact_dist_basic,
     exact_dist_erh_fallback,
@@ -12,9 +17,14 @@ from primelab.exactdist import (
     exact_dist_trivial,
     exact_dist_uncond,
     exact_dist_uncond_nofallback,
+    primes_upto,
 )
 from primelab.generators import Algorithm, GenConfig, ModulusMode, derived_Q
-from primelab.harness import sample_distribution
+from primelab.harness import (
+    dist_to_dict,
+    error_term_profile,
+    sample_distribution,
+)
 from primelab.metrics import metrics_of, tv_between
 from primelab.ntheory import Exact, residue_class_primes, sieve
 
@@ -231,3 +241,69 @@ def test_oracle_equivalence_uncond_nofallback():
 def test_table_bound_must_cover_x(table_1k):
     with pytest.raises(DomainError):
         exact_dist_trivial(2000, table_1k)
+
+
+# sha256 of dist_to_dict (without schema_version, keys sorted, compact
+# separators), recorded from the per-class Fraction implementation that
+# the class census replaced.  Exact masses must never change: a mismatch
+# here is a defect, not a new golden value.
+GOLDEN_DIGESTS = [
+    ("exact_dist_uncond", dict(x=2000, A=1.0, T=58),
+     "5cf3488712ccfb59b1d493414ce05a4415784aae042f686f913ff8f77ac219e0"),
+    ("exact_dist_uncond_nofallback", dict(x=2000, A=1.0),
+     "722379b9fdf7d2bed58f01ebc108ed88b444f507854039b152af79914e9d9f79"),
+    ("exact_dist_uncond_nofallback", dict(x=2000, A=3.0),
+     "1f0f269325df5f3b28847a82812e3e2fe6b9d383af0020561334e092d8480ff9"),
+    ("exact_dist_basic", dict(x=20000, q=2310),
+     "fd573274a8354aa0f67e16764a73887947bea1510e82da258297e97926bb2951"),
+    ("exact_dist_erh_fallback", dict(x=20000, q=2310, T=99),
+     "c538d2ad01339ccb9712290fc9c0f66156fbbe814d7e03966cfef9a1d9826ec8"),
+    ("exact_dist_primeinc", dict(x=100000),
+     "5bb8b7c25059e155edd5f3dcd360ea7c138c77ce650f3521579483a719f80305"),
+    ("exact_dist_trivial", dict(x=20000),
+     "b76aed09c3039216eeb58ba959b5cc6e713744f0e1237368bf7a722c0ea04933"),
+    ("exact_dist_uncond", dict(x=5000, A=1.0, T=73),
+     "06b6e232d129bfffea349afd30990bacd0884711458af9d10aab60dbf13a8cea"),
+    ("exact_dist_uncond_nofallback", dict(x=5000, A=1.0),
+     "bf67cdbb87d486550825af6819cfb0988edc990ad4a3d049c5294dad54d549de"),
+    ("exact_dist_uncond_nofallback", dict(x=5000, A=3.0),
+     "35f8adb334254b3c5ebf28af1310cabd32ac3f3d020d34dd9c2b0d2a2a549be8"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,kwargs,digest", GOLDEN_DIGESTS,
+    ids=[f"{fn}({','.join(f'{k}={v}' for k, v in kw.items())})"
+         for fn, kw, _ in GOLDEN_DIGESTS],
+)
+def test_closed_form_golden(fn, kwargs, digest, table_100k):
+    dist = getattr(exactdist, fn)(**kwargs, table=table_100k)
+    record = {k: v for k, v in dist_to_dict(dist).items()
+              if k != "schema_version"}
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_error_profile_range_golden(table_100k):
+    prof = error_term_profile(5000, A=1.0, table=table_100k)
+    assert prof.sum_sq_error.hex() == "0x1.34f701b2b92a4p+16"
+
+
+def test_class_census_counts(table_1k):
+    # unit classes of each q number phi(q); every prime coprime to q lies
+    # in exactly one of them, and in none of q's classes otherwise
+    x = 1000
+    primes_x = primes_upto(x, table_1k)
+    qs = range(30, 61)
+    census = class_census(x, qs, primes_x)
+    phi = [sum(math.gcd(a, q) == 1 for a in range(q)) for q in qs]
+    coprime = [sum(q % p != 0 for p in primes_x.tolist()) for q in qs]
+    assert census.units.tolist() == phi
+    assert census.unit_primes.tolist() == coprime
+    assert int(census.classes.sum()) == sum(phi)
+    assert int(census.hits.sum()) == sum(coprime)
+    assert int((census.classes * census.c).sum()) == sum(coprime)
+    assert np.all(census.c <= census.m)
+    bare = class_census(x, qs, primes_x, with_hits=False)
+    assert bare.classes.tolist() == census.classes.tolist()
+    assert len(bare.hits) == 0

@@ -229,3 +229,9 @@ def test_sample_distribution_counts(table_1k):
 def test_totient_partial_sum_shared_value():
     # Phi(1e4), also used by the range profile scale
     assert totient_partial_sum(10**4) == 30397486
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5])
+def test_gap_census_rejects_bad_lambda(lam):
+    with pytest.raises(DomainError):
+        gap_census(1000, [1.0, lam])

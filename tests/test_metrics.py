@@ -135,3 +135,56 @@ def test_empirical_basic_close_to_exact(table_1k):
                     primality=Exact(t30))
     emp, _ = sample_distribution(cfg, 10**5, t30)
     assert tv_between(emp, exact_dist_basic(30, 6, t30)) < 0.01
+
+
+def naive_metrics(dist, u):
+    """The measures summed one outcome at a time: the reference that the
+    grouped sums in metrics_of must reproduce."""
+    values = list(dist.mass.values())
+    omitted = dist.space_size - len(values)
+    return (
+        sum(abs(v - u) for v in values) + omitted * u,
+        sum((v - u) ** 2 for v in values) + omitted * u * u,
+        sum(v * v for v in values),
+        max(values),
+    )
+
+
+@st.composite
+def repeated_weights(draw):
+    """(space size, weights of the stored outcomes), the weights drawn from
+    a small pool so that masses repeat; outcomes past the stored ones are
+    omitted."""
+    size = draw(st.integers(min_value=1, max_value=64))
+    stored = draw(st.integers(min_value=1, max_value=size))
+    pool = draw(st.lists(st.integers(min_value=0, max_value=50),
+                         min_size=1, max_size=4))
+    weights = draw(st.lists(st.sampled_from(pool),
+                            min_size=stored, max_size=stored))
+    if sum(weights) == 0:
+        weights[0] = 1
+    return size, weights
+
+
+@given(repeated_weights())
+@settings(max_examples=300, deadline=None)
+def test_grouped_metrics_equal_naive_exact(case):
+    size, weights = case
+    total = sum(weights)
+    dist = FiniteDist(size, {i: Fraction(w, total)
+                             for i, w in enumerate(weights)})
+    m = metrics_of(dist)
+    assert (m.delta1, m.delta2_sq, m.beta, m.gamma) == naive_metrics(
+        dist, Fraction(1, size))
+
+
+@given(repeated_weights())
+@settings(max_examples=300, deadline=None)
+def test_grouped_metrics_match_naive_float(case):
+    size, weights = case
+    total = sum(weights)
+    dist = FiniteDist(size, {i: w / total for i, w in enumerate(weights)})
+    m = metrics_of(dist)
+    for got, want in zip((m.delta1, m.delta2_sq, m.beta, m.gamma),
+                         naive_metrics(dist, 1.0 / size)):
+        assert abs(got - want) <= 1e-12

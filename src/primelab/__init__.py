@@ -32,12 +32,6 @@ from .generators import (
     UnitMethod,
     default_T,
     derived_Q,
-    gen_basic,
-    gen_erh_fallback,
-    gen_primeinc,
-    gen_trivial,
-    gen_uncond,
-    gen_uncond_nofallback,
     generate,
     sample_unit,
     select_modulus,
@@ -69,7 +63,7 @@ from .ntheory import (
     sieve,
     totient_partial_sum,
 )
-from .rng import CountingBitSource, draw_bits, split_seed, uniform_below
+from .rng import CountingBitSource, split_seed
 
 __version__ = "0.1.0"
 
@@ -103,7 +97,6 @@ __all__ = [
     "count_ap_primes",
     "default_T",
     "derived_Q",
-    "draw_bits",
     "error_term_profile",
     "exact_dist_basic",
     "exact_dist_erh_fallback",
@@ -112,12 +105,6 @@ __all__ = [
     "exact_dist_uncond",
     "exact_dist_uncond_nofallback",
     "gap_census",
-    "gen_basic",
-    "gen_erh_fallback",
-    "gen_primeinc",
-    "gen_trivial",
-    "gen_uncond",
-    "gen_uncond_nofallback",
     "generate",
     "is_prime",
     "metrics_of",
@@ -133,5 +120,4 @@ __all__ = [
     "split_seed",
     "totient_partial_sum",
     "tv_between",
-    "uniform_below",
 ]

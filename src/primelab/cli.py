@@ -15,6 +15,7 @@ Errors are reported as a JSON object on stderr with a nonzero exit code.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .errors import ConfigError, PrimelabError
 from .generators import (
@@ -22,7 +23,6 @@ from .generators import (
     GenConfig,
     ModulusMode,
     UnitMethod,
-    default_T,
     generate,
     select_modulus,
 )
@@ -36,6 +36,7 @@ from .harness import (
     primeinc_audit,
     profile_to_dict,
     report_emit,
+    write_text,
 )
 from .metrics import metrics_of
 from .ntheory import Exact, MillerRabin, sieve
@@ -74,7 +75,7 @@ def _config_from_args(args) -> GenConfig:
     if args.q is not None:
         mode = ModulusMode.EXPLICIT
     policy = (MillerRabin(rounds=args.mr_rounds, seed=args.seed)
-              if args.mr_rounds else Exact())
+              if args.mr_rounds is not None else Exact())
     return GenConfig(
         x=args.x,
         algorithm=Algorithm(args.algo),
@@ -93,24 +94,17 @@ def _emit(payload: str, out: str | None):
     if out is None:
         sys.stdout.write(payload)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        write_text(payload, out)
+
+
+def _emit_json(record: dict, out: str | None):
+    _emit(json.dumps(record, sort_keys=True, indent=2) + "\n", out)
 
 
 def _cmd_generate(args) -> int:
     cfg = _config_from_args(args)
     p, tel = generate(cfg, CountingBitSource(cfg.seed))
-    record = {
-        "prime": p,
-        "loop_iterations": tel.loop_iterations,
-        "primality_tests": tel.primality_tests,
-        "bits_consumed": tel.bits_consumed,
-        "selection_bits": tel.selection_bits,
-        "fallback_entered": tel.fallback_entered,
-        "chosen_q": tel.chosen_q,
-        "chosen_a": tel.chosen_a,
-    }
-    _emit(json.dumps(record, sort_keys=True, indent=2) + "\n", args.out)
+    _emit_json({"prime": p, **asdict(tel)}, args.out)
     return 0
 
 
@@ -122,30 +116,21 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_exact_dist(args) -> int:
-    algo = Algorithm(args.algo)
-    x = args.x
+    cfg = _config_from_args(args)
+    algo, x = cfg.algorithm, cfg.x
     table = sieve(x)
     if algo is Algorithm.TRIVIAL:
         dist = exact_dist_trivial(x, table)
     elif algo is Algorithm.PRIMEINC:
         dist = exact_dist_primeinc(x, table)
+    elif algo is Algorithm.UNCOND_NOFALLBACK:
+        dist = exact_dist_uncond_nofallback(x, cfg.A, table)
+    elif algo is Algorithm.UNCOND:
+        dist = exact_dist_uncond(x, cfg.A, cfg.T(), table)
     else:
-        if algo in (Algorithm.BASIC, Algorithm.ERH_FALLBACK):
-            if args.q is not None:
-                q = args.q
-            else:
-                mode = ModulusMode(args.modulus_mode)
-                q = select_modulus(x, args.epsilon, mode).q
-            if algo is Algorithm.BASIC:
-                dist = exact_dist_basic(x, q, table)
-            else:
-                T = args.T if args.T is not None else default_T(x)
-                dist = exact_dist_erh_fallback(x, q, T, table)
-        elif algo is Algorithm.UNCOND_NOFALLBACK:
-            dist = exact_dist_uncond_nofallback(x, args.A, table)
-        else:
-            T = args.T if args.T is not None else default_T(x)
-            dist = exact_dist_uncond(x, args.A, T, table)
+        q = select_modulus(x, cfg.epsilon, cfg.modulus_mode, cfg.q).q
+        dist = (exact_dist_basic(x, q, table) if algo is Algorithm.BASIC
+                else exact_dist_erh_fallback(x, q, cfg.T(), table))
     if args.format == "csv":
         _emit(report_emit([dist], "csv"), args.out)
     else:
@@ -159,14 +144,13 @@ def _cmd_exact_dist(args) -> int:
             "h2_bits": m.h2_bits,
             "hmin_bits": m.hmin_bits,
         }
-        _emit(json.dumps(record, sort_keys=True, indent=2) + "\n", args.out)
+        _emit_json(record, args.out)
     return 0
 
 
 def _cmd_audit_primeinc(args) -> int:
     audit = primeinc_audit(args.x, args.trials, seed=args.seed)
-    _emit(json.dumps(audit_to_dict(audit), sort_keys=True, indent=2) + "\n",
-          args.out)
+    _emit_json(audit_to_dict(audit), args.out)
     return 0
 
 
@@ -179,15 +163,13 @@ def _cmd_gap_census(args) -> int:
     if args.format == "csv":
         _emit(report_emit([census], "csv"), args.out)
     else:
-        _emit(json.dumps(census_to_dict(census), sort_keys=True, indent=2)
-              + "\n", args.out)
+        _emit_json(census_to_dict(census), args.out)
     return 0
 
 
 def _cmd_error_profile(args) -> int:
     profile = error_term_profile(args.x, q=args.q, A=args.A)
-    _emit(json.dumps(profile_to_dict(profile), sort_keys=True, indent=2)
-          + "\n", args.out)
+    _emit_json(profile_to_dict(profile), args.out)
     return 0
 
 

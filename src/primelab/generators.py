@@ -1,13 +1,13 @@
 """Prime generators with per-run resource telemetry.
 
-Six generators over the primes <= x:
+Six generators over the primes <= x, all run by `generate`:
 
 * trivial          -- uniform candidates from {1, ..., x}, retry until prime
 * primeinc         -- random start, scan upward to the next prime
 * basic            -- fixed modulus q, random unit a, search p = a + t*q
 * erh_fallback     -- basic, but fall back to trivial after T failures
 * uncond           -- random modulus from (Q/2, Q], then as erh_fallback
-* uncond_nofallback-- same selection, residue search runs forever
+* uncond_nofallback-- same selection, residue search up to the hard cap
 
 Every run reports a Telemetry: loop iterations, primality tests, bits
 drawn from the generation source (with the subset spent on modulus/unit
@@ -16,7 +16,7 @@ entered.  Runs are bit-for-bit reproducible from the seed.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import BrokenBitSourceError, ConfigError, NonTerminationError
@@ -25,6 +25,7 @@ from .ntheory import (
     Exact,
     Modulus,
     PrimalityPolicy,
+    _check_witness_bound,
     _is_prime_fixed_witnesses,
     is_prime,
     primorial_below,
@@ -56,6 +57,7 @@ class UnitMethod(str, Enum):
 
 _RESIDUE_ALGOS = (Algorithm.BASIC, Algorithm.ERH_FALLBACK)
 _RANDOM_MODULUS_ALGOS = (Algorithm.UNCOND, Algorithm.UNCOND_NOFALLBACK)
+_FALLBACK_ALGOS = (Algorithm.ERH_FALLBACK, Algorithm.UNCOND)
 
 
 def default_T(x: int) -> int:
@@ -93,8 +95,16 @@ class GenConfig:
     max_iterations: int | None = None
 
     def __post_init__(self):
-        if self.x < 2:
-            raise ConfigError(f"x must be >= 2, got {self.x}")
+        if not isinstance(self.x, int) or self.x < 2:
+            raise ConfigError(f"x must be an integer >= 2, got {self.x!r}")
+        for name in ("epsilon", "A"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        for name in ("T_override", "max_iterations"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         algo = self.algorithm
         if algo in _RESIDUE_ALGOS:
             if self.modulus_mode is ModulusMode.EXPLICIT:
@@ -208,6 +218,7 @@ def primality_tester(policy: PrimalityPolicy, x: int):
         if table is not None and table.bound >= x:
             flags = table._flags
             return lambda p: bool((flags[p >> 3] >> (p & 7)) & 1)
+        _check_witness_bound(x)
         return _is_prime_fixed_witnesses
     return lambda p: is_prime(p, policy)
 
@@ -222,38 +233,20 @@ def _trivial_search(src, x, test, tel):
             return p
 
 
-def gen_trivial(cfg: GenConfig, src: CountingBitSource | None = None):
-    """Uniform prime <= x by rejection over {1, ..., x}."""
-    if src is None:
-        src = CountingBitSource(cfg.seed)
-    tel = Telemetry()
-    start = src.bits_consumed
-    p = _trivial_search(src, cfg.x, primality_tester(cfg.primality, cfg.x), tel)
-    tel.bits_consumed = src.bits_consumed - start
-    return p, tel
-
-
-def gen_primeinc(cfg: GenConfig, src: CountingBitSource | None = None):
+def _primeinc_search(src, x, test, tel):
     """Random start y in {1, ..., x}, scanned upward to the first prime.
 
     If the scan would leave [1, x] (i.e. y exceeds the largest prime <= x),
     y is resampled, so the output distribution is gap-length over that
     largest prime.
     """
-    if src is None:
-        src = CountingBitSource(cfg.seed)
-    test = primality_tester(cfg.primality, cfg.x)
-    x = cfg.x
-    tel = Telemetry()
-    start = src.bits_consumed
     while True:
         tel.loop_iterations += 1
         p = src.uniform_below(x) + 1
         while p <= x:
             tel.primality_tests += 1
             if test(p):
-                tel.bits_consumed = src.bits_consumed - start
-                return p, tel
+                return p
             p += 1
 
 
@@ -270,53 +263,15 @@ def _residue_search(src, x, q, a, budget, test, tel):
     return None
 
 
-def _pick_modulus_and_unit(cfg: GenConfig, src, tel):
+def _pick_modulus_and_unit(cfg: GenConfig, src):
+    """The fixed modulus of `select_modulus` and a uniform unit a mod q."""
     modulus = select_modulus(cfg.x, cfg.epsilon, cfg.modulus_mode, cfg.q)
     if modulus.q >= cfg.x:
         raise ConfigError(f"modulus {modulus.q} must be < x = {cfg.x}")
-    start = src.bits_consumed
-    a = sample_unit(src, modulus, cfg.unit_method)
-    tel.selection_bits = src.bits_consumed - start
-    tel.chosen_q = modulus.q
-    tel.chosen_a = a
-    return modulus.q, a
+    return modulus.q, sample_unit(src, modulus, cfg.unit_method)
 
 
-def gen_basic(cfg: GenConfig, src: CountingBitSource | None = None):
-    """Residue-class search with a fixed modulus: p = a + t*q."""
-    if src is None:
-        src = CountingBitSource(cfg.seed)
-    tel = Telemetry()
-    start = src.bits_consumed
-    q, a = _pick_modulus_and_unit(cfg, src, tel)
-    test = primality_tester(cfg.primality, cfg.x)
-    p = _residue_search(src, cfg.x, q, a, cfg.iteration_cap(), test, tel)
-    tel.bits_consumed = src.bits_consumed - start
-    if p is None:
-        raise NonTerminationError(
-            f"no prime = {a} (mod {q}) found in {cfg.iteration_cap()} "
-            f"iterations; the class is likely empty"
-        )
-    return p, tel
-
-
-def gen_erh_fallback(cfg: GenConfig, src: CountingBitSource | None = None):
-    """Residue-class search for T iterations, then the trivial search."""
-    if src is None:
-        src = CountingBitSource(cfg.seed)
-    tel = Telemetry()
-    start = src.bits_consumed
-    q, a = _pick_modulus_and_unit(cfg, src, tel)
-    test = primality_tester(cfg.primality, cfg.x)
-    p = _residue_search(src, cfg.x, q, a, cfg.T(), test, tel)
-    if p is None:
-        tel.fallback_entered = True
-        p = _trivial_search(src, cfg.x, test, tel)
-    tel.bits_consumed = src.bits_consumed - start
-    return p, tel
-
-
-def _pick_random_modulus(cfg: GenConfig, src, tel):
+def _pick_random_modulus(cfg: GenConfig, src):
     """Exactly uniform pair (q, a): q in (Q/2, Q], a a unit mod q.
 
     Draw q and a uniformly and restart both on a gcd failure.  A plain
@@ -328,66 +283,48 @@ def _pick_random_modulus(cfg: GenConfig, src, tel):
     Q = derived_Q(cfg.x, cfg.A)
     half = Q // 2
     uniform_below = src.uniform_below
-    start = src.bits_consumed
     while True:
         q = half + 1 + uniform_below(half)
         a = uniform_below(q)
         if math.gcd(a, q) == 1 and uniform_below(Q) < q:
-            tel.selection_bits = src.bits_consumed - start
-            tel.chosen_q = q
-            tel.chosen_a = a
             return q, a
 
 
-def gen_uncond(cfg: GenConfig, src: CountingBitSource | None = None):
-    """Random-modulus residue search with trivial fallback after T tries."""
-    if src is None:
-        src = CountingBitSource(cfg.seed)
-    tel = Telemetry()
-    start = src.bits_consumed
-    q, a = _pick_random_modulus(cfg, src, tel)
-    test = primality_tester(cfg.primality, cfg.x)
-    p = _residue_search(src, cfg.x, q, a, cfg.T(), test, tel)
-    if p is None:
-        tel.fallback_entered = True
-        p = _trivial_search(src, cfg.x, test, tel)
-    tel.bits_consumed = src.bits_consumed - start
-    return p, tel
-
-
-def gen_uncond_nofallback(cfg: GenConfig, src: CountingBitSource | None = None):
-    """Random-modulus residue search with no fallback (hard cap only)."""
-    if src is None:
-        src = CountingBitSource(cfg.seed)
-    tel = Telemetry()
-    start = src.bits_consumed
-    q, a = _pick_random_modulus(cfg, src, tel)
-    test = primality_tester(cfg.primality, cfg.x)
-    p = _residue_search(src, cfg.x, q, a, cfg.iteration_cap(), test, tel)
-    tel.bits_consumed = src.bits_consumed - start
-    if p is None:
-        raise NonTerminationError(
-            f"no prime = {a} (mod {q}) found in {cfg.iteration_cap()} "
-            f"iterations; the class is likely empty"
-        )
-    return p, tel
-
-
-_DISPATCH = {
-    Algorithm.TRIVIAL: gen_trivial,
-    Algorithm.PRIMEINC: gen_primeinc,
-    Algorithm.BASIC: gen_basic,
-    Algorithm.ERH_FALLBACK: gen_erh_fallback,
-    Algorithm.UNCOND: gen_uncond,
-    Algorithm.UNCOND_NOFALLBACK: gen_uncond_nofallback,
-}
-
-
 def generate(cfg: GenConfig, src: CountingBitSource | None = None):
-    """Run the configured generator once; returns (prime, Telemetry)."""
-    return _DISPATCH[cfg.algorithm](cfg, src)
+    """Run the configured generator once; returns (prime, Telemetry).
 
-
-def with_seed(cfg: GenConfig, seed: int) -> GenConfig:
-    """Copy of cfg with a different seed."""
-    return replace(cfg, seed=seed)
+    The residue variants pick (q, a), fixed q or random q in (Q/2, Q], and
+    then draw only t in p = a + t*q.  An exhausted budget falls back to the
+    trivial search after T draws (erh_fallback, uncond) or raises
+    NonTerminationError at the iteration cap (basic, uncond_nofallback).
+    """
+    if src is None:
+        src = CountingBitSource(cfg.seed)
+    x = cfg.x
+    tel = Telemetry()
+    test = primality_tester(cfg.primality, x)
+    start = src.bits_consumed
+    algo = cfg.algorithm
+    if algo is Algorithm.TRIVIAL:
+        p = _trivial_search(src, x, test, tel)
+    elif algo is Algorithm.PRIMEINC:
+        p = _primeinc_search(src, x, test, tel)
+    else:
+        pick = (_pick_modulus_and_unit if algo in _RESIDUE_ALGOS
+                else _pick_random_modulus)
+        q, a = pick(cfg, src)
+        tel.selection_bits = src.bits_consumed - start
+        tel.chosen_q, tel.chosen_a = q, a
+        fallback = algo in _FALLBACK_ALGOS
+        budget = cfg.T() if fallback else cfg.iteration_cap()
+        p = _residue_search(src, x, q, a, budget, test, tel)
+        if p is None:
+            if not fallback:
+                raise NonTerminationError(
+                    f"no prime = {a} (mod {q}) found in {budget} "
+                    f"iterations; the class is likely empty"
+                )
+            tel.fallback_entered = True
+            p = _trivial_search(src, x, test, tel)
+    tel.bits_consumed = src.bits_consumed - start
+    return p, tel

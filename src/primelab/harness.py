@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,7 @@ from .errors import (
     DomainError,
     NonTerminationError,
     PrimelabError,
+    ResourceLimitError,
 )
 from .exactdist import (
     class_census,
@@ -406,7 +408,13 @@ def error_term_profile(
 
 def _encode_value(v):
     if isinstance(v, Fraction):
-        return {"fraction": f"{v.numerator}/{v.denominator}"}
+        try:
+            return {"fraction": f"{v.numerator}/{v.denominator}"}
+        except ValueError as exc:
+            raise ResourceLimitError(
+                f"fraction has more than {sys.get_int_max_str_digits()} "
+                f"digits, Python's integer-to-string limit"
+            ) from exc
     if isinstance(v, (Algorithm, ModulusMode, UnitMethod)):
         return v.value
     return v
@@ -680,12 +688,17 @@ def report_emit(reports: list, format: str = "json",
     else:
         raise DomainError(f"unknown format {format!r}")
     if out is not None:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            raise PrimelabError(f"cannot write report to {out}: {exc}") from exc
+        write_text(payload, out)
     return payload
+
+
+def write_text(payload: str, out: str) -> None:
+    """Write payload to the file `out`; an OSError becomes a PrimelabError."""
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise PrimelabError(f"cannot write report to {out}: {exc}") from exc
 
 
 def parse_reports(text: str) -> list:
@@ -695,7 +708,10 @@ def parse_reports(text: str) -> list:
     out = []
     for record in records:
         if isinstance(record, dict) and record.get("kind") == "run_report":
-            out.append(report_from_dict(record))
+            try:
+                out.append(report_from_dict(record))
+            except KeyError as exc:
+                raise DomainError(f"run_report lacks field {exc}") from exc
         else:
             out.append(record)
     return out

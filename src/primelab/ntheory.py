@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
+from .errors import ConfigError, DomainError, ResourceLimitError
 from .rng import split_seed
 
 # Desk-scale caps: sieving beyond 2^31 or totient tables beyond 10^8 are
@@ -21,9 +21,10 @@ DEFAULT_TOTIENT_CAP = 10**8
 
 _SEGMENT = 1 << 22
 
-# Fixed witness set proving primality for all n below this bound.
+# Fixed witness set proving primality for all n below this bound: the
+# first 13 primes are enough below psi_13 (the first 12 only below psi_12).
 _DETERMINISTIC_MR_BOUND = 3_317_044_064_679_887_385_961_981
-_DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -224,7 +225,7 @@ class PrimalityPolicy:
 @dataclass(frozen=True)
 class Exact(PrimalityPolicy):
     """Always-correct answers: table lookup when covered, fixed-witness
-    Miller-Rabin (valid below 3.3e24) otherwise."""
+    Miller-Rabin below 3.3e24, ResourceLimitError above."""
 
     table: PrimeTable | None = None
 
@@ -240,6 +241,10 @@ class MillerRabin(PrimalityPolicy):
 
     rounds: int = 20
     seed: int = 0
+
+    def __post_init__(self):
+        if self.rounds < 1:
+            raise ConfigError(f"MillerRabin needs rounds >= 1, got {self.rounds}")
 
 
 EXACT = Exact()
@@ -258,6 +263,13 @@ def _mr_composite_witness(n: int, a: int, d: int, s: int) -> bool:
         if x == n - 1:
             return False
     return True
+
+
+def _check_witness_bound(n: int) -> None:
+    if n >= _DETERMINISTIC_MR_BOUND:
+        raise ResourceLimitError(
+            f"no exact primality method for n >= {_DETERMINISTIC_MR_BOUND}"
+        )
 
 
 def _is_prime_fixed_witnesses(n: int) -> bool:
@@ -287,10 +299,7 @@ def is_prime(n: int, policy: PrimalityPolicy = EXACT) -> bool:
     if isinstance(policy, Exact):
         if policy.table is not None and n <= policy.table.bound:
             return policy.table.is_prime(n)
-        if n >= _DETERMINISTIC_MR_BOUND:
-            raise ResourceLimitError(
-                f"no exact primality method for n >= {_DETERMINISTIC_MR_BOUND}"
-            )
+        _check_witness_bound(n)
         return _is_prime_fixed_witnesses(n)
     if isinstance(policy, MillerRabin):
         for p in _SMALL_PRIMES:

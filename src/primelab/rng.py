@@ -87,12 +87,3 @@ class CountingBitSource:
                     f"{draws} consecutive rejections drawing below {m}"
                 )
 
-
-def uniform_below(src: CountingBitSource, m: int) -> int:
-    """Module-level alias for ``src.uniform_below(m)``."""
-    return src.uniform_below(m)
-
-
-def draw_bits(src: CountingBitSource, k: int) -> int:
-    """Module-level alias for ``src.draw_bits(k)``."""
-    return src.draw_bits(k)

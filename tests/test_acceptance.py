@@ -24,7 +24,7 @@ from primelab.generators import (
     GenConfig,
     ModulusMode,
     UnitMethod,
-    gen_erh_fallback,
+    generate,
     sample_unit,
 )
 from primelab.harness import (
@@ -252,7 +252,7 @@ def test_criterion_7_fallback_correctness():
                     seed=0, primality=Exact(t30))
     terminated_via_fallback = False
     for seed in range(2000):
-        p, tel = gen_erh_fallback(cfg, CountingBitSource(seed))
+        p, tel = generate(cfg, CountingBitSource(seed))
         assert t30.is_prime(p)
         if tel.chosen_a == 18:
             terminated_via_fallback = tel.fallback_entered

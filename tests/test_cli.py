@@ -123,3 +123,17 @@ def test_cli_writes_out_file(tmp_path, capsys):
     )
     assert code == 0
     assert out_file.read_text().startswith("prime,mass")
+
+
+@pytest.mark.parametrize("command", [
+    ("generate",),
+    ("bench", "--trials", "5"),
+])
+def test_cli_out_into_missing_directory(tmp_path, capsys, command):
+    out_file = tmp_path / "missing" / "f.json"
+    code, out, err = run_cli(
+        capsys, *command, "--x", "1000", "--algo", "trivial",
+        "--out", str(out_file),
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "PrimelabError"

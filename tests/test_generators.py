@@ -8,16 +8,9 @@ from primelab.generators import (
     Algorithm,
     GenConfig,
     ModulusMode,
-    Telemetry,
     UnitMethod,
     default_T,
     derived_Q,
-    gen_basic,
-    gen_erh_fallback,
-    gen_primeinc,
-    gen_trivial,
-    gen_uncond,
-    gen_uncond_nofallback,
     generate,
     sample_unit,
     select_modulus,
@@ -67,6 +60,12 @@ def test_config_validation():
     # explicit q does not need epsilon
     GenConfig(x=100, algorithm=Algorithm.BASIC, q=30,
               modulus_mode=ModulusMode.EXPLICIT)
+    for bad in ({"x": 100.5}, {"x": "100"}, {"T_override": 0},
+                {"max_iterations": 0}, {"A": math.nan}, {"A": math.inf},
+                {"epsilon": math.nan}, {"epsilon": -math.inf}):
+        with pytest.raises(ConfigError):
+            GenConfig(**{"x": 100, "algorithm": Algorithm.UNCOND, "A": 1.0,
+                         **bad})
 
 
 def test_default_T_and_Q():
@@ -120,7 +119,7 @@ def test_sample_unit_always_coprime(method, q):
 def test_gen_trivial_two_primes():
     cfg = GenConfig(x=3, algorithm=Algorithm.TRIVIAL, seed=5)
     src = CountingBitSource(cfg.seed)
-    counts = Counter(gen_trivial(cfg, src)[0] for _ in range(10**4))
+    counts = Counter(generate(cfg, src)[0] for _ in range(10**4))
     assert set(counts) == {2, 3}
     assert abs(counts[2] / 10**4 - 0.5) < 0.03
 
@@ -132,7 +131,7 @@ def test_gen_trivial_mean_iterations(table_1m):
     runs = 10**4
     iters = 0
     for _ in range(runs):
-        p, tel = gen_trivial(cfg, src)
+        p, tel = generate(cfg, src)
         iters += tel.loop_iterations
     density_inverse = 10**6 / table_1m.prime_count()  # 12.74
     assert abs(iters / runs / density_inverse - 1) < 0.05
@@ -141,7 +140,7 @@ def test_gen_trivial_mean_iterations(table_1m):
 def test_gen_primeinc_x3_distribution():
     cfg = GenConfig(x=3, algorithm=Algorithm.PRIMEINC, seed=9)
     src = CountingBitSource(cfg.seed)
-    counts = Counter(gen_primeinc(cfg, src)[0] for _ in range(3 * 10**4))
+    counts = Counter(generate(cfg, src)[0] for _ in range(3 * 10**4))
     # y=1,2 -> 2; y=3 -> 3
     assert abs(counts[2] / (3 * 10**4) - 2 / 3) < 0.02
 
@@ -152,7 +151,7 @@ def test_gen_primeinc_stays_in_range():
                     primality=Exact(t))
     src = CountingBitSource(cfg.seed)
     for _ in range(2000):
-        p, _ = gen_primeinc(cfg, src)
+        p, _ = generate(cfg, src)
         assert p <= 20 and t.is_prime(p)
 
 
@@ -164,7 +163,7 @@ def test_gen_basic_support_and_telemetry(table_1k):
     src = CountingBitSource(cfg.seed)
     seen = set()
     for _ in range(5000):
-        p, tel = gen_basic(cfg, src)
+        p, tel = generate(cfg, src)
         assert tel.chosen_q == 6
         assert p % 6 == tel.chosen_a
         assert math.gcd(p, 6) == 1
@@ -185,7 +184,7 @@ def test_gen_basic_mean_iterations_formula(table_100k):
     runs = 10**4
     iters = 0
     for i in range(runs):
-        _, tel = gen_basic(cfg, CountingBitSource(split_seed(6, i)))
+        _, tel = generate(cfg, CountingBitSource(split_seed(6, i)))
         iters += tel.loop_iterations
     assert abs(iters / runs / predicted - 1) < 0.10
 
@@ -195,7 +194,7 @@ def test_gen_erh_fallback_rare_at_scale(table_100k):
                     seed=13, primality=Exact(table_100k))
     fallbacks = 0
     for i in range(2000):
-        _, tel = gen_erh_fallback(cfg, CountingBitSource(split_seed(13, i)))
+        _, tel = generate(cfg, CountingBitSource(split_seed(13, i)))
         fallbacks += tel.fallback_entered
     assert fallbacks / 2000 < 1e-3
 
@@ -209,7 +208,7 @@ def test_gen_erh_fallback_empty_class_terminates():
                     seed=0, primality=Exact(t30))
     hit_empty = False
     for seed in range(2000):
-        p, tel = gen_erh_fallback(cfg, CountingBitSource(seed))
+        p, tel = generate(cfg, CountingBitSource(seed))
         assert t30.is_prime(p)
         if tel.chosen_a == 18:
             hit_empty = True
@@ -226,7 +225,7 @@ def test_gen_basic_empty_class_raises():
     raised = False
     for seed in range(2000):
         try:
-            _, tel = gen_basic(cfg, CountingBitSource(seed))
+            _, tel = generate(cfg, CountingBitSource(seed))
         except NonTerminationError:
             raised = True
             break
@@ -238,7 +237,7 @@ def test_gen_uncond_output_and_fallback_flag():
     cfg = GenConfig(x=10**4, algorithm=Algorithm.UNCOND, A=2.0, seed=3,
                     primality=Exact(t))
     for i in range(500):
-        p, tel = gen_uncond(cfg, CountingBitSource(split_seed(3, i)))
+        p, tel = generate(cfg, CountingBitSource(split_seed(3, i)))
         assert t.is_prime(p)
         if not tel.fallback_entered:
             assert p % tel.chosen_q == tel.chosen_a
@@ -250,7 +249,7 @@ def test_gen_uncond_nofallback_congruence():
                     seed=8, primality=Exact(t))
     Q = derived_Q(10**4, 2.0)
     for i in range(500):
-        p, tel = gen_uncond_nofallback(cfg, CountingBitSource(split_seed(8, i)))
+        p, tel = generate(cfg, CountingBitSource(split_seed(8, i)))
         assert p % tel.chosen_q == tel.chosen_a
         assert Q // 2 < tel.chosen_q <= Q
         assert not tel.fallback_entered
@@ -267,7 +266,7 @@ def test_uncond_pair_selection_uniform():
     pairs = Counter()
     n = 10**5
     for _ in range(n):
-        pairs[_pick_random_modulus(cfg, src, Telemetry())] += 1
+        pairs[_pick_random_modulus(cfg, src)] += 1
     Q = derived_Q(10**4, 2.0)
     valid = [
         (q, a)
@@ -304,7 +303,7 @@ def test_miller_rabin_policy_in_generator(table_1k):
                     modulus_mode=ModulusMode.EXPLICIT, seed=21,
                     primality=MillerRabin(rounds=20, seed=5))
     for i in range(500):
-        p, _ = gen_basic(cfg, CountingBitSource(split_seed(21, i)))
+        p, _ = generate(cfg, CountingBitSource(split_seed(21, i)))
         assert table_1k.is_prime(p)
 
 
@@ -314,11 +313,11 @@ def test_primality_randomness_not_charged(table_1k):
     from primelab.ntheory import MillerRabin
 
     base = dict(x=1000, algorithm=Algorithm.TRIVIAL, seed=77)
-    p_exact, tel_exact = gen_trivial(
+    p_exact, tel_exact = generate(
         GenConfig(**base, primality=Exact(table_1k)),
         CountingBitSource(77),
     )
-    p_mr, tel_mr = gen_trivial(
+    p_mr, tel_mr = generate(
         GenConfig(**base, primality=MillerRabin(rounds=30, seed=9)),
         CountingBitSource(77),
     )
@@ -341,3 +340,57 @@ def test_primorial_vs_power_of_two_density():
         x=10**6, algorithm=Algorithm.BASIC, epsilon=0.3,
         modulus_mode=ModulusMode.POWER_OF_TWO))
     assert pred_prim < pred_pow2
+
+
+def _golden_stream_records():
+    """(prime, telemetry) or error text of 50 seeded runs per config."""
+    from dataclasses import asdict, replace
+
+    from primelab.errors import PrimelabError
+    from primelab.ntheory import MillerRabin
+
+    configs = []
+    for x, policy in ((10**5, Exact(sieve(10**5))), (10**12, Exact()),
+                      (10**6, MillerRabin(rounds=5))):
+        configs += [GenConfig(x=x, algorithm=algo, epsilon=0.3, A=2.0,
+                              primality=policy) for algo in Algorithm]
+    configs += [GenConfig(x=10**4, algorithm=algo, epsilon=0.3, A=2.0,
+                          modulus_mode=ModulusMode.POWER_OF_TWO,
+                          unit_method=UnitMethod.REJECTION)
+                for algo in Algorithm]
+    # q = 25 at x = 100 has empty unit classes: a short budget makes the
+    # fallback variants fall back and the capped ones raise
+    configs += [GenConfig(x=100, algorithm=algo, q=25, A=1.0,
+                          modulus_mode=ModulusMode.EXPLICIT, **budget)
+                for algo, budget in (
+                    (Algorithm.ERH_FALLBACK, {"T_override": 2}),
+                    (Algorithm.UNCOND, {"T_override": 2}),
+                    (Algorithm.BASIC, {"max_iterations": 3}),
+                    (Algorithm.UNCOND_NOFALLBACK, {"max_iterations": 3}))]
+    records = []
+    for cfg in configs:
+        for i in range(50):
+            try:
+                p, tel = generate(replace(cfg, seed=split_seed(2024, i)))
+                records.append([p, asdict(tel)])
+            except PrimelabError as exc:
+                records.append([type(exc).__name__, str(exc)])
+    return records
+
+
+def test_golden_stream_digest():
+    # recorded from the six per-algorithm generator functions that
+    # `generate` replaced; any change in draw order, telemetry or error
+    # text moves the digest
+    import hashlib
+    import json
+
+    records = _golden_stream_records()
+    assert len(records) == 1400
+    errors = sum(isinstance(r[0], str) for r in records)
+    fallbacks = sum(r[1]["fallback_entered"] for r in records
+                    if not isinstance(r[0], str))
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode())
+    assert (errors, fallbacks, digest.hexdigest()) == (
+        32, 43,
+        "67ffdef8018efaaa76f39e9f823a83eef66e929ba7b9152537d6692b767860b9")

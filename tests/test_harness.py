@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,22 @@ def test_report_round_trip(table_1k):
     payload = report_emit([r], "json")
     (parsed,) = parse_reports(payload)
     assert parsed == r
+
+
+def test_parse_reports_missing_field_is_domain_error(table_1k):
+    record = report_to_dict(benchmark(small_cfg(), 10, table=table_1k))
+    del record["mean_bits"]
+    with pytest.raises(DomainError):
+        parse_reports(json.dumps([record]))
+
+
+def test_encode_value_beyond_int_digit_limit():
+    from primelab.errors import ResourceLimitError
+    from primelab.harness import _encode_value
+
+    with pytest.raises(ResourceLimitError,
+                       match=str(sys.get_int_max_str_digits())):
+        _encode_value(Fraction(1, 10**5000))
 
 
 def test_report_json_deterministic(table_1k):

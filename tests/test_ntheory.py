@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primelab.errors import DomainError, ResourceLimitError
+from primelab.errors import ConfigError, DomainError, ResourceLimitError
 from primelab.ntheory import (
     EXACT,
     Exact,
@@ -191,6 +191,8 @@ def test_is_prime_basics():
     assert not is_prime(1)
     assert is_prime(2)
     assert not is_prime(561, MillerRabin(20, 7))  # Carmichael number
+    with pytest.raises(ConfigError):
+        MillerRabin(rounds=0)  # would call 1763 = 41 * 43 prime
     assert is_prime(2**31 - 1)
     assert not is_prime(2**31 - 3)
     with pytest.raises(DomainError):
@@ -198,8 +200,22 @@ def test_is_prime_basics():
 
 
 def test_is_prime_exact_beyond_witness_bound():
+    from primelab.generators import Algorithm, GenConfig, generate
+
     with pytest.raises(ResourceLimitError):
         is_prime(3_317_044_064_679_887_385_961_981)
+    # a generator cannot promise exact verdicts for candidates that large
+    with pytest.raises(ResourceLimitError):
+        generate(GenConfig(x=10**30, algorithm=Algorithm.TRIVIAL))
+
+
+def test_is_prime_exact_psi12():
+    # psi_12, the least strong pseudoprime to the first 12 prime bases,
+    # is below the witness bound and must still be found composite
+    psi12 = 318_665_857_834_031_151_167_461
+    assert psi12 == 399_165_290_221 * 798_330_580_441
+    assert not is_prime(psi12)
+    assert not is_prime(psi12, Exact(sieve(1000)))
 
 
 def test_is_prime_table_policy(table_1k):

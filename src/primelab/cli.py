@@ -28,14 +28,12 @@ from .generators import (
 )
 from .harness import (
     benchmark,
-    census_to_dict,
-    audit_to_dict,
     dist_to_dict,
     error_term_profile,
     gap_census,
     primeinc_audit,
-    profile_to_dict,
     report_emit,
+    to_jsonable,
     write_text,
 )
 from .metrics import metrics_of
@@ -135,14 +133,8 @@ def _cmd_exact_dist(args) -> int:
         _emit(report_emit([dist], "csv"), args.out)
     else:
         record = dist_to_dict(dist)
-        m = metrics_of(dist)
         record["metrics"] = {
-            "delta1": float(m.delta1),
-            "delta2_sq": float(m.delta2_sq),
-            "beta": float(m.beta),
-            "gamma": float(m.gamma),
-            "h2_bits": m.h2_bits,
-            "hmin_bits": m.hmin_bits,
+            k: float(v) for k, v in asdict(metrics_of(dist)).items()
         }
         _emit_json(record, args.out)
     return 0
@@ -150,7 +142,7 @@ def _cmd_exact_dist(args) -> int:
 
 def _cmd_audit_primeinc(args) -> int:
     audit = primeinc_audit(args.x, args.trials, seed=args.seed)
-    _emit_json(audit_to_dict(audit), args.out)
+    _emit_json(to_jsonable(audit), args.out)
     return 0
 
 
@@ -163,13 +155,13 @@ def _cmd_gap_census(args) -> int:
     if args.format == "csv":
         _emit(report_emit([census], "csv"), args.out)
     else:
-        _emit_json(census_to_dict(census), args.out)
+        _emit_json(to_jsonable(census), args.out)
     return 0
 
 
 def _cmd_error_profile(args) -> int:
     profile = error_term_profile(args.x, q=args.q, A=args.A)
-    _emit_json(profile_to_dict(profile), args.out)
+    _emit_json(to_jsonable(profile), args.out)
     return 0
 
 

@@ -16,6 +16,7 @@ entered.  Runs are bit-for-bit reproducible from the seed.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,7 +27,7 @@ from .ntheory import (
     Modulus,
     PrimalityPolicy,
     _check_witness_bound,
-    _is_prime_fixed_witnesses,
+    _miller_rabin,
     is_prime,
     primorial_below,
 )
@@ -117,6 +118,13 @@ class GenConfig:
         if algo in _RANDOM_MODULUS_ALGOS:
             if self.A is None or self.A <= 0:
                 raise ConfigError(f"{algo.value} requires A > 0")
+        if self.x > sys.float_info.max and algo not in (
+                Algorithm.TRIVIAL, Algorithm.PRIMEINC):
+            # the modulus and its predictions are computed in floats
+            raise ConfigError(
+                f"{algo.value} needs x within float range; x has "
+                f"{self.x.bit_length()} bits"
+            )
         if self.q is not None and not 2 <= self.q < self.x:
             raise ConfigError(f"explicit q={self.q} not in [2, x)")
 
@@ -219,7 +227,7 @@ def primality_tester(policy: PrimalityPolicy, x: int):
             flags = table._flags
             return lambda p: bool((flags[p >> 3] >> (p & 7)) & 1)
         _check_witness_bound(x)
-        return _is_prime_fixed_witnesses
+        return _miller_rabin
     return lambda p: is_prime(p, policy)
 
 

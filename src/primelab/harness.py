@@ -12,7 +12,8 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from fractions import Fraction
 
 import numpy as np
@@ -41,9 +42,11 @@ from .generators import (
 )
 from .metrics import DistMetrics, FiniteDist, metrics_of
 from .ntheory import (
+    DEFAULT_TOTIENT_CAP,
     EXACT,
     Exact,
     MillerRabin,
+    PrimalityPolicy,
     PrimeTable,
     sieve,
     totient_sieve,
@@ -89,7 +92,10 @@ class RunReport:
 
 
 def predictions_for(cfg: GenConfig):
-    """(predicted_iterations, predicted_bits, epsilon_effective) for cfg."""
+    """(predicted_iterations, predicted_bits, epsilon_effective) for cfg.
+
+    None where no prediction is made: primeinc, and the random-modulus
+    variants whose Q exceeds the totient-table cap."""
     x = cfg.x
     lnx = math.log(x)
     algo = cfg.algorithm
@@ -105,6 +111,8 @@ def predictions_for(cfg: GenConfig):
         return pred_iter, pred_iter * math.log2(x / mod.q), eps_eff
     # random-modulus variants: average phi(q)/q over the actual q-range
     Q = derived_Q(x, cfg.A)
+    if Q > DEFAULT_TOTIENT_CAP:
+        return None, None, None
     phi = totient_sieve(Q)
     qs = np.arange(Q // 2 + 1, Q + 1)
     mean_ratio = float(np.mean(phi[qs] / qs))
@@ -282,6 +290,8 @@ def primeinc_audit(
     x: int, trials: int, seed: int = 0, table: PrimeTable | None = None
 ) -> PrimeincAudit:
     """Quantify the gap-length bias of the scan-upward generator."""
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
     if table is None:
         table = sieve(x)
     dist = exact_dist_primeinc(x, table)
@@ -406,7 +416,19 @@ def error_term_profile(
 # ---------------------------------------------------------------------------
 # serialization
 
+_RECORD_KINDS = {
+    "run_report": RunReport,
+    "gap_census": GapCensus,
+    "primeinc_audit": PrimeincAudit,
+    "error_profile_fixed": FixedModulusErrorProfile,
+    "error_profile_range": RangeErrorProfile,
+}
+
+
 def _encode_value(v):
+    """JSON form of a report value: dataclasses and dicts field by field
+    (str keys), a Fraction as {"fraction": "n/d"}, an enum as its value,
+    a primality policy as a {"type": ...} dict."""
     if isinstance(v, Fraction):
         try:
             return {"fraction": f"{v.numerator}/{v.denominator}"}
@@ -415,8 +437,19 @@ def _encode_value(v):
                 f"fraction has more than {sys.get_int_max_str_digits()} "
                 f"digits, Python's integer-to-string limit"
             ) from exc
-    if isinstance(v, (Algorithm, ModulusMode, UnitMethod)):
+    if isinstance(v, Enum):
         return v.value
+    if isinstance(v, Exact):
+        return {"type": "exact",
+                "table_bound": v.table.bound if v.table else None}
+    if isinstance(v, MillerRabin):
+        return {"type": "miller_rabin", "rounds": v.rounds, "seed": v.seed}
+    if isinstance(v, PrimalityPolicy):
+        raise DomainError(f"cannot serialize policy {v!r}")
+    if is_dataclass(v):
+        return {f.name: _encode_value(getattr(v, f.name)) for f in fields(v)}
+    if isinstance(v, dict):
+        return {str(k): _encode_value(x) for k, x in v.items()}
     return v
 
 
@@ -426,116 +459,35 @@ def _decode_value(v):
     return v
 
 
-def config_to_dict(cfg: GenConfig) -> dict:
-    policy = cfg.primality
-    if isinstance(policy, Exact):
-        pol = {
-            "type": "exact",
-            "table_bound": policy.table.bound if policy.table else None,
-        }
-    elif isinstance(policy, MillerRabin):
-        pol = {"type": "miller_rabin", "rounds": policy.rounds,
-               "seed": policy.seed}
-    else:
-        raise DomainError(f"cannot serialize policy {policy!r}")
-    return {
-        "x": cfg.x,
-        "algorithm": cfg.algorithm.value,
-        "epsilon": cfg.epsilon,
-        "modulus_mode": cfg.modulus_mode.value,
-        "q": cfg.q,
-        "A": cfg.A,
-        "T_override": cfg.T_override,
-        "seed": cfg.seed,
-        "primality": pol,
-        "unit_method": cfg.unit_method.value,
-        "max_iterations": cfg.max_iterations,
-    }
+def _field_values(cls, d: dict) -> dict:
+    return {f.name: _decode_value(d[f.name]) for f in fields(cls)}
 
 
 def config_from_dict(d: dict) -> GenConfig:
     """Rebuild a GenConfig; exact-policy prime tables are not embedded in
     reports, so they come back as Exact(table=None)."""
-    pol = d["primality"]
+    kw = _field_values(GenConfig, d)
+    pol = kw["primality"]
     if pol["type"] == "exact":
-        policy = EXACT
+        kw["primality"] = EXACT
     elif pol["type"] == "miller_rabin":
-        policy = MillerRabin(rounds=pol["rounds"], seed=pol["seed"])
+        kw["primality"] = MillerRabin(rounds=pol["rounds"], seed=pol["seed"])
     else:
         raise DomainError(f"unknown policy type {pol['type']!r}")
-    return GenConfig(
-        x=d["x"],
-        algorithm=Algorithm(d["algorithm"]),
-        epsilon=d["epsilon"],
-        modulus_mode=ModulusMode(d["modulus_mode"]),
-        q=d["q"],
-        A=d["A"],
-        T_override=d["T_override"],
-        seed=d["seed"],
-        primality=policy,
-        unit_method=UnitMethod(d["unit_method"]),
-        max_iterations=d["max_iterations"],
-    )
-
-
-def _metrics_to_dict(m: DistMetrics) -> dict:
-    return {
-        "delta1": _encode_value(m.delta1),
-        "delta2_sq": _encode_value(m.delta2_sq),
-        "beta": _encode_value(m.beta),
-        "gamma": _encode_value(m.gamma),
-        "h2_bits": m.h2_bits,
-        "hmin_bits": m.hmin_bits,
-    }
-
-
-def _metrics_from_dict(d: dict) -> DistMetrics:
-    return DistMetrics(
-        delta1=_decode_value(d["delta1"]),
-        delta2_sq=_decode_value(d["delta2_sq"]),
-        beta=_decode_value(d["beta"]),
-        gamma=_decode_value(d["gamma"]),
-        h2_bits=d["h2_bits"],
-        hmin_bits=d["hmin_bits"],
-    )
-
-
-def report_to_dict(report: RunReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "run_report",
-        "config": config_to_dict(report.config),
-        "trials": report.trials,
-        "mean_iterations": report.mean_iterations,
-        "mean_bits": report.mean_bits,
-        "mean_loop_bits": report.mean_loop_bits,
-        "mean_selection_bits": report.mean_selection_bits,
-        "mean_primality_tests": report.mean_primality_tests,
-        "fallback_rate": report.fallback_rate,
-        "predicted_iterations": report.predicted_iterations,
-        "predicted_bits": report.predicted_bits,
-        "epsilon_effective": report.epsilon_effective,
-        "metrics": _metrics_to_dict(report.metrics) if report.metrics else None,
-    }
+    kw["algorithm"] = Algorithm(kw["algorithm"])
+    kw["modulus_mode"] = ModulusMode(kw["modulus_mode"])
+    kw["unit_method"] = UnitMethod(kw["unit_method"])
+    return GenConfig(**kw)
 
 
 def report_from_dict(d: dict) -> RunReport:
     if d.get("kind") != "run_report":
         raise DomainError(f"not a run report: kind={d.get('kind')!r}")
-    return RunReport(
-        config=config_from_dict(d["config"]),
-        trials=d["trials"],
-        mean_iterations=d["mean_iterations"],
-        mean_bits=d["mean_bits"],
-        mean_loop_bits=d["mean_loop_bits"],
-        mean_selection_bits=d["mean_selection_bits"],
-        mean_primality_tests=d["mean_primality_tests"],
-        fallback_rate=d["fallback_rate"],
-        predicted_iterations=d["predicted_iterations"],
-        predicted_bits=d["predicted_bits"],
-        epsilon_effective=d["epsilon_effective"],
-        metrics=_metrics_from_dict(d["metrics"]) if d["metrics"] else None,
-    )
+    kw = _field_values(RunReport, d)
+    kw["config"] = config_from_dict(kw["config"])
+    if kw["metrics"]:
+        kw["metrics"] = DistMetrics(**_field_values(DistMetrics, kw["metrics"]))
+    return RunReport(**kw)
 
 
 def dist_to_dict(dist: FiniteDist) -> dict:
@@ -547,93 +499,35 @@ def dist_to_dict(dist: FiniteDist) -> dict:
         "kind": "distribution",
         "space_size": dist.space_size,
         "mass": rows,
-        "meta": {k: _encode_value(v) for k, v in sorted(dist.meta.items())},
-    }
-
-
-def census_to_dict(census: GapCensus) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "gap_census",
-        "x": census.x,
-        "lambdas": census.lambdas,
-        "F_values": {str(k): v for k, v in census.F_values.items()},
-        "normalized": {str(k): v for k, v in census.normalized.items()},
-        "prime_fraction": {
-            str(k): v for k, v in census.prime_fraction.items()
-        },
-        "reference": {str(k): v for k, v in census.reference.items()},
-    }
-
-
-def audit_to_dict(audit: PrimeincAudit) -> dict:
-    d = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "primeinc_audit",
-    }
-    for field_name in (
-        "x", "trials", "gap_count", "bound_gap_large",
-        "bound_gap_large_holds", "bound_gap_small", "bound_gap_small_holds",
-        "twin_uniform_fraction", "twin_exact_output_fraction",
-        "twin_empirical_fraction", "twin_ratio",
-    ):
-        d[field_name] = getattr(audit, field_name)
-    d["delta1"] = _encode_value(audit.delta1)
-    return d
-
-
-def profile_to_dict(profile) -> dict:
-    if isinstance(profile, FixedModulusErrorProfile):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "error_profile_fixed",
-            "x": profile.x,
-            "q": profile.q,
-            "error_terms": {str(a): e for a, e in sorted(profile.error_terms.items())},
-            "max_error": profile.max_error,
-            "mean_error": profile.mean_error,
-            "threshold": profile.threshold,
-            "fraction_exceeding": profile.fraction_exceeding,
-        }
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "error_profile_range",
-        "x": profile.x,
-        "A": profile.A,
-        "Q": profile.Q,
-        "sum_sq_error": profile.sum_sq_error,
-        "scale": profile.scale,
-        "ratio": profile.ratio,
+        "meta": _encode_value(dist.meta),
     }
 
 
 def to_jsonable(obj):
-    if isinstance(obj, RunReport):
-        return report_to_dict(obj)
+    """One JSON record: schema_version, kind and the encoded fields of a
+    report dataclass; a FiniteDist goes through dist_to_dict and a plain
+    dict passes unchanged."""
     if isinstance(obj, FiniteDist):
         return dist_to_dict(obj)
-    if isinstance(obj, GapCensus):
-        return census_to_dict(obj)
-    if isinstance(obj, PrimeincAudit):
-        return audit_to_dict(obj)
-    if isinstance(obj, (FixedModulusErrorProfile, RangeErrorProfile)):
-        return profile_to_dict(obj)
     if isinstance(obj, dict):
         return obj
+    for kind, cls in _RECORD_KINDS.items():
+        if type(obj) is cls:
+            return {"schema_version": SCHEMA_VERSION, "kind": kind,
+                    **_encode_value(obj)}
     raise DomainError(f"cannot serialize {type(obj).__name__}")
 
 
 def _reports_to_csv(items: list) -> str:
     buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     if items and isinstance(items[0], FiniteDist):
-        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["prime", "mass"])
         for dist in items:
             for p, m in sorted(dist.mass.items()):
                 writer.writerow([p, repr(float(m))])
         return buf.getvalue()
     if items and isinstance(items[0], GapCensus):
-        writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["x", "lambda", "F", "normalized",
                         "prime_fraction", "reference"])
         for c in items:
@@ -643,31 +537,17 @@ def _reports_to_csv(items: list) -> str:
                     repr(c.prime_fraction[lam]), repr(c.reference[lam]),
                 ])
         return buf.getvalue()
-    writer = csv.DictWriter(
-        buf, fieldnames=REPORT_CSV_COLUMNS, lineterminator="\n"
-    )
-    writer.writeheader()
+    writer.writerow(REPORT_CSV_COLUMNS)
     for report in items:
         if not isinstance(report, RunReport):
             raise DomainError(
                 f"CSV output for {type(report).__name__} is not defined"
             )
         cfg = report.config
-        writer.writerow({
-            "algorithm": cfg.algorithm.value,
-            "x": cfg.x,
-            "trials": report.trials,
-            "seed": cfg.seed,
-            "mean_iterations": repr(report.mean_iterations),
-            "mean_bits": repr(report.mean_bits),
-            "mean_loop_bits": repr(report.mean_loop_bits),
-            "mean_selection_bits": repr(report.mean_selection_bits),
-            "mean_primality_tests": repr(report.mean_primality_tests),
-            "fallback_rate": repr(report.fallback_rate),
-            "predicted_iterations": repr(report.predicted_iterations),
-            "predicted_bits": repr(report.predicted_bits),
-            "epsilon_effective": repr(report.epsilon_effective),
-        })
+        writer.writerow([cfg.algorithm.value] + [
+            repr(getattr(report if hasattr(report, c) else cfg, c))
+            for c in REPORT_CSV_COLUMNS[1:]
+        ])
     return buf.getvalue()
 
 

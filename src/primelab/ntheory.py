@@ -272,7 +272,9 @@ def _check_witness_bound(n: int) -> None:
         )
 
 
-def _is_prime_fixed_witnesses(n: int) -> bool:
+def _miller_rabin(n: int, bases=_DETERMINISTIC_WITNESSES) -> bool:
+    """Trial division by the small primes, then the strong test of n to
+    each base in `bases` (an iterable, consumed only as far as needed)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -285,9 +287,15 @@ def _is_prime_fixed_witnesses(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    return not any(
-        _mr_composite_witness(n, a, d, s) for a in _DETERMINISTIC_WITNESSES
-    )
+    return not any(_mr_composite_witness(n, a, d, s) for a in bases)
+
+
+def _random_bases(n: int, policy: MillerRabin):
+    """`policy.rounds` bases in [2, n-2] from a stream keyed by (seed, n);
+    the stream is seeded on the first base drawn."""
+    rnd = random.Random(split_seed(policy.seed, n))
+    for _ in range(policy.rounds):
+        yield rnd.randint(2, n - 2)
 
 
 def is_prime(n: int, policy: PrimalityPolicy = EXACT) -> bool:
@@ -300,21 +308,7 @@ def is_prime(n: int, policy: PrimalityPolicy = EXACT) -> bool:
         if policy.table is not None and n <= policy.table.bound:
             return policy.table.is_prime(n)
         _check_witness_bound(n)
-        return _is_prime_fixed_witnesses(n)
+        return _miller_rabin(n)
     if isinstance(policy, MillerRabin):
-        for p in _SMALL_PRIMES:
-            if n == p:
-                return True
-            if n % p == 0:
-                return False
-        d = n - 1
-        s = 0
-        while d % 2 == 0:
-            d //= 2
-            s += 1
-        rnd = random.Random(split_seed(policy.seed, n))
-        return not any(
-            _mr_composite_witness(n, rnd.randint(2, n - 2), d, s)
-            for _ in range(policy.rounds)
-        )
+        return _miller_rabin(n, _random_bases(n, policy))
     raise DomainError(f"unknown primality policy {policy!r}")

@@ -93,6 +93,15 @@ def test_audit_cli(capsys):
     assert record["twin_ratio"] < 1
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_audit_cli_bad_trials(capsys, trials):
+    code, out, err = run_cli(
+        capsys, "audit-primeinc", "--x", "1000", "--trials", trials,
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
 def test_error_profile_cli(capsys):
     code, out, _ = run_cli(capsys, "error-profile", "--x", "1000", "--q", "30")
     record = json.loads(out)

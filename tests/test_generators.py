@@ -15,7 +15,13 @@ from primelab.generators import (
     sample_unit,
     select_modulus,
 )
-from primelab.ntheory import Exact, Modulus, residue_class_primes, sieve
+from primelab.ntheory import (
+    Exact,
+    MillerRabin,
+    Modulus,
+    residue_class_primes,
+    sieve,
+)
 from primelab.rng import CountingBitSource, split_seed
 
 from conftest import chi2_critical, chi2_stat_uniform
@@ -66,6 +72,17 @@ def test_config_validation():
         with pytest.raises(ConfigError):
             GenConfig(**{"x": 100, "algorithm": Algorithm.UNCOND, "A": 1.0,
                          **bad})
+    # x beyond float range: the modulus and its predictions need floats
+    for bad in ({"algorithm": Algorithm.BASIC, "epsilon": 0.3},
+                {"algorithm": Algorithm.BASIC, "q": 30,
+                 "modulus_mode": ModulusMode.EXPLICIT},
+                {"algorithm": Algorithm.UNCOND, "A": 2.0}):
+        with pytest.raises(ConfigError):
+            GenConfig(x=10**400, primality=MillerRabin(rounds=2), **bad)
+    for algo in (Algorithm.TRIVIAL, Algorithm.PRIMEINC):
+        p, _ = generate(GenConfig(x=10**400, algorithm=algo,
+                                  primality=MillerRabin(rounds=2)))
+        assert p <= 10**400
 
 
 def test_default_T_and_Q():

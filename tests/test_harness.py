@@ -15,8 +15,8 @@ from primelab.harness import (
     parse_reports,
     primeinc_audit,
     report_emit,
-    report_to_dict,
     sample_distribution,
+    to_jsonable,
 )
 from primelab.exactdist import exact_dist_basic
 from primelab.ntheory import Exact, sieve, totient_partial_sum
@@ -61,6 +61,15 @@ def test_benchmark_propagates_trial_index():
                     primality=Exact(t30), max_iterations=30)
     with pytest.raises(NonTerminationError, match=r"trial \d+"):
         benchmark(cfg, 2000)
+
+
+def test_benchmark_uncond_above_totient_cap():
+    # Q = 1.3e9 exceeds the totient-table cap: no prediction, no error
+    cfg = GenConfig(x=10**12, algorithm=Algorithm.UNCOND, A=2.0)
+    r = benchmark(cfg, 3)
+    assert (r.predicted_iterations, r.predicted_bits,
+            r.epsilon_effective) == (None, None, None)
+    assert r.trials == 3 and r.mean_iterations >= 1
 
 
 def test_gap_census_lambda_zero(table_1m):
@@ -184,7 +193,7 @@ def test_report_round_trip(table_1k):
 
 
 def test_parse_reports_missing_field_is_domain_error(table_1k):
-    record = report_to_dict(benchmark(small_cfg(), 10, table=table_1k))
+    record = to_jsonable(benchmark(small_cfg(), 10, table=table_1k))
     del record["mean_bits"]
     with pytest.raises(DomainError):
         parse_reports(json.dumps([record]))
@@ -202,7 +211,7 @@ def test_encode_value_beyond_int_digit_limit():
 def test_report_json_deterministic(table_1k):
     r = benchmark(small_cfg(primality=Exact(table_1k)), 100)
     assert report_emit([r]) == report_emit([r])
-    d = report_to_dict(r)
+    d = to_jsonable(r)
     assert d["schema_version"] == 1
 
 

@@ -24,7 +24,6 @@ from .generators import (
     ModulusMode,
     UnitMethod,
     generate,
-    select_modulus,
 )
 from .harness import (
     benchmark,
@@ -124,11 +123,11 @@ def _cmd_exact_dist(args) -> int:
     elif algo is Algorithm.UNCOND_NOFALLBACK:
         dist = exact_dist_uncond_nofallback(x, cfg.A, table)
     elif algo is Algorithm.UNCOND:
-        dist = exact_dist_uncond(x, cfg.A, cfg.T(), table)
+        dist = exact_dist_uncond(x, cfg.A, cfg.budget, table)
     else:
-        q = select_modulus(x, cfg.epsilon, cfg.modulus_mode, cfg.q).q
+        q = cfg.modulus.q
         dist = (exact_dist_basic(x, q, table) if algo is Algorithm.BASIC
-                else exact_dist_erh_fallback(x, q, cfg.T(), table))
+                else exact_dist_erh_fallback(x, q, cfg.budget, table))
     if args.format == "csv":
         _emit(report_emit([dist], "csv"), args.out)
     else:

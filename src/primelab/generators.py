@@ -18,6 +18,7 @@ entered.  Runs are bit-for-bit reproducible from the seed.
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 
 from .errors import BrokenBitSourceError, ConfigError, NonTerminationError
@@ -59,6 +60,8 @@ class UnitMethod(str, Enum):
 _RESIDUE_ALGOS = (Algorithm.BASIC, Algorithm.ERH_FALLBACK)
 _RANDOM_MODULUS_ALGOS = (Algorithm.UNCOND, Algorithm.UNCOND_NOFALLBACK)
 _FALLBACK_ALGOS = (Algorithm.ERH_FALLBACK, Algorithm.UNCOND)
+# their modulus and its predictions are computed in floats
+_FLOAT_ALGOS = _RESIDUE_ALGOS + _RANDOM_MODULUS_ALGOS
 
 
 def default_T(x: int) -> int:
@@ -68,20 +71,42 @@ def default_T(x: int) -> int:
 
 def derived_Q(x: int, A: float) -> int:
     """Even modulus-range top for the random-modulus variants:
-    2 * floor(x / (2 (ln x)^A))."""
-    Q = 2 * int(x / (2 * math.log(x) ** A))
-    if Q < 4:
-        raise ConfigError(f"Q = {Q} < 4 for x={x}, A={A}; decrease A")
+    2 * floor(x / (2 (ln x)^A)), which must lie in [4, x]."""
+    try:
+        Q = 2 * int(x / (2 * math.log(x) ** A))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError(f"Q for x={x}, A={A} is out of float range") from exc
+    if not 4 <= Q <= x:
+        raise ConfigError(f"Q = {Q} not in [4, x] for x={x}, A={A}")
     return Q
 
 
-def default_iteration_cap(x: int) -> int:
-    return math.ceil(1e6 * math.log(x))
+def _modulus_limit(x: int, epsilon, mode, q) -> float | None:
+    """Cheap checks shared by GenConfig and select_modulus: the bound
+    x^(1-epsilon) of a derived modulus, or None for an explicit q."""
+    if q is not None and not 2 <= q < x:
+        raise ConfigError(f"explicit q={q} not in [2, x={x})")
+    if epsilon is not None and not 0 < epsilon < 1:
+        raise ConfigError(f"epsilon must be in (0,1), got {epsilon}")
+    if mode is ModulusMode.EXPLICIT:
+        if q is None:
+            raise ConfigError("explicit modulus mode requires q")
+        return None
+    if epsilon is None:
+        raise ConfigError("a derived modulus requires epsilon")
+    limit = x ** (1.0 - epsilon)
+    # limit >= x only by float rounding; the modulus could then reach x
+    if not 3 <= limit < x:
+        raise ConfigError(f"x^(1-epsilon) = {limit} not in [3, x={x})")
+    return limit
 
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Algorithm selector plus parameters; primes produced are <= x."""
+    """Algorithm selector plus parameters; primes produced are <= x.
+
+    It derives the search parameters once: Q (uncond*, else None) at
+    construction, the fixed `modulus` on first use, and the `budget`."""
 
     x: int
     algorithm: Algorithm
@@ -94,47 +119,50 @@ class GenConfig:
     primality: PrimalityPolicy = EXACT
     unit_method: UnitMethod = UnitMethod.JOYE_PAILLIER
     max_iterations: int | None = None
+    Q = None  # not a field (no annotation); set for uncond* at construction
 
     def __post_init__(self):
-        if not isinstance(self.x, int) or self.x < 2:
-            raise ConfigError(f"x must be an integer >= 2, got {self.x!r}")
-        for name in ("epsilon", "A"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        for name in ("T_override", "max_iterations"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+        # plain locals and unrolled checks: every benchmark set-up and every
+        # dataclasses.replace of a config runs this
+        x, eps, A = self.x, self.epsilon, self.A
+        T, cap = self.T_override, self.max_iterations
+        if not isinstance(x, int) or x < 2:
+            raise ConfigError(f"x must be an integer >= 2, got {x!r}")
+        if eps is not None and not math.isfinite(eps):
+            raise ConfigError(f"epsilon must be finite, got {eps}")
+        if A is not None and not math.isfinite(A):
+            raise ConfigError(f"A must be finite, got {A}")
+        if T is not None and T < 1:
+            raise ConfigError(f"T_override must be >= 1, got {T}")
+        if cap is not None and cap < 1:
+            raise ConfigError(f"max_iterations must be >= 1, got {cap}")
         algo = self.algorithm
-        if algo in _RESIDUE_ALGOS:
-            if self.modulus_mode is ModulusMode.EXPLICIT:
-                if self.q is None:
-                    raise ConfigError("explicit modulus mode requires q")
-            elif self.epsilon is None:
-                raise ConfigError(f"{algo.value} requires epsilon")
-            if self.epsilon is not None and not 0 < self.epsilon < 1:
-                raise ConfigError(f"epsilon must be in (0,1), got {self.epsilon}")
-        if algo in _RANDOM_MODULUS_ALGOS:
-            if self.A is None or self.A <= 0:
-                raise ConfigError(f"{algo.value} requires A > 0")
-        if self.x > sys.float_info.max and algo not in (
-                Algorithm.TRIVIAL, Algorithm.PRIMEINC):
-            # the modulus and its predictions are computed in floats
+        if algo in _FLOAT_ALGOS and x > sys.float_info.max:
             raise ConfigError(
                 f"{algo.value} needs x within float range; x has "
-                f"{self.x.bit_length()} bits"
+                f"{x.bit_length()} bits"
             )
-        if self.q is not None and not 2 <= self.q < self.x:
-            raise ConfigError(f"explicit q={self.q} not in [2, x)")
+        if algo in _RESIDUE_ALGOS:
+            _modulus_limit(x, eps, self.modulus_mode, self.q)
+        elif self.q is not None:
+            _modulus_limit(x, None, ModulusMode.EXPLICIT, self.q)
+        if algo in _RANDOM_MODULUS_ALGOS:
+            if A is None or A <= 0:
+                raise ConfigError(f"{algo.value} requires A > 0")
+            object.__setattr__(self, "Q", derived_Q(x, A))
 
-    def T(self) -> int:
-        return self.T_override if self.T_override is not None else default_T(self.x)
+    @cached_property
+    def modulus(self) -> Modulus:
+        """The fixed modulus of basic/erh_fallback, built on first use."""
+        return select_modulus(self.x, self.epsilon, self.modulus_mode, self.q)
 
-    def iteration_cap(self) -> int:
-        if self.max_iterations is not None:
-            return self.max_iterations
-        return default_iteration_cap(self.x)
+    @property
+    def budget(self) -> int:
+        """Residue-search draws: T before the fallback (erh_fallback,
+        uncond), else the iteration cap, ceil(1e6 ln x) by default."""
+        if self.algorithm in _FALLBACK_ALGOS:
+            return self.T_override or default_T(self.x)
+        return self.max_iterations or math.ceil(1e6 * math.log(self.x))
 
 
 @dataclass
@@ -168,28 +196,14 @@ def select_modulus(
     PRIMORIAL / POWER_OF_TWO take the largest primorial (resp. power of
     two) that does not exceed x^(1-epsilon); EXPLICIT validates a given q.
     """
+    limit = _modulus_limit(x, epsilon, mode, explicit_q)
     if mode is ModulusMode.EXPLICIT:
-        if explicit_q is None:
-            raise ConfigError("explicit modulus mode requires q")
-        if not 2 <= explicit_q < x:
-            raise ConfigError(f"q={explicit_q} not in [2, x={x})")
         return Modulus.from_int(explicit_q)
-    if epsilon is None or not 0 < epsilon < 1:
-        raise ConfigError(f"epsilon must be in (0,1), got {epsilon}")
-    limit = int(x ** (1.0 - epsilon))
-    if limit < 3:
-        raise ConfigError(
-            f"x^(1-epsilon) = {limit} < 3; enlarge x or shrink epsilon"
-        )
     if mode is ModulusMode.PRIMORIAL:
-        q = primorial_below(limit)
-    elif mode is ModulusMode.POWER_OF_TWO:
-        q = 1 << (limit.bit_length() - 1)
-    else:
-        raise ConfigError(f"unknown modulus mode {mode!r}")
-    if q < 2:
-        raise ConfigError(f"derived modulus {q} < 2")
-    return Modulus.from_int(q)
+        return Modulus.from_int(primorial_below(int(limit)))
+    if mode is ModulusMode.POWER_OF_TWO:
+        return Modulus.from_int(1 << (int(limit).bit_length() - 1))
+    raise ConfigError(f"unknown modulus mode {mode!r}")
 
 
 def sample_unit(
@@ -271,14 +285,6 @@ def _residue_search(src, x, q, a, budget, test, tel):
     return None
 
 
-def _pick_modulus_and_unit(cfg: GenConfig, src):
-    """The fixed modulus of `select_modulus` and a uniform unit a mod q."""
-    modulus = select_modulus(cfg.x, cfg.epsilon, cfg.modulus_mode, cfg.q)
-    if modulus.q >= cfg.x:
-        raise ConfigError(f"modulus {modulus.q} must be < x = {cfg.x}")
-    return modulus.q, sample_unit(src, modulus, cfg.unit_method)
-
-
 def _pick_random_modulus(cfg: GenConfig, src):
     """Exactly uniform pair (q, a): q in (Q/2, Q], a a unit mod q.
 
@@ -288,7 +294,7 @@ def _pick_random_modulus(cfg: GenConfig, src):
     additionally thinned with probability q/Q; every surviving pair then
     has the same chance 2/Q^2 per round, i.e. the output is uniform over
     the F(Q) valid pairs."""
-    Q = derived_Q(cfg.x, cfg.A)
+    Q = cfg.Q
     half = Q // 2
     uniform_below = src.uniform_below
     while True:
@@ -318,16 +324,17 @@ def generate(cfg: GenConfig, src: CountingBitSource | None = None):
     elif algo is Algorithm.PRIMEINC:
         p = _primeinc_search(src, x, test, tel)
     else:
-        pick = (_pick_modulus_and_unit if algo in _RESIDUE_ALGOS
-                else _pick_random_modulus)
-        q, a = pick(cfg, src)
+        if algo in _RESIDUE_ALGOS:
+            modulus = cfg.modulus
+            q, a = modulus.q, sample_unit(src, modulus, cfg.unit_method)
+        else:
+            q, a = _pick_random_modulus(cfg, src)
         tel.selection_bits = src.bits_consumed - start
         tel.chosen_q, tel.chosen_a = q, a
-        fallback = algo in _FALLBACK_ALGOS
-        budget = cfg.T() if fallback else cfg.iteration_cap()
+        budget = cfg.budget
         p = _residue_search(src, x, q, a, budget, test, tel)
         if p is None:
-            if not fallback:
+            if algo not in _FALLBACK_ALGOS:
                 raise NonTerminationError(
                     f"no prime = {a} (mod {q}) found in {budget} "
                     f"iterations; the class is likely empty"

@@ -38,7 +38,6 @@ from .generators import (
     UnitMethod,
     derived_Q,
     generate,
-    select_modulus,
 )
 from .metrics import DistMetrics, FiniteDist, metrics_of
 from .ntheory import (
@@ -104,13 +103,11 @@ def predictions_for(cfg: GenConfig):
     if algo is Algorithm.PRIMEINC:
         return None, None, None
     if algo in (Algorithm.BASIC, Algorithm.ERH_FALLBACK):
-        mod = select_modulus(x, cfg.epsilon, cfg.modulus_mode, cfg.q)
-        ratio = mod.phi / mod.q
-        eps_eff = math.log(x / mod.q) / lnx
-        pred_iter = ratio * lnx
-        return pred_iter, pred_iter * math.log2(x / mod.q), eps_eff
+        q = cfg.modulus.q
+        pred_iter = cfg.modulus.phi / q * lnx
+        return pred_iter, pred_iter * math.log2(x / q), math.log(x / q) / lnx
     # random-modulus variants: average phi(q)/q over the actual q-range
-    Q = derived_Q(x, cfg.A)
+    Q = cfg.Q
     if Q > DEFAULT_TOTIENT_CAP:
         return None, None, None
     phi = totient_sieve(Q)
@@ -292,6 +289,8 @@ def primeinc_audit(
     """Quantify the gap-length bias of the scan-upward generator."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if x < 5:
+        raise DomainError(f"primeinc audit needs x >= 5 (a twin prime), got {x}")
     if table is None:
         table = sieve(x)
     dist = exact_dist_primeinc(x, table)
@@ -519,15 +518,19 @@ def to_jsonable(obj):
 
 
 def _reports_to_csv(items: list) -> str:
+    kinds = {type(item) for item in items}
+    if len(kinds) > 1:
+        raise DomainError("CSV output needs items of one type, got "
+                          + ", ".join(sorted(k.__name__ for k in kinds)))
+    kind = kinds.pop() if kinds else RunReport
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if items and isinstance(items[0], FiniteDist):
+    if kind is FiniteDist:
         writer.writerow(["prime", "mass"])
         for dist in items:
             for p, m in sorted(dist.mass.items()):
                 writer.writerow([p, repr(float(m))])
-        return buf.getvalue()
-    if items and isinstance(items[0], GapCensus):
+    elif kind is GapCensus:
         writer.writerow(["x", "lambda", "F", "normalized",
                         "prime_fraction", "reference"])
         for c in items:
@@ -536,18 +539,16 @@ def _reports_to_csv(items: list) -> str:
                     c.x, lam, c.F_values[lam], repr(c.normalized[lam]),
                     repr(c.prime_fraction[lam]), repr(c.reference[lam]),
                 ])
-        return buf.getvalue()
-    writer.writerow(REPORT_CSV_COLUMNS)
-    for report in items:
-        if not isinstance(report, RunReport):
-            raise DomainError(
-                f"CSV output for {type(report).__name__} is not defined"
-            )
-        cfg = report.config
-        writer.writerow([cfg.algorithm.value] + [
-            repr(getattr(report if hasattr(report, c) else cfg, c))
-            for c in REPORT_CSV_COLUMNS[1:]
-        ])
+    elif kind is RunReport:
+        writer.writerow(REPORT_CSV_COLUMNS)
+        for report in items:
+            cfg = report.config
+            writer.writerow([cfg.algorithm.value] + [
+                repr(getattr(report if hasattr(report, c) else cfg, c))
+                for c in REPORT_CSV_COLUMNS[1:]
+            ])
+    else:
+        raise DomainError(f"CSV output for {kind.__name__} is not defined")
     return buf.getvalue()
 
 

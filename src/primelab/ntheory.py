@@ -160,14 +160,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n < 2:
         raise DomainError(f"factorize needs n >= 2, got {n}")
     factors = []
-    for p in (2, 3):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            factors.append((p, e))
-    p = 5
+    p = 2
     while p * p <= n:
         e = 0
         while n % p == 0:
@@ -175,18 +168,15 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             e += 1
         if e:
             factors.append((p, e))
-        p += 2 if p % 6 == 5 else 4  # skip multiples of 2 and 3
+        # 2, 3, 5, then skip multiples of 2 and 3
+        p += p - 1 if p < 5 else 2 if p % 6 == 5 else 4
     if n > 1:
         factors.append((n, 1))
     return tuple(factors)
 
 
 def _carmichael_prime_power(p: int, e: int) -> int:
-    if p == 2:
-        if e == 1:
-            return 1
-        if e == 2:
-            return 2
+    if p == 2 and e > 2:
         return 2 ** (e - 2)
     return p ** (e - 1) * (p - 1)
 

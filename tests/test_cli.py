@@ -102,6 +102,15 @@ def test_audit_cli_bad_trials(capsys, trials):
     assert json.loads(err)["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("x", ["3", "4"])
+def test_audit_cli_without_twin(capsys, x):
+    code, out, err = run_cli(
+        capsys, "audit-primeinc", "--x", x, "--trials", "5",
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
 def test_error_profile_cli(capsys):
     code, out, _ = run_cli(capsys, "error-profile", "--x", "1000", "--q", "30")
     record = json.loads(out)

@@ -2,8 +2,10 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from primelab.errors import ConfigError, NonTerminationError
+from primelab.errors import ConfigError, NonTerminationError, PrimelabError
 from primelab.generators import (
     Algorithm,
     GenConfig,
@@ -15,10 +17,12 @@ from primelab.generators import (
     sample_unit,
     select_modulus,
 )
+from primelab.harness import predictions_for
 from primelab.ntheory import (
     Exact,
     MillerRabin,
     Modulus,
+    is_prime,
     residue_class_primes,
     sieve,
 )
@@ -83,6 +87,77 @@ def test_config_validation():
         p, _ = generate(GenConfig(x=10**400, algorithm=algo,
                                   primality=MillerRabin(rounds=2)))
         assert p <= 10**400
+    # derived search parameters out of range fail at construction, not in
+    # generate: x^(1-epsilon) < 3, Q < 4, Q > x, Q beyond float range
+    for bad in ({"x": 4, "algorithm": Algorithm.BASIC, "epsilon": 0.9},
+                {"x": 100, "algorithm": Algorithm.UNCOND, "A": 6.0},
+                {"x": 2, "algorithm": Algorithm.UNCOND, "A": 3.0},
+                {"x": 100, "algorithm": Algorithm.UNCOND, "A": 1e300},
+                {"x": 2, "algorithm": Algorithm.UNCOND, "A": 1e300}):
+        with pytest.raises(ConfigError):
+            GenConfig(**bad)
+
+
+def test_modulus_reaching_x_is_refused():
+    # 1 - 1e-17 rounds to 1.0, so x^(1-epsilon) rounds up to 2^60 > x; the
+    # power-of-two modulus would be 2^60 and predictions_for reported 0.0
+    x, eps, mode = 2**60 - 1, 1e-17, ModulusMode.POWER_OF_TWO
+    with pytest.raises(ConfigError):
+        select_modulus(x, eps, mode)
+    with pytest.raises(ConfigError):
+        predictions_for(GenConfig(x=x, algorithm=Algorithm.BASIC,
+                                  epsilon=eps, modulus_mode=mode))
+
+
+def test_config_derives_search_parameters():
+    basic = GenConfig(x=10**6, algorithm=Algorithm.BASIC, epsilon=0.3)
+    assert basic.Q is None and basic.modulus.q == 2310
+    assert basic.budget == math.ceil(1e6 * math.log(10**6))
+    assert basic.modulus is basic.modulus  # built once
+    uncond = GenConfig(x=10**4, algorithm=Algorithm.UNCOND, A=2.0)
+    assert uncond.Q == derived_Q(10**4, 2.0)
+    assert uncond.budget == default_T(10**4)
+    capped = GenConfig(x=10**4, algorithm=Algorithm.UNCOND_NOFALLBACK, A=2.0,
+                       T_override=3, max_iterations=7)
+    assert capped.budget == 7
+    with pytest.raises(ConfigError):
+        GenConfig(x=10**4, algorithm=Algorithm.TRIVIAL).modulus
+
+
+_EPSILON = st.none() | st.floats(0, 1) | st.floats()
+_A = st.none() | st.floats(0, 8) | st.floats()
+
+
+# tiny bounds are drawn on their own: most degenerate configs live there
+@settings(max_examples=500, deadline=None)
+@given(x=st.integers(-2, 12) | st.integers(2, 10**4),
+       algorithm=st.sampled_from(Algorithm), epsilon=_EPSILON, A=_A,
+       q=st.none() | st.integers(-2, 10**4 + 2),
+       modulus_mode=st.sampled_from(ModulusMode),
+       unit_method=st.sampled_from(UnitMethod),
+       T_override=st.none() | st.integers(-1, 20),
+       max_iterations=st.integers(-1, 50),
+       seed=st.integers(0, 2**64))
+@example(x=4, algorithm=Algorithm.BASIC, epsilon=0.9, A=None, q=None,
+         modulus_mode=ModulusMode.PRIMORIAL,
+         unit_method=UnitMethod.JOYE_PAILLIER, T_override=None,
+         max_iterations=10, seed=0)
+@example(x=2, algorithm=Algorithm.UNCOND, epsilon=None, A=3.0, q=None,
+         modulus_mode=ModulusMode.PRIMORIAL,
+         unit_method=UnitMethod.JOYE_PAILLIER, T_override=None,
+         max_iterations=10, seed=0)
+def test_any_config_is_refused_or_yields_a_prime(**kw):
+    # small T_override/max_iterations end runs in empty classes quickly
+    try:
+        cfg = GenConfig(primality=Exact(), **kw)
+    except PrimelabError:
+        return
+    try:
+        p, _tel = generate(cfg)
+    except NonTerminationError:
+        assert cfg.algorithm in (Algorithm.BASIC, Algorithm.UNCOND_NOFALLBACK)
+        return
+    assert 2 <= p <= cfg.x and is_prime(p)
 
 
 def test_default_T_and_Q():

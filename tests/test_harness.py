@@ -261,3 +261,33 @@ def test_totient_partial_sum_shared_value():
 def test_gap_census_rejects_bad_lambda(lam):
     with pytest.raises(DomainError):
         gap_census(1000, [1.0, lam])
+
+
+def test_benchmark_selects_modulus_once(monkeypatch, table_1k):
+    from primelab import generators
+
+    calls = []
+    select_modulus = generators.select_modulus
+
+    def counting(*args):
+        calls.append(args)
+        return select_modulus(*args)
+    monkeypatch.setattr(generators, "select_modulus", counting)
+    benchmark(small_cfg(algorithm=Algorithm.BASIC, epsilon=0.3,
+                        primality=Exact(table_1k)), 50)
+    assert len(calls) == 1
+
+
+def test_primeinc_audit_needs_a_twin():
+    for x in (2, 3, 4):
+        with pytest.raises(DomainError):
+            primeinc_audit(x, 5)
+    assert primeinc_audit(5, 5).twin_uniform_fraction == 1 / 3
+
+
+def test_csv_refuses_mixed_items(table_1k):
+    report = benchmark(small_cfg(primality=Exact(table_1k)), 5)
+    for other in (gap_census(1000, [1.0]), exact_dist_basic(30, 6)):
+        for items in ([other, report], [report, other]):
+            with pytest.raises(DomainError, match="one type"):
+                report_emit(items, "csv")

@@ -68,14 +68,12 @@ def _add_common_generator_args(p: argparse.ArgumentParser):
 
 
 def _config_from_args(args) -> GenConfig:
-    mode = ModulusMode(args.modulus_mode)
-    if args.q is not None:
-        mode = ModulusMode.EXPLICIT
+    mode = args.modulus_mode if args.q is None else ModulusMode.EXPLICIT
     policy = (MillerRabin(rounds=args.mr_rounds, seed=args.seed)
               if args.mr_rounds is not None else Exact())
     return GenConfig(
         x=args.x,
-        algorithm=Algorithm(args.algo),
+        algorithm=args.algo,
         epsilon=args.epsilon,
         modulus_mode=mode,
         q=args.q,
@@ -83,7 +81,7 @@ def _config_from_args(args) -> GenConfig:
         T_override=args.T,
         seed=args.seed,
         primality=policy,
-        unit_method=UnitMethod(args.unit_method),
+        unit_method=args.unit_method,
     )
 
 

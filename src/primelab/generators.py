@@ -136,7 +136,15 @@ class GenConfig:
             raise ConfigError(f"T_override must be >= 1, got {T}")
         if cap is not None and cap < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {cap}")
+        # enum fields given by value ("basic") become members; the type
+        # test keeps the common case, a member, to one comparison each
         algo = self.algorithm
+        if type(algo) is not Algorithm:
+            algo = self._coerce("algorithm", Algorithm)
+        if type(self.modulus_mode) is not ModulusMode:
+            self._coerce("modulus_mode", ModulusMode)
+        if type(self.unit_method) is not UnitMethod:
+            self._coerce("unit_method", UnitMethod)
         if algo in _FLOAT_ALGOS and x > sys.float_info.max:
             raise ConfigError(
                 f"{algo.value} needs x within float range; x has "
@@ -150,6 +158,18 @@ class GenConfig:
             if A is None or A <= 0:
                 raise ConfigError(f"{algo.value} requires A > 0")
             object.__setattr__(self, "Q", derived_Q(x, A))
+
+    def _coerce(self, name: str, enum: type[Enum]) -> Enum:
+        value = getattr(self, name)
+        try:
+            member = enum(value)
+        except ValueError as exc:
+            choices = ", ".join(m.value for m in enum)
+            raise ConfigError(
+                f"unknown {name} {value!r}; expected one of {choices}"
+            ) from exc
+        object.__setattr__(self, name, member)
+        return member
 
     @cached_property
     def modulus(self) -> Modulus:

@@ -34,8 +34,6 @@ from .exactdist import (
 from .generators import (
     Algorithm,
     GenConfig,
-    ModulusMode,
-    UnitMethod,
     derived_Q,
     generate,
 )
@@ -110,9 +108,8 @@ def predictions_for(cfg: GenConfig):
     Q = cfg.Q
     if Q > DEFAULT_TOTIENT_CAP:
         return None, None, None
-    phi = totient_sieve(Q)
     qs = np.arange(Q // 2 + 1, Q + 1)
-    mean_ratio = float(np.mean(phi[qs] / qs))
+    mean_ratio = float(np.mean(totient_sieve(Q)[Q // 2 + 1 :] / qs))
     pred_iter = mean_ratio * lnx
     return pred_iter, pred_iter * (cfg.A * math.log(lnx) / LN2), None
 
@@ -473,10 +470,7 @@ def config_from_dict(d: dict) -> GenConfig:
         kw["primality"] = MillerRabin(rounds=pol["rounds"], seed=pol["seed"])
     else:
         raise DomainError(f"unknown policy type {pol['type']!r}")
-    kw["algorithm"] = Algorithm(kw["algorithm"])
-    kw["modulus_mode"] = ModulusMode(kw["modulus_mode"])
-    kw["unit_method"] = UnitMethod(kw["unit_method"])
-    return GenConfig(**kw)
+    return GenConfig(**kw)  # it turns the enum values back into members
 
 
 def report_from_dict(d: dict) -> RunReport:

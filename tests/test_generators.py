@@ -96,6 +96,32 @@ def test_config_validation():
                 {"x": 2, "algorithm": Algorithm.UNCOND, "A": 1e300}):
         with pytest.raises(ConfigError):
             GenConfig(**bad)
+    # enum fields given by value become members and run; unknown values
+    # and values that need missing parameters fail at construction
+    for value_kw, member_kw in (
+        ({"algorithm": "trivial"}, {"algorithm": Algorithm.TRIVIAL}),
+        ({"algorithm": Algorithm.BASIC, "epsilon": 0.3,
+          "modulus_mode": "power_of_two", "unit_method": "rejection"},
+         {"algorithm": Algorithm.BASIC, "epsilon": 0.3,
+          "modulus_mode": ModulusMode.POWER_OF_TWO,
+          "unit_method": UnitMethod.REJECTION}),
+    ):
+        cfg = GenConfig(x=10**4, seed=5, **value_kw)
+        assert cfg == GenConfig(x=10**4, seed=5, **member_kw)
+        assert type(cfg.algorithm) is Algorithm
+        assert type(cfg.modulus_mode) is ModulusMode
+        assert type(cfg.unit_method) is UnitMethod
+        assert (generate(cfg, CountingBitSource(5))
+                == generate(GenConfig(x=10**4, seed=5, **member_kw),
+                            CountingBitSource(5)))
+    for bad in ({"algorithm": "nope"}, {"algorithm": "uncond"},
+                {"algorithm": None},
+                {"algorithm": Algorithm.BASIC, "epsilon": 0.3,
+                 "modulus_mode": "nope"},
+                {"algorithm": Algorithm.BASIC, "epsilon": 0.3,
+                 "unit_method": "nope"}):
+        with pytest.raises(ConfigError):
+            GenConfig(x=100, **bad)
 
 
 def test_modulus_reaching_x_is_refused():

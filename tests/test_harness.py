@@ -13,6 +13,7 @@ from primelab.harness import (
     error_term_profile,
     gap_census,
     parse_reports,
+    predictions_for,
     primeinc_audit,
     report_emit,
     sample_distribution,
@@ -70,6 +71,18 @@ def test_benchmark_uncond_above_totient_cap():
     assert (r.predicted_iterations, r.predicted_bits,
             r.epsilon_effective) == (None, None, None)
     assert r.trials == 3 and r.mean_iterations >= 1
+
+
+@pytest.mark.parametrize("algo", [Algorithm.UNCOND,
+                                  Algorithm.UNCOND_NOFALLBACK])
+def test_predictions_at_benchmark_scale_golden(algo):
+    # x = 1e8, A = 2: Q = 294,704, the totient table of the benchmark's
+    # mc_table workload; the mean of phi(q)/q is pinned to the last bit
+    cfg = GenConfig(x=10**8, algorithm=algo, A=2.0)
+    assert cfg.Q == 294_704
+    pred_iter, pred_bits, eps = predictions_for(cfg)
+    assert (pred_iter.hex(), pred_bits.hex(), eps) == (
+        "0x1.6659ba75b02c4p+3", "0x1.788f411723664p+6", None)
 
 
 def test_gap_census_lambda_zero(table_1m):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primelab import ntheory
 from primelab.errors import ConfigError, DomainError, ResourceLimitError
 from primelab.ntheory import (
     EXACT,
@@ -141,6 +142,59 @@ def test_totient_sieve_against_gcd_oracle():
     for n in range(1, 201):
         brute = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
         assert phi[n] == brute
+
+
+def _totient_loop(bound):
+    """Per-prime reference: phi[p::p] -= phi[p::p] // p for each p found
+    untouched, hence prime, in increasing order."""
+    phi = np.arange(bound + 1, dtype=np.int64)
+    for p in range(2, bound + 1):
+        if phi[p] == p:
+            phi[p::p] -= phi[p::p] // p
+    return phi
+
+
+def _modulus_phis(bound):
+    return [0, 1] + [Modulus.from_int(k).phi for k in range(2, bound + 1)]
+
+
+def test_totient_sieve_matches_modulus_phi():
+    phi = totient_sieve(20_000)
+    assert phi.dtype == np.int64
+    assert phi.tolist() == _modulus_phis(20_000)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_totient_sieve_around_prime_squares(p):
+    # sqrt(bound) crosses p: p joins the sieving primes or is left over
+    for bound in (p * p - 1, p * p, p * p + 1):
+        assert totient_sieve(bound).tolist() == _modulus_phis(bound)
+
+
+def test_totient_sieve_block_edges():
+    # one full block, then a last block of one and of two integers
+    block = ntheory._TOTIENT_BLOCK
+    ref = _totient_loop(block + 1)
+    for bound in (block - 1, block, block + 1):
+        assert np.array_equal(totient_sieve(bound), ref[: bound + 1])
+
+
+def test_totient_sieve_many_blocks(monkeypatch):
+    # blocks of 16: prime powers and leftover primes in blocks past the first
+    monkeypatch.setattr(ntheory, "_TOTIENT_BLOCK", 16)
+    ref = _totient_loop(400)
+    for bound in range(1, 401):
+        assert np.array_equal(totient_sieve(bound), ref[: bound + 1])
+
+
+def test_sieves_refuse_non_integer_bounds():
+    for fn in (sieve, totient_sieve):
+        for bad in (2.5, 100.0, "100", None):
+            with pytest.raises(DomainError):
+                fn(bad)
+    # numpy integers are integers
+    assert sieve(np.int64(100)).prime_count() == 25
+    assert totient_sieve(np.int32(10)).tolist() == _modulus_phis(10)
 
 
 def test_totient_partial_sum_asymptotic():

@@ -7,6 +7,7 @@ every record) or CSV with a fixed, documented column order.
 """
 
 import csv
+import functools
 import io
 import json
 import math
@@ -88,6 +89,13 @@ class RunReport:
     metrics: DistMetrics | None = None
 
 
+@functools.lru_cache(maxsize=16)
+def _mean_phi_ratio(Q: int) -> float:
+    """Mean of phi(q)/q over q in (Q/2, Q], memoized per Q."""
+    qs = np.arange(Q // 2 + 1, Q + 1)
+    return float(np.mean(totient_sieve(Q)[Q // 2 + 1 :] / qs))
+
+
 def predictions_for(cfg: GenConfig):
     """(predicted_iterations, predicted_bits, epsilon_effective) for cfg.
 
@@ -108,9 +116,7 @@ def predictions_for(cfg: GenConfig):
     Q = cfg.Q
     if Q > DEFAULT_TOTIENT_CAP:
         return None, None, None
-    qs = np.arange(Q // 2 + 1, Q + 1)
-    mean_ratio = float(np.mean(totient_sieve(Q)[Q // 2 + 1 :] / qs))
-    pred_iter = mean_ratio * lnx
+    pred_iter = _mean_phi_ratio(Q) * lnx
     return pred_iter, pred_iter * (cfg.A * math.log(lnx) / LN2), None
 
 

@@ -8,6 +8,7 @@ routines are the oracle substrate for the distribution computations.
 import math
 import operator
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +24,33 @@ DEFAULT_TOTIENT_CAP = 10**8
 _SEGMENT = 1 << 22
 _TOTIENT_BLOCK = 1 << 17
 
-# Fixed witness set proving primality for all n below this bound: the
-# first 13 primes are enough below psi_13 (the first 12 only below psi_12).
-_DETERMINISTIC_MR_BOUND = 3_317_044_064_679_887_385_961_981
+# Exact primality below psi_13 with a witness set sized to n.  psi_k is the
+# least strong pseudoprime to the first k prime bases (Jaeschke, "On strong
+# pseudoprimes to several bases", Math. Comp. 1993; Jiang & Deng, Math.
+# Comp. 2014, psi_9..psi_11; Sorenson & Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 2017), so for n < psi_k the first k
+# primes prove n.  The rule: one gcd against the product of the witness
+# primes (trial division), then the strong test to the first k primes,
+# k the least index with n < psi_k.
+_PSI = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+_DETERMINISTIC_MR_BOUND = _PSI[-1]
 _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_WITNESS_SET = frozenset(_DETERMINISTIC_WITNESSES)
+_WITNESS_PRODUCT = math.prod(_DETERMINISTIC_WITNESSES)
 
 
 class PrimeTable:
@@ -68,15 +90,13 @@ class PrimeTable:
         return counts
 
 
-def _bound_index(name: str, bound) -> int:
-    """bound as a Python int (numpy integers accepted); DomainError if it
+def _bound_index(name: str, value) -> int:
+    """value as a Python int (numpy integers accepted); DomainError if it
     is not an integer."""
     try:
-        return operator.index(bound)
+        return operator.index(value)
     except TypeError as exc:
-        raise DomainError(
-            f"{name} needs an integer bound, got {bound!r}"
-        ) from exc
+        raise DomainError(f"{name} needs an integer, got {value!r}") from exc
 
 
 def _base_primes(root: int) -> list[int]:
@@ -259,8 +279,13 @@ class PrimalityPolicy:
 
 @dataclass(frozen=True)
 class Exact(PrimalityPolicy):
-    """Always-correct answers: table lookup when covered, fixed-witness
-    Miller-Rabin below 3.3e24, ResourceLimitError above."""
+    """Always-correct answers: table lookup when covered, else below
+    psi_13 (about 3.3e24) trial division by the primes to 41 in one gcd and
+    the strong test to the first k primes, k the least index with
+    n < psi_k; ResourceLimitError above.  The psi_k are the published least
+    strong pseudoprimes to the first k prime bases (Jaeschke, Math. Comp.
+    1993; Jiang & Deng, Math. Comp. 2014; Sorenson & Webster, Math. Comp.
+    2017)."""
 
     table: PrimeTable | None = None
 
@@ -286,10 +311,8 @@ EXACT = Exact()
 
 
 def _mr_composite_witness(n: int, a: int, d: int, s: int) -> bool:
-    """True if base a proves n composite (n odd, n-1 = d * 2^s, d odd)."""
-    a %= n
-    if a == 0:
-        return False
+    """True if base a proves n composite (n odd, 2 <= a <= n-2,
+    n-1 = d * 2^s, d odd)."""
     x = pow(a, d, n)
     if x == 1 or x == n - 1:
         return False
@@ -307,22 +330,24 @@ def _check_witness_bound(n: int) -> None:
         )
 
 
-def _miller_rabin(n: int, bases=_DETERMINISTIC_WITNESSES) -> bool:
-    """Trial division by the small primes, then the strong test of n to
-    each base in `bases` (an iterable, consumed only as far as needed)."""
-    if n < 2:
+def _miller_rabin(n: int, bases=None) -> bool:
+    """Trial division by the witness primes in one gcd, then the strong
+    test of n to each base in `bases` (an iterable, consumed only as far
+    as needed).  The default bases are the first k witness primes, k the
+    least index with n < psi_k: proven for n < psi_13."""
+    if n <= 41:
+        return n in _WITNESS_SET
+    if math.gcd(n, _WITNESS_PRODUCT) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    if bases is None:
+        bases = _DETERMINISTIC_WITNESSES[: bisect_right(_PSI, n) + 1]
     d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    return not any(_mr_composite_witness(n, a, d, s) for a in bases)
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in bases:
+        if _mr_composite_witness(n, a, d, s):
+            return False
+    return True
 
 
 def _random_bases(n: int, policy: MillerRabin):
@@ -334,7 +359,9 @@ def _random_bases(n: int, policy: MillerRabin):
 
 
 def is_prime(n: int, policy: PrimalityPolicy = EXACT) -> bool:
-    """Primality of n under the given policy."""
+    """Primality of n under the given policy.  n may be any integer type
+    (numpy integers included); DomainError for anything else."""
+    n = _bound_index("is_prime", n)
     if n < 0:
         raise DomainError(f"is_prime needs n >= 0, got {n}")
     if n < 2:

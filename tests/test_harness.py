@@ -85,6 +85,28 @@ def test_predictions_at_benchmark_scale_golden(algo):
         "0x1.6659ba75b02c4p+3", "0x1.788f411723664p+6", None)
 
 
+def test_predictions_sieve_once_per_Q(monkeypatch):
+    # uncond and uncond_nofallback share Q: the phi table is built once
+    from primelab import harness
+
+    calls = []
+    totient_sieve = harness.totient_sieve
+
+    def counting(bound):
+        calls.append(bound)
+        return totient_sieve(bound)
+    monkeypatch.setattr(harness, "totient_sieve", counting)
+    harness._mean_phi_ratio.cache_clear()
+    try:
+        preds = [predictions_for(GenConfig(x=10**6, algorithm=algo, A=2.0))
+                 for algo in (Algorithm.UNCOND, Algorithm.UNCOND_NOFALLBACK,
+                              Algorithm.UNCOND)]
+    finally:
+        harness._mean_phi_ratio.cache_clear()
+    assert len(calls) == 1
+    assert preds[0] == preds[1] == preds[2]
+
+
 def test_gap_census_lambda_zero(table_1m):
     census = gap_census(10**6, [0.0], table_1m)
     assert census.F_values[0.0] == 0

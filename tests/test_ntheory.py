@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -246,7 +247,7 @@ def test_is_prime_basics():
     assert is_prime(2)
     assert not is_prime(561, MillerRabin(20, 7))  # Carmichael number
     with pytest.raises(ConfigError):
-        MillerRabin(rounds=0)  # would call 1763 = 41 * 43 prime
+        MillerRabin(rounds=0)  # would call 2021 = 43 * 47 prime
     assert is_prime(2**31 - 1)
     assert not is_prime(2**31 - 3)
     with pytest.raises(DomainError):
@@ -263,13 +264,84 @@ def test_is_prime_exact_beyond_witness_bound():
         generate(GenConfig(x=10**30, algorithm=Algorithm.TRIVIAL))
 
 
-def test_is_prime_exact_psi12():
-    # psi_12, the least strong pseudoprime to the first 12 prime bases,
-    # is below the witness bound and must still be found composite
-    psi12 = 318_665_857_834_031_151_167_461
-    assert psi12 == 399_165_290_221 * 798_330_580_441
-    assert not is_prime(psi12)
-    assert not is_prime(psi12, Exact(sieve(1000)))
+# psi_k, the least strong pseudoprime to the first k prime bases, for
+# each distinct value among psi_1..psi_12 (psi_7 = psi_8,
+# psi_9 = psi_10 = psi_11), keyed by the largest such k
+PSI = {
+    1: 2_047,
+    2: 1_373_653,
+    3: 25_326_001,
+    4: 3_215_031_751,
+    5: 2_152_302_898_747,
+    6: 3_474_749_660_383,
+    8: 341_550_071_728_321,
+    11: 3_825_123_056_546_413_051,
+    12: 318_665_857_834_031_151_167_461,
+}
+WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n, a):
+    """n passes the strong test to base a (n odd, 1 < a < n)."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _reference_is_prime(n):
+    """Trial division by the 13 witness primes, then all 13 strong tests:
+    proven for n < psi_13 whatever the size of n."""
+    if n < 2:
+        return False
+    for p in WITNESSES:
+        if n % p == 0:
+            return n == p
+    return all(_strong_probable_prime(n, a) for a in WITNESSES)
+
+
+@pytest.mark.parametrize("k", sorted(PSI))
+def test_is_prime_exact_psi_bound(k):
+    psi = PSI[k]
+    # the bound is tight: psi_k passes the strong test to the first k bases
+    assert all(_strong_probable_prime(psi, a) for a in WITNESSES[:k])
+    assert not _strong_probable_prime(psi, WITNESSES[k])
+    assert not is_prime(psi)
+    assert not is_prime(psi, Exact(sieve(1000)))
+    assert not is_prime(psi, MillerRabin(20, seed=k))
+    if k == 12:
+        assert psi == 399_165_290_221 * 798_330_580_441
+
+
+def test_is_prime_exact_matches_reference():
+    for n in range(2 * 10**5):
+        assert is_prime(n) == _reference_is_prime(n), n
+    for psi in PSI.values():
+        for n in range(psi - 2000, psi + 2001):
+            assert is_prime(n) == _reference_is_prime(n), n
+    rnd = random.Random(2024)
+    for scale in (10**12, 10**18, 10**24):
+        for _ in range(10**4):
+            n = rnd.randrange(scale, 2 * scale)
+            assert is_prime(n) == _reference_is_prime(n), n
+
+
+def test_is_prime_integer_types():
+    for policy in (EXACT, MillerRabin(20, seed=5)):
+        assert is_prime(np.int64(1_000_003), policy) is True
+        assert is_prime(np.uint32(97), policy) is True
+        assert is_prime(np.int64(1_000_001), policy) is False  # 101 * 9901
+        for bad in (8.5, 7.0, "7", None, Fraction(7)):
+            with pytest.raises(DomainError):
+                is_prime(bad, policy)
 
 
 def test_is_prime_table_policy(table_1k):

@@ -9,7 +9,6 @@ checked.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,10 +30,6 @@ def primes_upto(x: int, table: PrimeTable | None = None) -> np.ndarray:
     return table.primes[: table.count_leq(x)]
 
 
-def _class_counts(primes_x: np.ndarray, q: int) -> np.ndarray:
-    return np.bincount(primes_x % q, minlength=q)
-
-
 @dataclass(frozen=True)
 class ClassProfile:
     """Residue-class census of the primes <= x for one modulus.
@@ -54,25 +49,23 @@ class ClassProfile:
 def class_profile(x: int, q: int, table: PrimeTable | None = None) -> ClassProfile:
     primes_x = primes_upto(x, table)
     mod = Modulus.from_int(q)
-    counts_arr = _class_counts(primes_x, q)
+    counts_arr = np.bincount(primes_x % q, minlength=q)
     pi_x = len(primes_x)
-    expected = Fraction(pi_x, mod.phi)
     counts: dict[int, int] = {}
     errors: dict[int, float] = {}
     for a in range(q):
         if math.gcd(a, q) == 1:
             c = int(counts_arr[a])
             counts[a] = c
-            errors[a] = float(abs(c - expected))
+            # |c - pi_x / phi|, rounded once from integers
+            errors[a] = abs(c * mod.phi - pi_x) / mod.phi
     phi_star = sum(1 for c in counts.values() if c > 0)
     return ClassProfile(x, q, counts, phi_star, errors)
 
 
 def exact_dist_trivial(x: int, table: PrimeTable | None = None) -> FiniteDist:
     """Uniform over the primes <= x."""
-    primes_x = primes_upto(x, table)
-    u = Fraction(1, len(primes_x))
-    return FiniteDist(len(primes_x), {int(p): u for p in primes_x})
+    return FiniteDist.uniform(primes_upto(x, table).tolist())
 
 
 def exact_dist_primeinc(x: int, table: PrimeTable | None = None) -> FiniteDist:
@@ -83,14 +76,9 @@ def exact_dist_primeinc(x: int, table: PrimeTable | None = None) -> FiniteDist:
     so the masses sum to exactly 1.
     """
     primes_x = primes_upto(x, table)
-    pmax = int(primes_x[-1])
-    gaps = np.empty(len(primes_x), dtype=np.int64)
-    gaps[0] = 2
-    gaps[1:] = np.diff(primes_x)
-    mass = {
-        int(p): Fraction(int(d), pmax) for p, d in zip(primes_x, gaps)
-    }
-    return FiniteDist(len(primes_x), mass)
+    gaps = np.diff(primes_x, prepend=0)  # d(2) = 2 - 0
+    return FiniteDist.from_counts(dict(zip(primes_x.tolist(), gaps.tolist())),
+                                  int(primes_x[-1]), len(primes_x))
 
 
 def exact_dist_basic(
@@ -105,20 +93,19 @@ def exact_dist_basic(
     """
     if q >= x:
         raise DomainError(f"modulus {q} must be < x = {x}")
+    if table is None:
+        table = sieve(x)
+    profile = class_profile(x, q, table)
     primes_x = primes_upto(x, table)
-    mod = Modulus.from_int(q)
-    counts = _class_counts(primes_x, q)
-    empty = [
-        a for a in range(q) if math.gcd(a, q) == 1 and counts[a] == 0
-    ]
-    mass, phi_star = _nofallback_law(class_census(x, [q], primes_x), primes_x)
+    empty = [a for a, c in profile.counts.items() if c == 0]
+    num, den, _ = _nofallback_law(class_census(x, [q], primes_x), primes_x)
     meta = {
         "conditional": bool(empty),
         "empty_classes": empty,
-        "phi": mod.phi,
-        "phi_star": phi_star,
+        "phi": len(profile.counts),
+        "phi_star": profile.phi_star,
     }
-    return FiniteDist(len(primes_x), mass, meta=meta)
+    return FiniteDist.from_counts(num, den, len(primes_x), meta)
 
 
 def exact_dist_erh_fallback(
@@ -141,12 +128,14 @@ def exact_dist_erh_fallback(
         raise DomainError(f"T must be >= 1, got {T}")
     primes_x = primes_upto(x, table)
     Modulus.from_int(q)  # rejects q < 2
-    mass, _ = _fallback_law(class_census(x, [q], primes_x), primes_x, T)
-    return FiniteDist(len(primes_x), mass)
+    num, den, _ = _fallback_law(class_census(x, [q], primes_x), primes_x, T)
+    return FiniteDist.from_counts(num, den, len(primes_x))
 
 
-def _range_census(x: int, A: float, table, work_cap: int):
-    """(primes <= x, Q, census of the moduli in (Q/2, Q])."""
+def _range_census(x: int, A: float, table, work_cap: int,
+                  with_hits: bool = True):
+    """(primes <= x, Q, census of the moduli in (Q/2, Q]), refused with
+    ResourceLimitError above work_cap class lookups."""
     primes_x = primes_upto(x, table)
     Q = derived_Q(x, A)
     if Q * len(primes_x) > work_cap:
@@ -154,7 +143,8 @@ def _range_census(x: int, A: float, table, work_cap: int):
             f"random-modulus sweep needs ~{Q * len(primes_x)} class lookups "
             f"(cap {work_cap}); increase A or decrease x"
         )
-    return primes_x, Q, class_census(x, range(Q // 2 + 1, Q + 1), primes_x)
+    return primes_x, Q, class_census(x, range(Q // 2 + 1, Q + 1), primes_x,
+                                     with_hits)
 
 
 def exact_dist_uncond_nofallback(
@@ -173,8 +163,9 @@ def exact_dist_uncond_nofallback(
     where F* counts the selectable (q, a) pairs with a nonempty class.
     """
     primes_x, Q, census = _range_census(x, A, table, work_cap)
-    mass, f_star = _nofallback_law(census, primes_x)
-    return FiniteDist(len(primes_x), mass, meta={"Q": Q, "F_star": f_star})
+    num, den, f_star = _nofallback_law(census, primes_x)
+    return FiniteDist.from_counts(num, den, len(primes_x),
+                                  {"Q": Q, "F_star": f_star})
 
 
 def exact_dist_uncond(
@@ -192,8 +183,9 @@ def exact_dist_uncond(
     if T < 1:
         raise DomainError(f"T must be >= 1, got {T}")
     primes_x, Q, census = _range_census(x, A, table, work_cap)
-    mass, f_q = _fallback_law(census, primes_x, T)
-    return FiniteDist(len(primes_x), mass, meta={"Q": Q, "F": f_q, "T": T})
+    num, den, f_q = _fallback_law(census, primes_x, T)
+    return FiniteDist.from_counts(num, den, len(primes_x),
+                                  {"Q": Q, "F": f_q, "T": T})
 
 
 # ---------------------------------------------------------------------------
@@ -273,29 +265,31 @@ def class_census(
     )
 
 
-def _prime_masses(census, primes_x, key_num, common, denom):
-    """mass(p) = (common + sum of key_num[k] over the classes holding p)
-    / denom, summed in integers and reduced once per prime."""
+def _prime_masses(census, primes_x, key_num, common):
+    """Numerator of mass(p) for each prime p: common plus key_num[k] for
+    each class of key k holding p, summed in integers."""
     num = [common] * len(primes_x)
     for i, k, h in zip(census.hit_prime.tolist(), census.hit_key.tolist(),
                        census.hits.tolist()):
         num[i] += h * key_num[k]
-    return {p: Fraction(n, denom) for p, n in zip(primes_x.tolist(), num)}
+    return dict(zip(primes_x.tolist(), num))
 
 
 def _nofallback_law(census: ClassCensus, primes_x: np.ndarray):
-    """(mass, F*) of a uniform (q, a) among the F* nonempty classes, then a
-    uniform prime of it: mass(p) = (1/F*) * sum of 1/c over p's classes."""
+    """(numerators, denominator, F*) of a uniform (q, a) among the F*
+    nonempty classes, then a uniform prime of it:
+    mass(p) = (1/F*) * sum of 1/c over p's classes."""
     cs = census.c.tolist()
     f_star = int(census.classes[census.c > 0].sum())
     lcm_c = math.lcm(*(c for c in cs if c))
     key_num = [lcm_c // c if c else 0 for c in cs]
-    return _prime_masses(census, primes_x, key_num, 0, lcm_c * f_star), f_star
+    return _prime_masses(census, primes_x, key_num, 0), lcm_c * f_star, f_star
 
 
 def _fallback_law(census: ClassCensus, primes_x: np.ndarray, T: int):
-    """(mass, F) of a uniform (q, a) among all F unit classes, T residue
-    draws, then the trivial fallback.  With fail = (1 - c/m)^T,
+    """(numerators, denominator, F) of a uniform (q, a) among all F unit
+    classes, T residue draws, then the trivial fallback.  With
+    fail = (1 - c/m)^T,
 
         mass(p) = (1/F) * [ sum over p's classes of (1 - fail) / c
                             + sum over all classes of fail / pi(x) ],
@@ -316,4 +310,4 @@ def _fallback_law(census: ClassCensus, primes_x: np.ndarray, T: int):
             (m ** T * scale - fail_num) * (lcm_c // c) * pi_x if c else 0
         )
     denom = lcm_c * lcm_m ** T * pi_x * f_q
-    return _prime_masses(census, primes_x, key_num, fallback, denom), f_q
+    return _prime_masses(census, primes_x, key_num, fallback), denom, f_q

@@ -27,7 +27,8 @@ from .errors import (
     ResourceLimitError,
 )
 from .exactdist import (
-    class_census,
+    DEFAULT_WORK_CAP,
+    _range_census,
     class_profile,
     exact_dist_primeinc,
     primes_upto,
@@ -35,7 +36,6 @@ from .exactdist import (
 from .generators import (
     Algorithm,
     GenConfig,
-    derived_Q,
     generate,
 )
 from .metrics import DistMetrics, FiniteDist, metrics_of
@@ -374,7 +374,8 @@ def error_term_profile(
     Fixed q: the multiset {E(x;q,a)}, its extremes, and the fraction of
     units exceeding the default threshold sqrt(pi(x)/phi(q)).  Range mode:
     the exact double sum of E^2 over (Q/2, Q], reported against the
-    dimensionless scale x*Q/ln Q.
+    dimensionless scale x*Q/ln Q; a range needing more than
+    DEFAULT_WORK_CAP class lookups raises ResourceLimitError.
     """
     if (q is None) == (A is None):
         raise ConfigError("provide exactly one of q or A")
@@ -398,9 +399,8 @@ def error_term_profile(
             fraction_exceeding=exceeding / len(errors),
         )
 
-    Q = derived_Q(x, A)
-    census = class_census(x, range(Q // 2 + 1, Q + 1), primes_x,
-                          with_hits=False)
+    _, Q, census = _range_census(x, A, table, DEFAULT_WORK_CAP,
+                                 with_hits=False)
     # per modulus, sum over units of (c - pi/phi)^2
     #   = sum c^2 - pi * (2 * (primes coprime to q) - pi) / phi
     total = int((census.classes * census.c ** 2).sum()) - sum(

@@ -6,16 +6,19 @@ outcomes count as zero).  The measures are the l1 distance to uniform
 (no 1/2 factor), the squared l2 imbalance, the collision probability and
 the maximum mass, plus the derived collision and min entropies.
 
-Masses may be `fractions.Fraction` (exact backend: identities below hold
-with equality) or floats (1e-9/1e-12 tolerances).
+An exact distribution stores integer numerators over one int denominator
+D, and each measure is one integer sum over the distinct numerators,
+divided once into a `fractions.Fraction`: the identities below hold with
+equality.  A float distribution stores its masses over D = 1.0 and goes
+through the same sums (1e-9/1e-12 tolerances).
 """
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from operator import attrgetter
+from operator import truediv
 
 from .errors import DomainError
 
@@ -26,62 +29,79 @@ _ID_TOL = 1e-12
 class FiniteDist:
     """Probability mass function over a finite set of `space_size` outcomes.
 
-    `mass` maps outcome -> probability; outcomes not stored have mass zero.
-    `meta` carries bookkeeping (e.g. conditioning flags) and does not affect
-    any computation.
+    mass(o) = num[o] / den, with int numerators over an int den (exact) or
+    floats over den = 1.0; outcomes not stored have mass zero.  `mass`
+    maps outcome -> probability, built on access (reduced Fractions when
+    exact).  `meta` carries bookkeeping (e.g. conditioning flags) and does
+    not affect any computation.
     """
 
-    __slots__ = ("space_size", "mass", "meta")
+    __slots__ = ("space_size", "num", "den", "meta")
 
     def __init__(self, space_size: int, mass: dict, meta: dict | None = None):
+        values = mass.values()
+        if all(isinstance(v, Rational) for v in values):
+            den = math.lcm(*(v.denominator for v in values))
+            num = {o: v.numerator * (den // v.denominator)
+                   for o, v in mass.items()}
+        else:
+            den = 1.0
+            num = {o: float(v) for o, v in mass.items()}
+        self._store(space_size, num, den, meta)
+
+    def _store(self, space_size, num, den, meta):
         if space_size < 1:
             raise DomainError(f"space_size must be >= 1, got {space_size}")
-        if len(mass) > space_size:
+        if len(num) > space_size:
             raise DomainError(
-                f"{len(mass)} stored outcomes exceed space size {space_size}"
+                f"{len(num)} stored outcomes exceed space size {space_size}"
             )
-        groups, exact = _grouped(mass)
-        total = (_exact_sum if exact else sum)(n * v for v, n in groups)
-        if exact:
-            if total != 1:
-                raise DomainError(f"exact masses must sum to 1, got {total}")
-        elif not (1 - _SUM_TOL <= total <= 1 + _SUM_TOL):
-            raise DomainError(f"masses sum to {total}, not within 1e-9 of 1")
-        if any(v < 0 or v > 1 for v, _ in groups):
+        total = sum(num.values())
+        slack = 0 if isinstance(den, int) else _SUM_TOL
+        if not abs(total - den) <= slack:
+            raise DomainError(f"masses sum to {total}/{den}, not 1")
+        if min(num.values()) < 0 or max(num.values()) > den:
             raise DomainError("masses must lie in [0, 1]")
         self.space_size = space_size
-        self.mass = mass
+        self.num = num
+        self.den = den
         self.meta = meta or {}
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(v, Rational) for v in self.mass.values())
+        return isinstance(self.den, int)
+
+    @property
+    def mass(self) -> dict:
+        if not self.is_exact:
+            return self.num
+        reduced = {n: Fraction(n, self.den) for n in set(self.num.values())}
+        return {o: reduced[n] for o, n in self.num.items()}
 
     @classmethod
-    def uniform(cls, outcomes, space_size: int | None = None) -> "FiniteDist":
-        """Uniform distribution over the given outcomes."""
+    def uniform(cls, outcomes) -> "FiniteDist":
+        """Uniform distribution on the given outcomes, which are its space."""
         outcomes = list(outcomes)
         n = len(outcomes)
         if n == 0:
             raise DomainError("uniform distribution needs at least one outcome")
-        size = space_size if space_size is not None else n
-        if size != n:
-            raise DomainError("uniform() requires space_size == #outcomes")
-        u = Fraction(1, n)
-        return cls(size, {o: u for o in outcomes})
+        return cls.from_counts(dict.fromkeys(outcomes, 1), n, n)
 
     @classmethod
-    def from_counts(cls, counts: dict, total: int,
-                    space_size: int) -> "FiniteDist":
-        """Empirical distribution from observation counts (exact backend)."""
+    def from_counts(cls, counts: dict, total: int, space_size: int,
+                    meta: dict | None = None) -> "FiniteDist":
+        """Exact distribution mass(o) = counts[o] / total: observation
+        counts over the number of observations, or the integer numerators
+        of a closed form over its common denominator."""
         if total < 1:
             raise DomainError("need at least one observation")
-        mass = {o: Fraction(c, total) for o, c in counts.items()}
-        return cls(space_size, mass)
+        dist = cls.__new__(cls)
+        dist._store(space_size, dict(counts), total, meta)
+        return dist
 
     def __repr__(self) -> str:
         return (f"FiniteDist(space_size={self.space_size}, "
-                f"stored={len(self.mass)}, exact={self.is_exact})")
+                f"stored={len(self.num)}, exact={self.is_exact})")
 
 
 @dataclass(frozen=True)
@@ -94,35 +114,6 @@ class DistMetrics:
     gamma: Fraction | float       # maximum mass
     h2_bits: float                # collision (Renyi) entropy, -log2 beta
     hmin_bits: float              # min-entropy, -log2 gamma
-
-
-def _grouped(mass: dict):
-    """([(distinct mass, multiplicity)], whether all masses are exact).
-    Exact masses are grouped by (numerator, denominator), which hashes far
-    faster than a Fraction."""
-    values = list(mass.values())
-    exact = all(isinstance(v, Rational) for v in values)
-    if not exact:
-        return list(Counter(values).items()), False
-    key = attrgetter("numerator", "denominator")
-    first = dict(zip(map(key, values), values))
-    return [(first[k], n) for k, n in Counter(map(key, values)).items()], True
-
-
-def _exact_sum(terms) -> Fraction:
-    """Exact sum of rationals: numerators are added per denominator, then
-    over a common denominator that grows (one gcd) only when a denominator
-    does not divide it, not with a gcd on large integers at every term."""
-    by_den: dict[int, int] = defaultdict(int)
-    for t in terms:
-        by_den[t.denominator] += t.numerator
-    num, den = 0, 1
-    for d in sorted(by_den, reverse=True):
-        if den % d:
-            step = d // math.gcd(den, d)
-            num, den = num * step, den * step
-        num += by_den[d] * (den // d)
-    return Fraction(num, den)
 
 
 def _check_identities(size, d1, d2, beta, gamma, exact):
@@ -145,21 +136,26 @@ def _check_identities(size, d1, d2, beta, gamma, exact):
 def metrics_of(dist: FiniteDist) -> DistMetrics:
     """Compute all regularity measures of `dist`.
 
-    Outcomes omitted from storage contribute (space_size - stored) copies
-    of |0 - 1/|S|| to each sum.
+    With D = dist.den and S = space_size, each sum runs over the distinct
+    numerators n (times their multiplicity), the S - stored omitted
+    outcomes counted as n = 0: delta1 = sum |nS - D| / (DS),
+    delta2_sq = sum (nS - D)^2 / (DS)^2, beta = sum n^2 / D^2 and
+    gamma = max n / D.
     """
-    groups, exact = _grouped(dist.mass)
-    if not groups:
+    if not dist.num:
         raise DomainError("cannot compute metrics of an empty distribution")
-    size = dist.space_size
-    total = _exact_sum if exact else sum
-    u = Fraction(1, size) if exact else 1.0 / size
-    omitted = size - len(dist.mass)
+    size, den, exact = dist.space_size, dist.den, dist.is_exact
+    groups = Counter(dist.num.values())
+    groups[0] += size - len(dist.num)
+    div = Fraction if exact else truediv
+    scale = den * size
 
-    delta1 = total(n * abs(v - u) for v, n in groups) + omitted * u
-    delta2_sq = total(n * (v - u) ** 2 for v, n in groups) + omitted * u * u
-    beta = total(n * v ** 2 for v, n in groups)
-    gamma = max(v for v, _ in groups)
+    delta1 = div(sum(k * abs(n * size - den) for n, k in groups.items()),
+                 scale)
+    delta2_sq = div(sum(k * (n * size - den) ** 2 for n, k in groups.items()),
+                    scale * scale)
+    beta = div(sum(k * n * n for n, k in groups.items()), den * den)
+    gamma = div(max(groups), den)
 
     _check_identities(size, delta1, delta2_sq, beta, gamma, exact)
     return DistMetrics(
@@ -173,13 +169,21 @@ def metrics_of(dist: FiniteDist) -> DistMetrics:
 
 
 def tv_between(a: FiniteDist, b: FiniteDist):
-    """l1 distance between two mass functions on the same space."""
+    """l1 distance between two mass functions on the same space.
+
+    Two exact distributions are compared in integers over lcm(D_a, D_b),
+    with one division at the end; otherwise each mass is a float n / D.
+    """
     if a.space_size != b.space_size:
         raise DomainError(
             f"space sizes differ: {a.space_size} vs {b.space_size}"
         )
-    zero = 0 if (a.is_exact and b.is_exact) else 0.0
-    total = zero
-    for outcome in a.mass.keys() | b.mass.keys():
-        total += abs(a.mass.get(outcome, zero) - b.mass.get(outcome, zero))
-    return total
+    if a.is_exact and b.is_exact:
+        den, div = math.lcm(a.den, b.den), Fraction
+        na, nb = ({o: n * (den // d.den) for o, n in d.num.items()}
+                  for d in (a, b))
+    else:
+        den, div = 1.0, truediv
+        na, nb = ({o: n / d.den for o, n in d.num.items()} for d in (a, b))
+    return div(sum(abs(na.get(o, 0) - nb.get(o, 0))
+                   for o in na.keys() | nb.keys()), den)

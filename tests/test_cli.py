@@ -125,6 +125,13 @@ def test_cli_error_is_machine_readable(capsys):
     assert record["error"] == "ConfigError"
 
 
+def test_error_profile_cli_over_work_cap(capsys):
+    code, out, err = run_cli(capsys, "error-profile", "--x", "1000000",
+                             "--A", "0.5")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ResourceLimitError"
+
+
 def test_cli_config_error_exit(capsys):
     code, _, err = run_cli(
         capsys, "generate", "--x", "100", "--algo", "basic",

@@ -33,6 +33,16 @@ def exact_sum(dist):
     return sum(dist.mass.values())
 
 
+def oracle_tv(empirical, exact):
+    """tv_between of an oracle pair as a float, after checking it equals
+    the sum of Fraction differences taken one outcome at a time."""
+    tv = tv_between(empirical, exact)
+    a, b = empirical.mass, exact.mass
+    assert tv == sum(abs(a.get(o, 0) - b.get(o, 0))
+                     for o in a.keys() | b.keys())
+    return float(tv)
+
+
 def test_trivial_dist():
     d = exact_dist_trivial(10)
     assert d.mass == {p: Fraction(1, 4) for p in (2, 3, 5, 7)}
@@ -181,6 +191,10 @@ def test_class_profile_consistency(table_1k):
     prof = class_profile(1000, 30, table_1k)
     assert sum(prof.counts.values()) == 168 - 3  # primes 2, 3, 5 divide 30
     assert prof.phi_star <= 8
+    # each error term is |c - pi(x)/phi(q)| rounded once, as from a Fraction
+    expected = Fraction(168, 8)
+    assert prof.error_terms == {a: float(abs(c - expected))
+                                for a, c in prof.counts.items()}
 
 
 @pytest.mark.parametrize("maker,cfg_kwargs", [
@@ -192,7 +206,7 @@ def test_oracle_equivalence_simple(maker, cfg_kwargs):
     t = sieve(x)
     cfg = GenConfig(x=x, seed=31, primality=Exact(t), **cfg_kwargs)
     emp, _ = sample_distribution(cfg, runs, t)
-    assert float(tv_between(emp, maker(x, t))) < 3 * math.sqrt(
+    assert oracle_tv(emp, maker(x, t)) < 3 * math.sqrt(
         t.prime_count() / runs
     )
 
@@ -204,7 +218,7 @@ def test_oracle_equivalence_residue_class(table_1k):
                     primality=Exact(table_1k))
     emp, _ = sample_distribution(cfg, runs, table_1k)
     exact = exact_dist_basic(x, 30, table_1k)
-    assert float(tv_between(emp, exact)) < 3 * math.sqrt(168 / runs)
+    assert oracle_tv(emp, exact) < 3 * math.sqrt(168 / runs)
 
 
 def test_oracle_equivalence_erh_fallback(table_1k):
@@ -214,7 +228,7 @@ def test_oracle_equivalence_erh_fallback(table_1k):
                     primality=Exact(table_1k))
     emp, _ = sample_distribution(cfg, runs, table_1k)
     exact = exact_dist_erh_fallback(x, 30, T, table_1k)
-    assert float(tv_between(emp, exact)) < 3 * math.sqrt(168 / runs)
+    assert oracle_tv(emp, exact) < 3 * math.sqrt(168 / runs)
 
 
 def test_oracle_equivalence_uncond_fallback():
@@ -224,7 +238,7 @@ def test_oracle_equivalence_uncond_fallback():
                     seed=34, primality=Exact(t))
     emp, _ = sample_distribution(cfg, runs, t)
     exact = exact_dist_uncond(x, 1.0, T, t)
-    assert float(tv_between(emp, exact)) < 3 * math.sqrt(25 / runs)
+    assert oracle_tv(emp, exact) < 3 * math.sqrt(25 / runs)
 
 
 def test_oracle_equivalence_uncond_nofallback():
@@ -235,7 +249,7 @@ def test_oracle_equivalence_uncond_nofallback():
                     seed=35, primality=Exact(t), max_iterations=300)
     emp, _ = sample_distribution(cfg, runs, t, retry_nontermination=True)
     exact = exact_dist_uncond_nofallback(x, 1.0, t)
-    assert float(tv_between(emp, exact)) < 3 * math.sqrt(25 / runs)
+    assert oracle_tv(emp, exact) < 3 * math.sqrt(25 / runs)
 
 
 def test_table_bound_must_cover_x(table_1k):

@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from primelab.errors import ConfigError, DomainError, NonTerminationError
+from primelab.errors import (
+    ConfigError,
+    DomainError,
+    NonTerminationError,
+    ResourceLimitError,
+)
 from primelab.generators import Algorithm, GenConfig, ModulusMode
 from primelab.harness import (
     REPORT_CSV_COLUMNS,
@@ -206,6 +211,13 @@ def test_error_profile_range_exact_oracle():
             if math.gcd(a, q) == 1:
                 brute += (count_ap_primes(t, q, a) - pi_x / phi_q) ** 2
     assert prof.sum_sq_error == pytest.approx(brute, rel=1e-9)
+
+
+def test_error_profile_range_work_cap(table_1m):
+    # 78,498 primes times the 269,038 moduli up to Q: 2.1e10 class lookups,
+    # over DEFAULT_WORK_CAP, refused before the census runs
+    with pytest.raises(ResourceLimitError):
+        error_term_profile(10**6, A=0.5, table=table_1m)
 
 
 def test_error_profile_requires_exactly_one_mode():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primelab import exactdist
 from primelab.errors import DomainError
 from primelab.metrics import FiniteDist, metrics_of, tv_between
 
@@ -188,3 +189,48 @@ def test_grouped_metrics_match_naive_float(case):
     for got, want in zip((m.delta1, m.delta2_sq, m.beta, m.gamma),
                          naive_metrics(dist, 1.0 / size)):
         assert abs(got - want) <= 1e-12
+
+
+# The closed forms of the exact_sweep benchmark, whose common denominators
+# run up to 1,150 bits; the hypothesis cases above have small ones.
+CLOSED_FORMS = [
+    ("exact_dist_uncond", dict(x=2000, A=1.0, T=58)),
+    ("exact_dist_uncond_nofallback", dict(x=2000, A=1.0)),
+    ("exact_dist_uncond_nofallback", dict(x=2000, A=3.0)),
+    ("exact_dist_basic", dict(x=20000, q=2310)),
+    ("exact_dist_erh_fallback", dict(x=20000, q=2310, T=99)),
+    ("exact_dist_primeinc", dict(x=100000)),
+    ("exact_dist_trivial", dict(x=20000)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,kwargs", CLOSED_FORMS,
+    ids=[f"{fn}({','.join(f'{k}={v}' for k, v in kw.items())})"
+         for fn, kw in CLOSED_FORMS],
+)
+def test_closed_form_metrics_equal_naive(fn, kwargs, table_100k):
+    dist = getattr(exactdist, fn)(**kwargs, table=table_100k)
+    m = metrics_of(dist)
+    assert (m.delta1, m.delta2_sq, m.beta, m.gamma) == naive_metrics(
+        dist, Fraction(1, dist.space_size))
+    # the public constructor brings the reduced masses back to numerators
+    # over the lcm of their denominators: the same law, the same measures
+    rebuilt = FiniteDist(dist.space_size, dist.mass)
+    assert rebuilt.num.keys() == dist.num.keys()
+    assert all(n * dist.den == dist.num[o] * rebuilt.den
+               for o, n in rebuilt.num.items())
+    assert metrics_of(rebuilt) == m
+
+
+def test_tv_float_against_huge_denominator(table_100k):
+    # masses whose denominators exceed the float range must not pass
+    # through float(numerator) or float(denominator)
+    law = exactdist.exact_dist_uncond(2000, 1.0, 58, table_100k)
+    assert max(v.denominator for v in law.mass.values()) > 2**1024
+    size = law.space_size
+    flat = FiniteDist(size, {p: 1 / size for p in law.num})
+    want = sum(abs(Fraction(1 / size) - v) for v in law.mass.values())
+    for tv in (tv_between(flat, law), tv_between(law, flat)):
+        assert isinstance(tv, float) and math.isfinite(tv)
+        assert abs(tv - want) <= 1e-12

@@ -48,18 +48,15 @@ class ClassProfile:
 
 def class_profile(x: int, q: int, table: PrimeTable | None = None) -> ClassProfile:
     primes_x = primes_upto(x, table)
-    mod = Modulus.from_int(q)
-    counts_arr = np.bincount(primes_x % q, minlength=q)
-    pi_x = len(primes_x)
-    counts: dict[int, int] = {}
-    errors: dict[int, float] = {}
-    for a in range(q):
-        if math.gcd(a, q) == 1:
-            c = int(counts_arr[a])
-            counts[a] = c
-            # |c - pi_x / phi|, rounded once from integers
-            errors[a] = abs(c * mod.phi - pi_x) / mod.phi
-    phi_star = sum(1 for c in counts.values() if c > 0)
+    phi = Modulus.from_int(q).phi
+    units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+    counts_arr = np.bincount(primes_x % q, minlength=q)[units]
+    # |c - pi_x / phi|, rounded once from integers
+    errors_arr = np.abs(counts_arr * phi - len(primes_x)) / phi
+    units = units.tolist()
+    counts = dict(zip(units, counts_arr.tolist()))
+    errors = dict(zip(units, errors_arr.tolist()))
+    phi_star = int(np.count_nonzero(counts_arr))
     return ClassProfile(x, q, counts, phi_star, errors)
 
 

@@ -13,6 +13,9 @@ Every run reports a Telemetry: loop iterations, primality tests, bits
 drawn from the generation source (with the subset spent on modulus/unit
 selection broken out), the accepted (q, a) and whether the fallback was
 entered.  Runs are bit-for-bit reproducible from the seed.
+
+`sample_counts` draws many runs at once from the same laws, in numpy, on
+a stream of its own (see its docstring).
 """
 
 import math
@@ -21,7 +24,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
 
-from .errors import BrokenBitSourceError, ConfigError, NonTerminationError
+import numpy as np
+
+from .errors import (
+    BrokenBitSourceError,
+    ConfigError,
+    NonTerminationError,
+    ResourceLimitError,
+)
 from .ntheory import (
     EXACT,
     Exact,
@@ -363,3 +373,245 @@ def generate(cfg: GenConfig, src: CountingBitSource | None = None):
             p = _trivial_search(src, x, test, tel)
     tel.bits_consumed = src.bits_consumed - start
     return p, tel
+
+
+# ---------------------------------------------------------------------------
+# lockstep block sampler
+#
+# Its arrays keep fixed shapes (lanes, words per block), and a lane is
+# refilled in place, not compacted: numpy keeps freed blocks under 1 KiB
+# in a cache per byte size, so arrays sized by a data-dependent count
+# would hold memory that grows from call to call.
+
+# Runs in flight at once, and the 32-bit words each of them draws per step.
+_LANES = 1024
+_STEP_WORDS = 4
+# Random-class attempts drawn per lane and round.
+_ATTEMPTS = 8
+# Words per draw call where runs are sequential (trivial, primeinc).
+_BLOCK_WORDS = 1 << 13
+# Members of a random class tested per round when looking for a prime.
+_SCAN = 16
+# The budget of a lane in the trivial search: no cap.
+_NO_BUDGET = 1 << 62
+_POW2 = 1 << np.arange(33, dtype=np.int64)
+
+
+def _bounded(words: np.ndarray, m) -> np.ndarray:
+    """Each word's top ceil(log2 m) bits as int64: the uniform_below rule,
+    under which a value >= m is a rejected draw.  m may be an array."""
+    return words.astype(np.int64) >> (32 - np.searchsorted(_POW2, m))
+
+
+def _is_prime(flags: np.ndarray, n: np.ndarray) -> np.ndarray:
+    return ((flags[n >> 3] >> (n & 7)) & 1).astype(bool)
+
+
+def _fill(out: list, draw) -> None:
+    """Fill the equal-length arrays `out` in order from rounds of draw(),
+    which returns (index of the kept candidates, candidate arrays)."""
+    filled = 0
+    while filled < len(out[0]):
+        keep, candidates = draw()
+        keep = keep[: len(out[0]) - filled]
+        for dest, values in zip(out, candidates):
+            np.take(values, keep, out=dest[filled : filled + len(keep)])
+        filled += len(keep)
+
+
+def _uniform(src: CountingBitSource, m: int) -> np.ndarray:
+    """_LANES uniform draws from {0, ..., m-1}, one word per attempt."""
+    def draw():
+        t = _bounded(src.words(2 * _LANES), m)
+        return np.flatnonzero(t < m), (t,)
+    out = np.empty(_LANES, dtype=np.int64)
+    _fill([out], draw)
+    return out
+
+
+def _random_classes(src: CountingBitSource, Q: int):
+    """_LANES pairs (q, a), uniform over the q in (Q/2, Q] and the units a
+    mod q, the law of _pick_random_modulus.  q is drawn uniformly and a
+    with the width of Q, kept only if a < q and gcd(a, q) = 1.  The chance
+    q / 2^width of a < q is the thinning by q/Q of _pick_random_modulus
+    times a constant, so every pair has the same chance per attempt."""
+    half = Q // 2
+
+    def draw():
+        t, u = src.words(2 * _ATTEMPTS * _LANES).reshape(2, -1)
+        q = half + 1 + _bounded(t, half)
+        a = _bounded(u, Q)
+        drawn = np.flatnonzero((q <= Q) & (a < q))
+        q, a = q[drawn], a[drawn]
+        return np.flatnonzero(np.gcd(a, q) == 1), (q, a)
+    q, a = out = np.empty((2, _LANES), dtype=np.int64)
+    _fill(out, draw)
+    return q, a
+
+
+def _holds_prime(flags, q, a, m) -> np.ndarray:
+    """Whether class a + t*q, t < m, holds a prime, for each lane: its
+    members are tested _SCAN at a time until a prime or the end."""
+    alive = np.zeros(len(q), dtype=bool)
+    t = np.arange(_SCAN)
+    while not (alive | (m <= t[0])).all():
+        inside = t < m[:, None]
+        # 0 stands for the members past the class end; it is not prime
+        alive |= _is_prime(flags, np.where(inside, a[:, None] + t * q[:, None],
+                                           0)).any(axis=1)
+        t = t + _SCAN
+    return alive
+
+
+def _class_picker(cfg: GenConfig, table, src: CountingBitSource):
+    """pick() -> (q, a, alive) for _LANES new runs: their classes, and
+    whether each class holds a prime <= x (stacked by sample_counts)."""
+    x = cfg.x
+    if cfg.algorithm in _RESIDUE_ALGOS:
+        from .exactdist import class_profile  # exactdist imports this module
+
+        q = cfg.modulus.q
+        counts = class_profile(x, q, table).counts
+        units = np.fromiter(counts, np.int64, len(counts))
+        alive = np.fromiter(counts.values(), np.int64, len(counts)) > 0
+        moduli = np.full(_LANES, q)
+
+        def pick():
+            j = _uniform(src, len(units))
+            return moduli, units[j], alive[j]
+        return pick
+
+    def pick():
+        q, a = _random_classes(src, cfg.Q)
+        return q, a, _holds_prime(table._flags, q, a, (x - a) // q + 1)
+    return pick
+
+
+def _sequential_block(src, x, primes, flags, algo) -> np.ndarray:
+    """Prime indices of the trivial or primeinc runs that end within one
+    block of draws below x, in order: a trivial run ends at each prime
+    candidate, a primeinc run at each start y <= p_max (a larger start is
+    redrawn) and outputs the first prime >= y."""
+    t = _bounded(src.words(_BLOCK_WORDS), x)
+    y = t[t < x] + 1
+    if algo is Algorithm.TRIVIAL:
+        y = y[_is_prime(flags, y)]
+    else:
+        y = y[y <= primes[-1]]
+    return np.searchsorted(primes, y)
+
+
+def _search_step(src, lanes, flags):
+    """_STEP_WORDS residue draws p = a + t*q for every lane (rows q, a, m,
+    left).  A hit is a prime among the first `left` accepted draws.
+    Returns (whether each lane hit, its first hit), and charges the
+    accepted draws to `left`."""
+    q, a, m, left = lanes
+    t = _bounded(src.words(_LANES * _STEP_WORDS).reshape(_LANES, -1),
+                 m[:, None])
+    ok = t < m[:, None]
+    tries = np.cumsum(ok, axis=1)
+    p = np.where(ok, a[:, None] + t * q[:, None], 0)
+    hit = _is_prime(flags, p) & (tries <= left[:, None])
+    first = np.take_along_axis(p, hit.argmax(axis=1)[:, None], axis=1)
+    left -= np.minimum(tries[:, -1], left)
+    return hit.any(axis=1), first[:, 0]
+
+
+def sample_counts(cfg: GenConfig, runs: int, table,
+                  retry_nontermination: bool = False) -> np.ndarray:
+    """Output counts of `runs` runs of cfg as an int64 array over the
+    primes <= x (index i counts table.primes[i]).
+
+    The runs follow generate's laws, but on this sampler's own stream: one
+    random.Random seeded by cfg.seed hands out 32-bit words in blocks, and
+    a draw below m keeps a word's top ceil(log2 m) bits if they are below
+    m (the uniform_below rule; x <= 2^32 keeps every draw to one word).
+    Primality is read from the flags of `table`, which must cover x.
+
+    trivial and primeinc runs are sequential within a block of draws.  The
+    residue variants keep up to _LANES runs in flight in lockstep, each
+    drawing _STEP_WORDS words per step; the budget counts accepted draws,
+    as in generate.  Units are drawn uniformly (the law of every
+    unit_method), and random classes with _pick_random_modulus's law.  A
+    class holding no prime <= x is settled at once: it falls back
+    (erh_fallback, uncond), is redrawn (retry_nontermination) or raises
+    NonTerminationError.  A run that spends its budget in a nonempty class
+    does the same.  Every run admitted is run to its end, so the counts do
+    not favour the runs that end early.
+    """
+    x = cfg.x
+    if x > 1 << 32:
+        raise ResourceLimitError(
+            f"the block sampler draws below x from one 32-bit word; "
+            f"x = {x} is over 2^32"
+        )
+    primes = table.primes[: table.count_leq(x)]
+    flags = table._flags
+    src = CountingBitSource(cfg.seed)
+    # one cell past the primes takes the lanes that did not end
+    counts = np.zeros(len(primes) + 1, dtype=np.int64)
+    algo = cfg.algorithm
+    done = 0
+    if algo in (Algorithm.TRIVIAL, Algorithm.PRIMEINC):
+        while done < runs:
+            ends = _sequential_block(src, x, primes, flags, algo)[: runs - done]
+            np.add.at(counts, ends, 1)
+            done += len(ends)
+        return counts[:-1]
+
+    pick = _class_picker(cfg, table, src)
+    budget = cfg.budget
+    fallback = algo in _FALLBACK_ALGOS
+    trivial = np.array([[1], [1], [x], [_NO_BUDGET]])  # q, a, m, left
+    lanes = np.zeros((4, _LANES), dtype=np.int64)
+    live = np.zeros(_LANES, dtype=bool)
+    # picked classes (rows q, a, alive), the next one for a lane at `head`
+    queue = np.concatenate([pick(), pick()], axis=1)
+    head = 0
+    while done < runs:
+        free = ~live
+        admit = runs - done - (_LANES - np.count_nonzero(free))
+        if admit > 0:
+            if head > _LANES:
+                queue[:, :_LANES] = queue[:, _LANES:]
+                queue[:, _LANES:] = pick()
+                head -= _LANES
+            order = np.cumsum(free)
+            new = free & (order <= admit)
+            q, a, alive = queue[:, np.minimum(head + order - 1, 2 * _LANES - 1)]
+            head += np.count_nonzero(new)
+            dead = new & (alive == 0)
+            if dead.any() and not fallback:
+                if not retry_nontermination:
+                    i = np.argmax(dead)
+                    raise NonTerminationError(
+                        f"no prime = {a[i]} (mod {q[i]}) up to {x}: the "
+                        f"class is empty, so the search would spend its "
+                        f"budget of {budget} iterations"
+                    )
+                new &= ~dead
+            np.copyto(lanes, [q, a, (x - a) // q + 1, np.full(_LANES, budget)],
+                      where=new)
+            if fallback:
+                np.copyto(lanes, trivial, where=dead)
+            live |= new
+        ended, found = _search_step(src, lanes, flags)
+        ended &= live
+        np.add.at(counts, np.where(ended, np.searchsorted(primes, found),
+                                   len(primes)), 1)
+        done += np.count_nonzero(ended)
+        spent = live & ~ended & (lanes[3] == 0)
+        if spent.any():
+            if fallback:
+                np.copyto(lanes, trivial, where=spent)
+            elif not retry_nontermination:
+                q, a = lanes[:2, np.argmax(spent)]
+                raise NonTerminationError(
+                    f"no prime = {a} (mod {q}) found in {budget} "
+                    f"iterations; the class is likely empty"
+                )
+            else:
+                ended |= spent
+        live &= ~ended
+    return counts[:-1]

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     DomainError,
-    NonTerminationError,
     PrimelabError,
     ResourceLimitError,
 )
@@ -37,6 +36,7 @@ from .generators import (
     Algorithm,
     GenConfig,
     generate,
+    sample_counts,
 )
 from .metrics import DistMetrics, FiniteDist, metrics_of
 from .ntheory import (
@@ -152,7 +152,7 @@ def benchmark(
     pred_iter, pred_bits, eps_eff = predictions_for(cfg)
     dist_metrics = None
     if with_metrics:
-        space = _prime_count(cfg, table)
+        space = _resolve_table(cfg, table).count_leq(cfg.x)
         empirical = FiniteDist.from_counts(outputs, trials, space)
         dist_metrics = metrics_of(empirical)
     return RunReport(
@@ -171,12 +171,15 @@ def benchmark(
     )
 
 
-def _prime_count(cfg: GenConfig, table: PrimeTable | None) -> int:
-    if table is None and isinstance(cfg.primality, Exact):
-        table = cfg.primality.table
-    if table is not None and table.bound >= cfg.x:
-        return table.count_leq(cfg.x)
-    return sieve(cfg.x).prime_count()
+def _resolve_table(cfg: GenConfig, table: PrimeTable | None) -> PrimeTable:
+    """The first table covering cfg.x of: `table`, the policy's table,
+    sieve(cfg.x) (ResourceLimitError above the sieve cap)."""
+    policy_table = (cfg.primality.table
+                    if isinstance(cfg.primality, Exact) else None)
+    for candidate in (table, policy_table):
+        if candidate is not None and candidate.bound >= cfg.x:
+            return candidate
+    return sieve(cfg.x)
 
 
 def sample_distribution(
@@ -185,32 +188,32 @@ def sample_distribution(
     table: PrimeTable | None = None,
     retry_nontermination: bool = False,
 ):
-    """Empirical output distribution over `runs` runs on a single stream.
+    """Empirical output distribution over `runs` runs of cfg.  Returns
+    (FiniteDist, counts), counts mapping each observed prime to its runs.
 
-    Uses one bit source seeded from the master seed (cheaper than per-run
-    sources; still fully reproducible).  Returns (FiniteDist, counts).
+    The runs come from generators.sample_counts, a lockstep numpy sampler
+    with a stream of its own: results are reproducible per seed, but they
+    are not generate's per-run stream, so no run here matches a
+    `generate` call.  Primality is read from the table (the argument,
+    else the policy's table, else sieve(x), resolved before the first
+    draw), never from cfg.primality.  cfg.unit_method changes only
+    generate's per-run stream, not the law, and is not read.  The budget,
+    the fallback and cfg.Q are generate's.
 
-    With retry_nontermination, a run that exceeds its iteration cap (an
-    empty residue class under a no-fallback algorithm) is redrawn; this
-    samples the distribution conditioned on termination, which is what the
-    no-fallback closed form describes.  Pair it with a small
-    cfg.max_iterations so dead runs are cheap.
+    With retry_nontermination, a run that spends its budget without a
+    prime (an empty residue class under a no-fallback algorithm) is
+    redrawn; this samples the distribution conditioned on termination,
+    which is what the no-fallback closed form describes.  An empty class
+    is found at once, not by running its budget.
     """
     if runs < 1:
         raise DomainError(f"runs must be >= 1, got {runs}")
-    src = CountingBitSource(cfg.seed)
-    counts: Counter = Counter()
-    for _ in range(runs):
-        while True:
-            try:
-                p, _tel = generate(cfg, src)
-                break
-            except NonTerminationError:
-                if not retry_nontermination:
-                    raise
-        counts[p] += 1
-    space = _prime_count(cfg, table)
-    return FiniteDist.from_counts(counts, runs, space), counts
+    table = _resolve_table(cfg, table)
+    tally = sample_counts(cfg, runs, table, retry_nontermination)
+    seen = np.flatnonzero(tally)
+    counts = Counter(dict(zip(table.primes[seen].tolist(),
+                              tally[seen].tolist())))
+    return FiniteDist.from_counts(counts, runs, len(tally)), counts
 
 
 @dataclass

@@ -11,6 +11,8 @@ per-trial seed = splitmix64(master_seed XOR splitmix64(trial_index)).
 
 import random
 
+import numpy as np
+
 from .errors import BrokenBitSourceError, DomainError
 
 _MASK64 = (1 << 64) - 1
@@ -59,6 +61,17 @@ class CountingBitSource:
         self.bits_consumed += k
         self.draws += 1
         return self._getrandbits(k)
+
+    def words(self, n: int) -> np.ndarray:
+        """n uniform 32-bit words as a uint32 array; charges 32 bits and
+        one draw per word.  The words are those of n draw_bits(32) calls,
+        in order, produced in one call to the generator."""
+        if n < 1:
+            raise DomainError(f"words needs n >= 1, got {n}")
+        self.bits_consumed += 32 * n
+        self.draws += n
+        raw = self._getrandbits(32 * n).to_bytes(4 * n, "little")
+        return np.frombuffer(raw, dtype="<u4")
 
     def uniform_below(self, m: int) -> int:
         """Uniform draw from {0, ..., m-1} by rejection.

@@ -34,6 +34,29 @@ def chi2_stat_uniform(counts, total: int, cells: int) -> float:
     return float(((observed - expected) ** 2 / expected).sum())
 
 
+def chi2_z(counts, law, runs: int, min_expected: float = 5.0) -> float:
+    """Wilson-Hilferty normal deviate of the Pearson chi-square statistic
+    of observed counts against exact masses, cells expecting fewer than
+    min_expected runs pooled into one: the rule of bench/checks.py, where
+    z > 5 is a false alarm about 3e-7 of the time."""
+    stat = cells = pooled_obs = pooled_exp = 0
+    for outcome, mass in law.items():
+        expected = runs * float(mass)
+        if not expected:
+            continue
+        if expected < min_expected:
+            pooled_obs += counts.get(outcome, 0)
+            pooled_exp += expected
+            continue
+        stat += (counts.get(outcome, 0) - expected) ** 2 / expected
+        cells += 1
+    if pooled_exp:
+        stat += (pooled_obs - pooled_exp) ** 2 / pooled_exp
+        cells += 1
+    k = cells - 1
+    return ((stat / k) ** (1 / 3) - (1 - 2 / (9 * k))) / (2 / (9 * k)) ** 0.5
+
+
 def trial_division_primes(bound: int) -> list[int]:
     """Independent oracle: primes up to bound by trial division."""
     primes = []

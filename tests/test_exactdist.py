@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -195,6 +196,21 @@ def test_class_profile_consistency(table_1k):
     expected = Fraction(168, 8)
     assert prof.error_terms == {a: float(abs(c - expected))
                                 for a, c in prof.counts.items()}
+
+
+@pytest.mark.parametrize("x,q", [(30, 25), (100, 2), (1000, 30),
+                                 (20_000, 2310), (10**5, 30030)])
+def test_class_profile_matches_the_unit_loop(x, q, table_100k):
+    # the reference: one math.gcd per residue, one count per prime
+    primes_x = [p for p in table_100k.primes.tolist() if p <= x]
+    residues = Counter(p % q for p in primes_x)
+    counts = {a: residues[a] for a in range(q) if math.gcd(a, q) == 1}
+    phi = len(counts)
+    prof = class_profile(x, q, table_100k)
+    assert prof.counts == counts
+    assert prof.error_terms == {a: abs(c * phi - len(primes_x)) / phi
+                                for a, c in counts.items()}
+    assert prof.phi_star == sum(1 for c in counts.values() if c)
 
 
 @pytest.mark.parametrize("maker,cfg_kwargs", [

@@ -134,7 +134,10 @@ def test_empirical_basic_close_to_exact(table_1k):
     cfg = GenConfig(x=30, algorithm=Algorithm.BASIC, q=6,
                     modulus_mode=ModulusMode.EXPLICIT, seed=11,
                     primality=Exact(t30))
-    emp, _ = sample_distribution(cfg, 10**5, t30)
+    # at 10^5 runs the l1 distance of an unbiased sample has mean 0.0067
+    # and exceeds 0.01 for about 5 % of seeds; 10^6 runs bring the mean to
+    # about 0.002, so the same bound leaves room only for a real bias
+    emp, _ = sample_distribution(cfg, 10**6, t30)
     assert tv_between(emp, exact_dist_basic(30, 6, t30)) < 0.01
 
 

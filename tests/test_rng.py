@@ -34,6 +34,18 @@ def test_different_seed_differs():
     ]
 
 
+def test_words_are_successive_32_bit_draws():
+    a = CountingBitSource(9)
+    b = CountingBitSource(9)
+    words = a.words(100)
+    assert words.dtype.itemsize == 4 and words.dtype.kind == "u"
+    assert words.tolist() == [b.draw_bits(32) for _ in range(100)]
+    assert (a.bits_consumed, a.draws) == (b.bits_consumed, b.draws)
+    assert a.draw_bits(32) == b.draw_bits(32)
+    with pytest.raises(DomainError):
+        a.words(0)
+
+
 def test_draw_bits_rejects_nonpositive():
     src = CountingBitSource(0)
     with pytest.raises(DomainError):

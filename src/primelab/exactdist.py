@@ -15,19 +15,10 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 from .generators import derived_Q
 from .metrics import FiniteDist
-from .ntheory import Modulus, PrimeTable, sieve
+from .ntheory import Modulus, PrimeTable, primes_upto, table_for
 
 # Refuse random-modulus sweeps needing more than this many class lookups.
 DEFAULT_WORK_CAP = 10**10
-
-
-def primes_upto(x: int, table: PrimeTable | None = None) -> np.ndarray:
-    """The primes <= x, from `table` (which must cover x) or a new sieve."""
-    if table is None:
-        table = sieve(x)
-    if table.bound < x:
-        raise DomainError(f"table bound {table.bound} below x = {x}")
-    return table.primes[: table.count_leq(x)]
 
 
 @dataclass(frozen=True)
@@ -90,8 +81,7 @@ def exact_dist_basic(
     """
     if q >= x:
         raise DomainError(f"modulus {q} must be < x = {x}")
-    if table is None:
-        table = sieve(x)
+    table = table_for(x, table)
     profile = class_profile(x, q, table)
     primes_x = primes_upto(x, table)
     empty = [a for a, c in profile.counts.items() if c == 0]

@@ -34,12 +34,10 @@ from .errors import (
 )
 from .ntheory import (
     EXACT,
-    Exact,
     Modulus,
     PrimalityPolicy,
-    _check_witness_bound,
-    _miller_rabin,
-    is_prime,
+    primality_tester,
+    primes_upto,
     primorial_below,
 )
 from .rng import CountingBitSource
@@ -81,7 +79,9 @@ def default_T(x: int) -> int:
 
 def derived_Q(x: int, A: float) -> int:
     """Even modulus-range top for the random-modulus variants:
-    2 * floor(x / (2 (ln x)^A)), which must lie in [4, x]."""
+    2 * floor(x / (2 (ln x)^A)) for a finite A > 0, in [4, x]."""
+    if not 0 < A < math.inf:
+        raise ConfigError(f"A must be finite and > 0, got {A}")
     try:
         Q = 2 * int(x / (2 * math.log(x) ** A))
     except (OverflowError, ZeroDivisionError) as exc:
@@ -93,9 +93,12 @@ def derived_Q(x: int, A: float) -> int:
 
 def _modulus_limit(x: int, epsilon, mode, q) -> float | None:
     """Cheap checks shared by GenConfig and select_modulus: the bound
-    x^(1-epsilon) of a derived modulus, or None for an explicit q."""
-    if q is not None and not 2 <= q < x:
-        raise ConfigError(f"explicit q={q} not in [2, x={x})")
+    x^(1-epsilon) of a derived modulus, or None for an explicit q (a q
+    is refused in the other modes, which would ignore it)."""
+    if q is not None and mode is not ModulusMode.EXPLICIT:
+        raise ConfigError(f"q={q!r} needs modulus_mode=explicit")
+    if q is not None and (not isinstance(q, int) or not 2 <= q < x):
+        raise ConfigError(f"explicit q={q!r} is not an integer in [2, x={x})")
     if epsilon is not None and not 0 < epsilon < 1:
         raise ConfigError(f"epsilon must be in (0,1), got {epsilon}")
     if mode is ModulusMode.EXPLICIT:
@@ -163,9 +166,9 @@ class GenConfig:
         if algo in _RESIDUE_ALGOS:
             _modulus_limit(x, eps, self.modulus_mode, self.q)
         elif self.q is not None:
-            _modulus_limit(x, None, ModulusMode.EXPLICIT, self.q)
+            _modulus_limit(x, None, self.modulus_mode, self.q)
         if algo in _RANDOM_MODULUS_ALGOS:
-            if A is None or A <= 0:
+            if A is None:
                 raise ConfigError(f"{algo.value} requires A > 0")
             object.__setattr__(self, "Q", derived_Q(x, A))
 
@@ -261,18 +264,6 @@ def sample_unit(
             f"unit generation made no progress after {_JP_MAX_ROUNDS} rounds"
         )
     raise ConfigError(f"unknown unit method {method!r}")
-
-
-def primality_tester(policy: PrimalityPolicy, x: int):
-    """Fastest correct primality callable for candidates <= x."""
-    if isinstance(policy, Exact):
-        table = policy.table
-        if table is not None and table.bound >= x:
-            flags = table._flags
-            return lambda p: bool((flags[p >> 3] >> (p & 7)) & 1)
-        _check_witness_bound(x)
-        return _miller_rabin
-    return lambda p: is_prime(p, policy)
 
 
 def _trivial_search(src, x, test, tel):
@@ -403,10 +394,6 @@ def _bounded(words: np.ndarray, m) -> np.ndarray:
     return words.astype(np.int64) >> (32 - np.searchsorted(_POW2, m))
 
 
-def _is_prime(flags: np.ndarray, n: np.ndarray) -> np.ndarray:
-    return ((flags[n >> 3] >> (n & 7)) & 1).astype(bool)
-
-
 def _fill(out: list, draw) -> None:
     """Fill the equal-length arrays `out` in order from rounds of draw(),
     which returns (index of the kept candidates, candidate arrays)."""
@@ -449,31 +436,28 @@ def _random_classes(src: CountingBitSource, Q: int):
     return q, a
 
 
-def _holds_prime(flags, q, a, m) -> np.ndarray:
+def _holds_prime(table, q, a, m) -> np.ndarray:
     """Whether class a + t*q, t < m, holds a prime, for each lane: its
     members are tested _SCAN at a time until a prime or the end."""
     alive = np.zeros(len(q), dtype=bool)
     t = np.arange(_SCAN)
     while not (alive | (m <= t[0])).all():
-        inside = t < m[:, None]
         # 0 stands for the members past the class end; it is not prime
-        alive |= _is_prime(flags, np.where(inside, a[:, None] + t * q[:, None],
-                                           0)).any(axis=1)
+        members = np.where(t < m[:, None], a[:, None] + t * q[:, None], 0)
+        alive |= table.prime_mask(members).any(axis=1)
         t = t + _SCAN
     return alive
 
 
-def _class_picker(cfg: GenConfig, table, src: CountingBitSource):
+def _class_picker(cfg: GenConfig, table, primes, src: CountingBitSource):
     """pick() -> (q, a, alive) for _LANES new runs: their classes, and
     whether each class holds a prime <= x (stacked by sample_counts)."""
     x = cfg.x
     if cfg.algorithm in _RESIDUE_ALGOS:
-        from .exactdist import class_profile  # exactdist imports this module
-
         q = cfg.modulus.q
-        counts = class_profile(x, q, table).counts
-        units = np.fromiter(counts, np.int64, len(counts))
-        alive = np.fromiter(counts.values(), np.int64, len(counts)) > 0
+        residues = np.arange(q)
+        units = residues[np.gcd(residues, q) == 1]
+        alive = np.bincount(primes % q, minlength=q)[units] > 0
         moduli = np.full(_LANES, q)
 
         def pick():
@@ -483,11 +467,11 @@ def _class_picker(cfg: GenConfig, table, src: CountingBitSource):
 
     def pick():
         q, a = _random_classes(src, cfg.Q)
-        return q, a, _holds_prime(table._flags, q, a, (x - a) // q + 1)
+        return q, a, _holds_prime(table, q, a, (x - a) // q + 1)
     return pick
 
 
-def _sequential_block(src, x, primes, flags, algo) -> np.ndarray:
+def _sequential_block(src, x, table, primes, algo) -> np.ndarray:
     """Prime indices of the trivial or primeinc runs that end within one
     block of draws below x, in order: a trivial run ends at each prime
     candidate, a primeinc run at each start y <= p_max (a larger start is
@@ -495,13 +479,13 @@ def _sequential_block(src, x, primes, flags, algo) -> np.ndarray:
     t = _bounded(src.words(_BLOCK_WORDS), x)
     y = t[t < x] + 1
     if algo is Algorithm.TRIVIAL:
-        y = y[_is_prime(flags, y)]
+        y = y[table.prime_mask(y)]
     else:
         y = y[y <= primes[-1]]
     return np.searchsorted(primes, y)
 
 
-def _search_step(src, lanes, flags):
+def _search_step(src, lanes, table):
     """_STEP_WORDS residue draws p = a + t*q for every lane (rows q, a, m,
     left).  A hit is a prime among the first `left` accepted draws.
     Returns (whether each lane hit, its first hit), and charges the
@@ -512,7 +496,7 @@ def _search_step(src, lanes, flags):
     ok = t < m[:, None]
     tries = np.cumsum(ok, axis=1)
     p = np.where(ok, a[:, None] + t * q[:, None], 0)
-    hit = _is_prime(flags, p) & (tries <= left[:, None])
+    hit = table.prime_mask(p) & (tries <= left[:, None])
     first = np.take_along_axis(p, hit.argmax(axis=1)[:, None], axis=1)
     left -= np.minimum(tries[:, -1], left)
     return hit.any(axis=1), first[:, 0]
@@ -527,7 +511,8 @@ def sample_counts(cfg: GenConfig, runs: int, table,
     random.Random seeded by cfg.seed hands out 32-bit words in blocks, and
     a draw below m keeps a word's top ceil(log2 m) bits if they are below
     m (the uniform_below rule; x <= 2^32 keeps every draw to one word).
-    Primality is read from the flags of `table`, which must cover x.
+    Primality is read from `table`, which must cover x (DomainError
+    otherwise).
 
     trivial and primeinc runs are sequential within a block of draws.  The
     residue variants keep up to _LANES runs in flight in lockstep, each
@@ -546,8 +531,7 @@ def sample_counts(cfg: GenConfig, runs: int, table,
             f"the block sampler draws below x from one 32-bit word; "
             f"x = {x} is over 2^32"
         )
-    primes = table.primes[: table.count_leq(x)]
-    flags = table._flags
+    primes = primes_upto(x, table)
     src = CountingBitSource(cfg.seed)
     # one cell past the primes takes the lanes that did not end
     counts = np.zeros(len(primes) + 1, dtype=np.int64)
@@ -555,12 +539,12 @@ def sample_counts(cfg: GenConfig, runs: int, table,
     done = 0
     if algo in (Algorithm.TRIVIAL, Algorithm.PRIMEINC):
         while done < runs:
-            ends = _sequential_block(src, x, primes, flags, algo)[: runs - done]
+            ends = _sequential_block(src, x, table, primes, algo)[: runs - done]
             np.add.at(counts, ends, 1)
             done += len(ends)
         return counts[:-1]
 
-    pick = _class_picker(cfg, table, src)
+    pick = _class_picker(cfg, table, primes, src)
     budget = cfg.budget
     fallback = algo in _FALLBACK_ALGOS
     trivial = np.array([[1], [1], [x], [_NO_BUDGET]])  # q, a, m, left
@@ -596,7 +580,7 @@ def sample_counts(cfg: GenConfig, runs: int, table,
             if fallback:
                 np.copyto(lanes, trivial, where=dead)
             live |= new
-        ended, found = _search_step(src, lanes, flags)
+        ended, found = _search_step(src, lanes, table)
         ended &= live
         np.add.at(counts, np.where(ended, np.searchsorted(primes, found),
                                    len(primes)), 1)

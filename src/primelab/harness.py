@@ -30,7 +30,6 @@ from .exactdist import (
     _range_census,
     class_profile,
     exact_dist_primeinc,
-    primes_upto,
 )
 from .generators import (
     Algorithm,
@@ -46,7 +45,8 @@ from .ntheory import (
     MillerRabin,
     PrimalityPolicy,
     PrimeTable,
-    sieve,
+    primes_upto,
+    table_for,
     totient_sieve,
 )
 from .rng import CountingBitSource, split_seed
@@ -129,10 +129,13 @@ def benchmark(
     """Run the configured generator `trials` times and aggregate telemetry.
 
     Trial i uses an independent bit source seeded with
-    split_seed(cfg.seed, i); aggregation folds in trial order.
+    split_seed(cfg.seed, i); aggregation folds in trial order.  The
+    metrics take pi(x) from table_for(x, table, the policy's table).
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if with_metrics:
+        space = table_for(cfg.x, table, cfg.primality.table).count_leq(cfg.x)
     sum_iter = sum_bits = sum_sel = sum_tests = fallbacks = 0
     outputs: Counter = Counter()
     for i in range(trials):
@@ -152,7 +155,6 @@ def benchmark(
     pred_iter, pred_bits, eps_eff = predictions_for(cfg)
     dist_metrics = None
     if with_metrics:
-        space = _resolve_table(cfg, table).count_leq(cfg.x)
         empirical = FiniteDist.from_counts(outputs, trials, space)
         dist_metrics = metrics_of(empirical)
     return RunReport(
@@ -171,17 +173,6 @@ def benchmark(
     )
 
 
-def _resolve_table(cfg: GenConfig, table: PrimeTable | None) -> PrimeTable:
-    """The first table covering cfg.x of: `table`, the policy's table,
-    sieve(cfg.x) (ResourceLimitError above the sieve cap)."""
-    policy_table = (cfg.primality.table
-                    if isinstance(cfg.primality, Exact) else None)
-    for candidate in (table, policy_table):
-        if candidate is not None and candidate.bound >= cfg.x:
-            return candidate
-    return sieve(cfg.x)
-
-
 def sample_distribution(
     cfg: GenConfig,
     runs: int,
@@ -195,10 +186,10 @@ def sample_distribution(
     with a stream of its own: results are reproducible per seed, but they
     are not generate's per-run stream, so no run here matches a
     `generate` call.  Primality is read from the table (the argument,
-    else the policy's table, else sieve(x), resolved before the first
-    draw), never from cfg.primality.  cfg.unit_method changes only
-    generate's per-run stream, not the law, and is not read.  The budget,
-    the fallback and cfg.Q are generate's.
+    which must cover x, else the policy's table, else sieve(x), resolved
+    before the first draw), never from cfg.primality.  cfg.unit_method
+    changes only generate's per-run stream, not the law, and is not read.
+    The budget, the fallback and cfg.Q are generate's.
 
     With retry_nontermination, a run that spends its budget without a
     prime (an empty residue class under a no-fallback algorithm) is
@@ -208,7 +199,7 @@ def sample_distribution(
     """
     if runs < 1:
         raise DomainError(f"runs must be >= 1, got {runs}")
-    table = _resolve_table(cfg, table)
+    table = table_for(cfg.x, table, cfg.primality.table)
     tally = sample_counts(cfg, runs, table, retry_nontermination)
     seen = np.flatnonzero(tally)
     counts = Counter(dict(zip(table.primes[seen].tolist(),
@@ -297,8 +288,7 @@ def primeinc_audit(
         raise DomainError(f"trials must be >= 1, got {trials}")
     if x < 5:
         raise DomainError(f"primeinc audit needs x >= 5 (a twin prime), got {x}")
-    if table is None:
-        table = sieve(x)
+    table = table_for(x, table)
     dist = exact_dist_primeinc(x, table)
     delta1 = metrics_of(dist).delta1
     lnx = math.log(x)
@@ -382,8 +372,7 @@ def error_term_profile(
     """
     if (q is None) == (A is None):
         raise ConfigError("provide exactly one of q or A")
-    if table is None:
-        table = sieve(x)
+    table = table_for(x, table)
     primes_x = primes_upto(x, table)
     pi_x = len(primes_x)
 

@@ -3,6 +3,8 @@
 Sieving, prime counting in residue classes, totients, primorials and
 primality testing.  Everything here is exact integer arithmetic; these
 routines are the oracle substrate for the distribution computations.
+This module owns the prime table: `table_for` decides which table
+answers for x, and only `PrimeTable` reads its packed flags.
 """
 
 import math
@@ -56,20 +58,24 @@ _WITNESS_PRODUCT = math.prod(_DETERMINISTIC_WITNESSES)
 class PrimeTable:
     """Exact primality for [0, bound]: packed flag bits plus the prime list.
 
-    Immutable after construction; the per-modulus residue histograms are a
-    cache whose recomputation is idempotent, so concurrent readers are safe.
+    Immutable after construction, so concurrent readers are safe.  Only
+    `is_prime` and `prime_mask` read the flags.
     """
 
     def __init__(self, bound: int, packed_flags: np.ndarray, primes: np.ndarray):
         self.bound = bound
         self._flags = packed_flags
         self.primes = primes
-        self._residue_counts: dict[int, np.ndarray] = {}
 
     def is_prime(self, n: int) -> bool:
         if n < 0 or n > self.bound:
             raise DomainError(f"{n} outside table range [0, {self.bound}]")
         return bool((self._flags[n >> 3] >> (n & 7)) & 1)
+
+    def prime_mask(self, n: np.ndarray) -> np.ndarray:
+        """Primality of each entry of the int array n, unchecked: every
+        entry must lie in [0, bound]."""
+        return ((self._flags[n >> 3] >> (n & 7)) & 1).astype(bool)
 
     def prime_count(self) -> int:
         """pi(bound)."""
@@ -80,14 +86,6 @@ class PrimeTable:
         if n > self.bound:
             raise DomainError(f"{n} exceeds table bound {self.bound}")
         return int(np.searchsorted(self.primes, n, side="right"))
-
-    def residue_counts(self, q: int) -> np.ndarray:
-        """Histogram of primes <= bound by residue mod q (cached per q)."""
-        counts = self._residue_counts.get(q)
-        if counts is None:
-            counts = np.bincount(self.primes % q, minlength=q)
-            self._residue_counts[q] = counts
-        return counts
 
 
 def _bound_index(name: str, value) -> int:
@@ -138,25 +136,44 @@ def sieve(bound: int, cap: int = DEFAULT_SIEVE_CAP) -> PrimeTable:
     return PrimeTable(bound, packed, np.concatenate(chunks))
 
 
-def count_ap_primes(table: PrimeTable, q: int, a: int) -> int:
-    """pi(bound; q, a): primes p <= bound with p = a (mod q)."""
+def table_for(x: int, table: PrimeTable | None = None,
+              fallback: PrimeTable | None = None) -> PrimeTable:
+    """The table that answers for [0, x]: `table` if given (DomainError if
+    it does not cover x), else `fallback` if it covers x, else sieve(x)
+    (ResourceLimitError above the sieve cap)."""
+    if table is not None:
+        if table.bound < x:
+            raise DomainError(f"table bound {table.bound} below x = {x}")
+        return table
+    if fallback is not None and fallback.bound >= x:
+        return fallback
+    return sieve(x)
+
+
+def primes_upto(x: int, table: PrimeTable | None = None) -> np.ndarray:
+    """The primes <= x, from table_for(x, table)."""
+    table = table_for(x, table)
+    return table.primes[: table.count_leq(x)]
+
+
+def _class_mask(table: PrimeTable, q: int, a: int) -> np.ndarray:
+    """Which of table.primes are = a (mod q), for q >= 1 and 0 <= a < q."""
+    q, a = _bound_index("modulus", q), _bound_index("residue", a)
     if q < 1:
         raise DomainError(f"modulus must be >= 1, got {q}")
     if not 0 <= a < q:
         raise DomainError(f"residue {a} not in [0, {q})")
-    if q > 4 * len(table.primes):
-        # one-off large modulus: a histogram would be mostly zeros
-        return int(np.count_nonzero(table.primes % q == a))
-    return int(table.residue_counts(q)[a])
+    return table.primes % q == a
+
+
+def count_ap_primes(table: PrimeTable, q: int, a: int) -> int:
+    """pi(bound; q, a): primes p <= bound with p = a (mod q)."""
+    return int(np.count_nonzero(_class_mask(table, q, a)))
 
 
 def residue_class_primes(table: PrimeTable, q: int, a: int) -> list[int]:
     """The primes counted by ``count_ap_primes``, sorted ascending."""
-    if q < 1:
-        raise DomainError(f"modulus must be >= 1, got {q}")
-    if not 0 <= a < q:
-        raise DomainError(f"residue {a} not in [0, {q})")
-    return (table.primes[table.primes % q == a]).tolist()
+    return table.primes[_class_mask(table, q, a)].tolist()
 
 
 def primorial_below(limit: int) -> int:
@@ -276,6 +293,8 @@ class Modulus:
 class PrimalityPolicy:
     """How primality of generated candidates is decided."""
 
+    table: PrimeTable | None = None  # the table the policy reads, if any
+
 
 @dataclass(frozen=True)
 class Exact(PrimalityPolicy):
@@ -374,3 +393,14 @@ def is_prime(n: int, policy: PrimalityPolicy = EXACT) -> bool:
     if isinstance(policy, MillerRabin):
         return _miller_rabin(n, _random_bases(n, policy))
     raise DomainError(f"unknown primality policy {policy!r}")
+
+
+def primality_tester(policy: PrimalityPolicy, x: int):
+    """Fastest correct primality callable for candidates in [0, x]."""
+    if isinstance(policy, Exact):
+        table = policy.table
+        if table is not None and table.bound >= x:
+            return table.is_prime
+        _check_witness_bound(x)
+        return _miller_rabin
+    return lambda p: is_prime(p, policy)

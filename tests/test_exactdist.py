@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from primelab import exactdist
-from primelab.errors import DomainError, ResourceLimitError
+from primelab.errors import ConfigError, DomainError, ResourceLimitError
 from primelab.exactdist import (
     class_census,
     class_profile,
@@ -337,3 +337,14 @@ def test_class_census_counts(table_1k):
     bare = class_census(x, qs, primes_x, with_hits=False)
     assert bare.classes.tolist() == census.classes.tolist()
     assert len(bare.hits) == 0
+
+
+@pytest.mark.parametrize("A", [math.nan, math.inf, 0.0, -1.0])
+def test_range_laws_refuse_A_that_is_not_finite_and_positive(A, table_1k):
+    # nan raised a bare ValueError; A = 0 returned a law GenConfig refuses
+    with pytest.raises(ConfigError):
+        exact_dist_uncond(1000, A, 3, table_1k)
+    with pytest.raises(ConfigError):
+        exact_dist_uncond_nofallback(1000, A, table_1k)
+    with pytest.raises(ConfigError):
+        error_term_profile(1000, A=A, table=table_1k)

@@ -124,6 +124,21 @@ def test_config_validation():
             GenConfig(x=100, **bad)
 
 
+def test_config_refuses_a_q_it_cannot_use():
+    # without explicit mode q was ignored: this config ran with q = 30
+    with pytest.raises(ConfigError, match="explicit"):
+        GenConfig(x=1000, algorithm="basic", q=7, epsilon=0.3)
+    with pytest.raises(ConfigError):
+        GenConfig(x=1000, algorithm="trivial", q=7)
+    with pytest.raises(ConfigError):
+        select_modulus(1000, 0.3, ModulusMode.PRIMORIAL, 7)
+    # a non-integer q constructed, then generate raised a bare TypeError
+    for bad in (6.5, 7.0, "7"):
+        with pytest.raises(ConfigError):
+            GenConfig(x=1000, algorithm="basic", q=bad,
+                      modulus_mode="explicit")
+
+
 def test_modulus_reaching_x_is_refused():
     # 1 - 1e-17 rounds to 1.0, so x^(1-epsilon) rounds up to 2^60 > x; the
     # power-of-two modulus would be 2^60 and predictions_for reported 0.0
@@ -192,6 +207,9 @@ def test_default_T_and_Q():
     assert derived_Q(10**4, 2.0) == 116
     with pytest.raises(ConfigError):
         derived_Q(100, 6.0)  # Q < 4
+    for A in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ConfigError):
+            derived_Q(1000, A)
 
 
 @pytest.mark.parametrize("method", list(UnitMethod))

@@ -338,3 +338,18 @@ def test_csv_refuses_mixed_items(table_1k):
         for items in ([other, report], [report, other]):
             with pytest.raises(DomainError, match="one type"):
                 report_emit(items, "csv")
+
+
+def test_undersized_table_is_refused():
+    # both sieved x = 1000 in silence instead
+    small = sieve(100)
+    cfg = small_cfg()
+    with pytest.raises(DomainError):
+        sample_distribution(cfg, 10, small)
+    with pytest.raises(DomainError):
+        benchmark(cfg, 10, with_metrics=True, table=small)
+    # an undersized policy table is passed over for a sieve of x
+    cfg = small_cfg(primality=Exact(small))
+    dist, _ = sample_distribution(cfg, 10)
+    assert dist.space_size == 168
+    assert benchmark(cfg, 10, with_metrics=True).metrics is not None

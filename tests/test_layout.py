@@ -1,0 +1,54 @@
+"""Package layout: ntheory owns the prime table, and generators does not
+reach up into exactdist (which imports generators)."""
+
+import ast
+import re
+from pathlib import Path
+
+import primelab
+from primelab import exactdist, generators, ntheory
+
+SRC = Path(primelab.__file__).parent
+_FLAGS = re.compile(r"(?<!\w)_flags\b")
+
+
+def _tree(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _words(tree: ast.AST):
+    """Every identifier and string constant in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_only_ntheory_mentions_the_table_flags():
+    readers = [path.name for path in sorted(SRC.glob("*.py"))
+               if path.stem != "ntheory"
+               and any(_FLAGS.search(w) for w in _words(_tree(path)))]
+    assert readers == []
+
+
+def test_generators_does_not_import_exactdist():
+    imported = []
+    for node in ast.walk(_tree(SRC / "generators.py")):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert [m for m in imported if m.split(".")[-1] == "exactdist"] == []
+
+
+def test_table_helpers_keep_their_old_names():
+    assert exactdist.primes_upto is ntheory.primes_upto
+    # bench/tracing.py patches the tester by this name
+    assert generators.primality_tester is ntheory.primality_tester

@@ -17,9 +17,12 @@ from primelab.ntheory import (
     count_ap_primes,
     factorize,
     is_prime,
+    primality_tester,
+    primes_upto,
     primorial_below,
     residue_class_primes,
     sieve,
+    table_for,
     totient_partial_sum,
     totient_sieve,
 )
@@ -85,6 +88,11 @@ def test_count_ap_primes_errors():
         count_ap_primes(t, 0, 0)
     with pytest.raises(DomainError):
         count_ap_primes(t, 5, -1)
+    # a float modulus counted primes = 1 (mod 2.5): 11, 31, 41, 61, 71
+    with pytest.raises(DomainError):
+        count_ap_primes(t, 2.5, 1)
+    with pytest.raises(DomainError):
+        residue_class_primes(t, 6, 1.0)
 
 
 @pytest.mark.parametrize("q", [2, 3, 6, 7, 30, 97, 210])
@@ -376,7 +384,29 @@ def test_is_prime_matches_table(table_100k, n):
     assert is_prime(n) == (n >= 2 and table_100k.is_prime(n))
 
 
-def test_residue_counts_cached(table_1k):
-    first = table_1k.residue_counts(30)
-    second = table_1k.residue_counts(30)
-    assert first is second
+def test_table_for_covers_x_or_refuses(table_1k):
+    small = sieve(100)
+    assert table_for(1000, table_1k) is table_1k
+    assert table_for(100, None, small) is small
+    # an undersized fallback is passed over, an undersized table refused
+    assert table_for(1000, None, small).bound == 1000
+    with pytest.raises(DomainError):
+        table_for(1000, small)
+    with pytest.raises(ResourceLimitError):
+        table_for(2**40)
+    assert primes_upto(100, table_1k).tolist() == small.primes.tolist()
+
+
+def test_prime_mask_matches_is_prime(table_1k):
+    n = np.arange(1001)
+    assert (table_1k.prime_mask(n)
+            == [table_1k.is_prime(int(k)) for k in n]).all()
+
+
+def test_primality_tester_reads_a_covering_table(table_1k):
+    assert primality_tester(Exact(table_1k), 1000) == table_1k.is_prime
+    assert primality_tester(Exact(table_1k), 1001) is ntheory._miller_rabin
+    with pytest.raises(ResourceLimitError):
+        primality_tester(EXACT, ntheory._DETERMINISTIC_MR_BOUND)
+    test = primality_tester(MillerRabin(rounds=3), 10**6)
+    assert [n for n in range(100) if test(n)] == sieve(100).primes.tolist()

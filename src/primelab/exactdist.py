@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 from .generators import derived_Q
 from .metrics import FiniteDist
-from .ntheory import Modulus, PrimeTable, primes_upto, table_for
+from .ntheory import Modulus, PrimeTable, _bound_index, primes_upto, table_for
 
 # Refuse random-modulus sweeps needing more than this many class lookups.
 DEFAULT_WORK_CAP = 10**10
@@ -111,7 +111,7 @@ def exact_dist_erh_fallback(
     """
     if q >= x:
         raise DomainError(f"modulus {q} must be < x = {x}")
-    if T < 1:
+    if _bound_index("T", T) < 1:
         raise DomainError(f"T must be >= 1, got {T}")
     primes_x = primes_upto(x, table)
     Modulus.from_int(q)  # rejects q < 2
@@ -167,7 +167,7 @@ def exact_dist_uncond(
     Averages the fixed-(q, a) fallback mixture over the F(Q) selectable
     pairs; empty classes always fall back and contribute uniform mass.
     """
-    if T < 1:
+    if _bound_index("T", T) < 1:
         raise DomainError(f"T must be >= 1, got {T}")
     primes_x, Q, census = _range_census(x, A, table, work_cap)
     num, den, f_q = _fallback_law(census, primes_x, T)

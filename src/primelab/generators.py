@@ -14,11 +14,12 @@ drawn from the generation source (with the subset spent on modulus/unit
 selection broken out), the accepted (q, a) and whether the fallback was
 entered.  Runs are bit-for-bit reproducible from the seed.
 
-`sample_counts` draws many runs at once from the same laws, in numpy, on
-a stream of its own (see its docstring).
+`trial_counts` runs many trials of `generate` at once in numpy lanes,
+each on its own counter stream, and counts their outputs.
 """
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,9 +41,10 @@ from .ntheory import (
     primes_upto,
     primorial_below,
 )
-from .rng import CountingBitSource
+from .rng import CountingBitSource, split_seed, word_block
 
 _JP_MAX_ROUNDS = 100_000
+_NO_BUDGET = 1 << 62  # the budget of the trivial search: none
 
 
 class Algorithm(str, Enum):
@@ -114,6 +116,16 @@ def _modulus_limit(x: int, epsilon, mode, q) -> float | None:
     return limit
 
 
+def _check_count(name: str, value) -> None:
+    """ConfigError unless value is None or an integer >= 1."""
+    try:
+        if value is None or operator.index(value) >= 1:
+            return
+    except TypeError:
+        pass
+    raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Algorithm selector plus parameters; primes produced are <= x.
@@ -138,17 +150,14 @@ class GenConfig:
         # plain locals and unrolled checks: every benchmark set-up and every
         # dataclasses.replace of a config runs this
         x, eps, A = self.x, self.epsilon, self.A
-        T, cap = self.T_override, self.max_iterations
         if not isinstance(x, int) or x < 2:
             raise ConfigError(f"x must be an integer >= 2, got {x!r}")
         if eps is not None and not math.isfinite(eps):
             raise ConfigError(f"epsilon must be finite, got {eps}")
         if A is not None and not math.isfinite(A):
             raise ConfigError(f"A must be finite, got {A}")
-        if T is not None and T < 1:
-            raise ConfigError(f"T_override must be >= 1, got {T}")
-        if cap is not None and cap < 1:
-            raise ConfigError(f"max_iterations must be >= 1, got {cap}")
+        _check_count("T_override", self.T_override)
+        _check_count("max_iterations", self.max_iterations)
         # enum fields given by value ("basic") become members; the type
         # test keeps the common case, a member, to one comparison each
         algo = self.algorithm
@@ -266,16 +275,6 @@ def sample_unit(
     raise ConfigError(f"unknown unit method {method!r}")
 
 
-def _trivial_search(src, x, test, tel):
-    """Uniform candidates from {1, ..., x} until one is prime."""
-    while True:
-        tel.loop_iterations += 1
-        p = src.uniform_below(x) + 1
-        tel.primality_tests += 1
-        if test(p):
-            return p
-
-
 def _primeinc_search(src, x, test, tel):
     """Random start y in {1, ..., x}, scanned upward to the first prime.
 
@@ -294,7 +293,8 @@ def _primeinc_search(src, x, test, tel):
 
 
 def _residue_search(src, x, q, a, budget, test, tel):
-    """Up to `budget` draws of p = a + t*q; returns the prime or None."""
+    """Up to `budget` draws of p = a + t*q; returns the prime or None.
+    The trivial search is the class q = 1, a = 1 without a budget."""
     m = (x - a) // q + 1
     uniform_below = src.uniform_below
     for _ in range(budget):
@@ -341,7 +341,7 @@ def generate(cfg: GenConfig, src: CountingBitSource | None = None):
     start = src.bits_consumed
     algo = cfg.algorithm
     if algo is Algorithm.TRIVIAL:
-        p = _trivial_search(src, x, test, tel)
+        p = _residue_search(src, x, 1, 1, _NO_BUDGET, test, tel)
     elif algo is Algorithm.PRIMEINC:
         p = _primeinc_search(src, x, test, tel)
     else:
@@ -361,84 +361,42 @@ def generate(cfg: GenConfig, src: CountingBitSource | None = None):
                     f"iterations; the class is likely empty"
                 )
             tel.fallback_entered = True
-            p = _trivial_search(src, x, test, tel)
+            p = _residue_search(src, x, 1, 1, _NO_BUDGET, test, tel)
     tel.bits_consumed = src.bits_consumed - start
     return p, tel
 
 
 # ---------------------------------------------------------------------------
-# lockstep block sampler
-#
-# Its arrays keep fixed shapes (lanes, words per block), and a lane is
-# refilled in place, not compacted: numpy keeps freed blocks under 1 KiB
-# in a cache per byte size, so arrays sized by a data-dependent count
-# would hold memory that grows from call to call.
+# lane engine: generate's trials in numpy lanes, word for word
 
-# Runs in flight at once, and the 32-bit words each of them draws per step.
-_LANES = 1024
-_STEP_WORDS = 4
-# Random-class attempts drawn per lane and round.
-_ATTEMPTS = 8
-# Words per draw call where runs are sequential (trivial, primeinc).
-_BLOCK_WORDS = 1 << 13
-# Members of a random class tested per round when looking for a prime.
-_SCAN = 16
-# The budget of a lane in the trivial search: no cap.
-_NO_BUDGET = 1 << 62
-_POW2 = 1 << np.arange(33, dtype=np.int64)
+# Lanes in flight, and words per lane and step: 8, so that a lane's row of
+# 8 bools reads as one little-endian uint64 (see search).
+_LANES, _LOOK, _MIN_WIDTH = 4096, 8, 32
+_ONES = np.uint64(0x0101010101010101)
+_SCAN = 16  # class members tested at a time for a prime
+# A lane's next draw: none, the search for p = a + t*q (trivial and
+# primeinc: q = 1, a = 1), a unit, or a draw of _pick_random_modulus.
+_IDLE, _SEARCH, _UNIT, _PICK_Q, _PICK_A, _PICK_T = range(-1, 5)
 
 
-def _bounded(words: np.ndarray, m) -> np.ndarray:
-    """Each word's top ceil(log2 m) bits as int64: the uniform_below rule,
-    under which a value >= m is a rejected draw.  m may be an array."""
-    return words.astype(np.int64) >> (32 - np.searchsorted(_POW2, m))
+def _shifts(m):
+    """64 - ceil(log2 m): a draw below m takes a word shifted this far."""
+    return 64 - np.frexp(m - 1)[1]
 
 
-def _fill(out: list, draw) -> None:
-    """Fill the equal-length arrays `out` in order from rounds of draw(),
-    which returns (index of the kept candidates, candidate arrays)."""
-    filled = 0
-    while filled < len(out[0]):
-        keep, candidates = draw()
-        keep = keep[: len(out[0]) - filled]
-        for dest, values in zip(out, candidates):
-            np.take(values, keep, out=dest[filled : filled + len(keep)])
-        filled += len(keep)
+def _pow_mod(b, e: int, q: int):
+    """b^e mod q for each entry of the int64 array b, for q < 2^31."""
+    r = np.ones_like(b)
+    while e:
+        if e & 1:
+            r = r * b % q
+        b = b * b % q
+        e >>= 1
+    return r
 
 
-def _uniform(src: CountingBitSource, m: int) -> np.ndarray:
-    """_LANES uniform draws from {0, ..., m-1}, one word per attempt."""
-    def draw():
-        t = _bounded(src.words(2 * _LANES), m)
-        return np.flatnonzero(t < m), (t,)
-    out = np.empty(_LANES, dtype=np.int64)
-    _fill([out], draw)
-    return out
-
-
-def _random_classes(src: CountingBitSource, Q: int):
-    """_LANES pairs (q, a), uniform over the q in (Q/2, Q] and the units a
-    mod q, the law of _pick_random_modulus.  q is drawn uniformly and a
-    with the width of Q, kept only if a < q and gcd(a, q) = 1.  The chance
-    q / 2^width of a < q is the thinning by q/Q of _pick_random_modulus
-    times a constant, so every pair has the same chance per attempt."""
-    half = Q // 2
-
-    def draw():
-        t, u = src.words(2 * _ATTEMPTS * _LANES).reshape(2, -1)
-        q = half + 1 + _bounded(t, half)
-        a = _bounded(u, Q)
-        drawn = np.flatnonzero((q <= Q) & (a < q))
-        q, a = q[drawn], a[drawn]
-        return np.flatnonzero(np.gcd(a, q) == 1), (q, a)
-    q, a = out = np.empty((2, _LANES), dtype=np.int64)
-    _fill(out, draw)
-    return q, a
-
-
-def _holds_prime(table, q, a, m) -> np.ndarray:
-    """Whether class a + t*q, t < m, holds a prime, for each lane: its
-    members are tested _SCAN at a time until a prime or the end."""
+def _holds_prime(table, q, a, m):
+    """Whether the class a + t*q, t < m, holds a prime, for each entry."""
     alive = np.zeros(len(q), dtype=bool)
     t = np.arange(_SCAN)
     while not (alive | (m <= t[0])).all():
@@ -449,153 +407,188 @@ def _holds_prime(table, q, a, m) -> np.ndarray:
     return alive
 
 
-def _class_picker(cfg: GenConfig, table, primes, src: CountingBitSource):
-    """pick() -> (q, a, alive) for _LANES new runs: their classes, and
-    whether each class holds a prime <= x (stacked by sample_counts)."""
-    x = cfg.x
-    if cfg.algorithm in _RESIDUE_ALGOS:
-        q = cfg.modulus.q
-        residues = np.arange(q)
-        units = residues[np.gcd(residues, q) == 1]
-        alive = np.bincount(primes % q, minlength=q)[units] > 0
-        moduli = np.full(_LANES, q)
+def trial_counts(cfg: GenConfig, trials: int, table,
+                 retry_nontermination: bool = False) -> np.ndarray:
+    """Output counts of generate's trials 0..trials-1 of cfg, trial i on
+    CountingBitSource(split_seed(cfg.seed, i)), as an int64 array over the
+    primes <= x, which `table` must cover; x must be below 2^31.
 
-        def pick():
-            j = _uniform(src, len(units))
-            return moduli, units[j], alive[j]
-        return pick
-
-    def pick():
-        q, a = _random_classes(src, cfg.Q)
-        return q, a, _holds_prime(table, q, a, (x - a) // q + 1)
-    return pick
-
-
-def _sequential_block(src, x, table, primes, algo) -> np.ndarray:
-    """Prime indices of the trivial or primeinc runs that end within one
-    block of draws below x, in order: a trivial run ends at each prime
-    candidate, a primeinc run at each start y <= p_max (a larger start is
-    redrawn) and outputs the first prime >= y."""
-    t = _bounded(src.words(_BLOCK_WORDS), x)
-    y = t[t < x] + 1
-    if algo is Algorithm.TRIVIAL:
-        y = y[table.prime_mask(y)]
-    else:
-        y = y[y <= primes[-1]]
-    return np.searchsorted(primes, y)
-
-
-def _search_step(src, lanes, table):
-    """_STEP_WORDS residue draws p = a + t*q for every lane (rows q, a, m,
-    left).  A hit is a prime among the first `left` accepted draws.
-    Returns (whether each lane hit, its first hit), and charges the
-    accepted draws to `left`."""
-    q, a, m, left = lanes
-    t = _bounded(src.words(_LANES * _STEP_WORDS).reshape(_LANES, -1),
-                 m[:, None])
-    ok = t < m[:, None]
-    tries = np.cumsum(ok, axis=1)
-    p = np.where(ok, a[:, None] + t * q[:, None], 0)
-    hit = table.prime_mask(p) & (tries <= left[:, None])
-    first = np.take_along_axis(p, hit.argmax(axis=1)[:, None], axis=1)
-    left -= np.minimum(tries[:, -1], left)
-    return hit.any(axis=1), first[:, 0]
-
-
-def sample_counts(cfg: GenConfig, runs: int, table,
-                  retry_nontermination: bool = False) -> np.ndarray:
-    """Output counts of `runs` runs of cfg as an int64 array over the
-    primes <= x (index i counts table.primes[i]).
-
-    The runs follow generate's laws, but on this sampler's own stream: one
-    random.Random seeded by cfg.seed hands out 32-bit words in blocks, and
-    a draw below m keeps a word's top ceil(log2 m) bits if they are below
-    m (the uniform_below rule; x <= 2^32 keeps every draw to one word).
-    Primality is read from `table`, which must cover x (DomainError
-    otherwise).
-
-    trivial and primeinc runs are sequential within a block of draws.  The
-    residue variants keep up to _LANES runs in flight in lockstep, each
-    drawing _STEP_WORDS words per step; the budget counts accepted draws,
-    as in generate.  Units are drawn uniformly (the law of every
-    unit_method), and random classes with _pick_random_modulus's law.  A
-    class holding no prime <= x is settled at once: it falls back
-    (erh_fallback, uncond), is redrawn (retry_nontermination) or raises
-    NonTerminationError.  A run that spends its budget in a nonempty class
-    does the same.  Every run admitted is run to its end, so the counts do
-    not favour the runs that end early.
+    Lanes run the trials in lockstep, each on its own word counter, draw
+    for draw as generate does.  Each step hands a lane its next _LOOK
+    words: selection draws take them one at a time, the search the rest
+    at once.  Lanes refill in place; once all trials are admitted the live
+    ones move to the front and the width halves, so arrays keep a few
+    shapes.  A run that spends its budget (basic, uncond_nofallback) raises
+    NonTerminationError, or with retry_nontermination reruns: retry r of
+    trial i on split_seed(k_i, r), k_i the trial's seed.  A class with no
+    prime <= x is settled once its lane misses a block of words.
     """
     x = cfg.x
-    if x > 1 << 32:
+    if x >= 1 << 31:
         raise ResourceLimitError(
-            f"the block sampler draws below x from one 32-bit word; "
-            f"x = {x} is over 2^32"
-        )
+            f"the lane engine computes in int32: x = {x} is not below 2^31")
     primes = primes_upto(x, table)
-    src = CountingBitSource(cfg.seed)
-    # one cell past the primes takes the lanes that did not end
-    counts = np.zeros(len(primes) + 1, dtype=np.int64)
-    algo = cfg.algorithm
-    done = 0
-    if algo in (Algorithm.TRIVIAL, Algorithm.PRIMEINC):
-        while done < runs:
-            ends = _sequential_block(src, x, table, primes, algo)[: runs - done]
-            np.add.at(counts, ends, 1)
-            done += len(ends)
-        return counts[:-1]
+    counts = np.zeros(len(primes), dtype=np.int64)
+    algo, budget = cfg.algorithm, cfg.budget
+    capped = algo in (Algorithm.BASIC, Algorithm.UNCOND_NOFALLBACK)
 
-    pick = _class_picker(cfg, table, primes, src)
-    budget = cfg.budget
-    fallback = algo in _FALLBACK_ALGOS
-    trivial = np.array([[1], [1], [x], [_NO_BUDGET]])  # q, a, m, left
-    lanes = np.zeros((4, _LANES), dtype=np.int64)
-    live = np.zeros(_LANES, dtype=bool)
-    # picked classes (rows q, a, alive), the next one for a lane at `head`
-    queue = np.concatenate([pick(), pick()], axis=1)
-    head = 0
-    while done < runs:
-        free = ~live
-        admit = runs - done - (_LANES - np.count_nonzero(free))
-        if admit > 0:
-            if head > _LANES:
-                queue[:, :_LANES] = queue[:, _LANES:]
-                queue[:, _LANES:] = pick()
-                head -= _LANES
-            order = np.cumsum(free)
-            new = free & (order <= admit)
-            q, a, alive = queue[:, np.minimum(head + order - 1, 2 * _LANES - 1)]
-            head += np.count_nonzero(new)
-            dead = new & (alive == 0)
-            if dead.any() and not fallback:
-                if not retry_nontermination:
-                    i = np.argmax(dead)
-                    raise NonTerminationError(
-                        f"no prime = {a[i]} (mod {q[i]}) up to {x}: the "
-                        f"class is empty, so the search would spend its "
-                        f"budget of {budget} iterations"
-                    )
-                new &= ~dead
-            np.copyto(lanes, [q, a, (x - a) // q + 1, np.full(_LANES, budget)],
-                      where=new)
-            if fallback:
-                np.copyto(lanes, trivial, where=dead)
-            live |= new
-        ended, found = _search_step(src, lanes, table)
-        ended &= live
-        np.add.at(counts, np.where(ended, np.searchsorted(primes, found),
-                                   len(primes)), 1)
-        done += np.count_nonzero(ended)
-        spent = live & ~ended & (lanes[3] == 0)
-        if spent.any():
-            if fallback:
-                np.copyto(lanes, trivial, where=spent)
-            elif not retry_nontermination:
-                q, a = lanes[:2, np.argmax(spent)]
+    def column(phase, bound, q=0, a=0, left=0, u=0):
+        shift = 64 - (bound - 1).bit_length()
+        return np.array([[phase], [bound], [shift], [q], [a], [left], [u]])
+
+    trivial = start = column(_SEARCH, x, 1, 1, _NO_BUDGET)
+    if algo in _RESIDUE_ALGOS:
+        modulus = cfg.modulus
+        qf = modulus.q
+        start = column(_UNIT, qf, qf, 0, 0, 1)
+    elif algo in _RANDOM_MODULUS_ALGOS:
+        Q, half = cfg.Q, cfg.Q // 2
+        start = column(_PICK_Q, half)
+        to_thin, to_redraw = column(_PICK_T, Q)[:3], start[:3]
+    # Per lane: phase, bound of the next draw and its shift, class (q, a),
+    # draws left, Joye-Paillier's u (and b in `a`), words the selection took
+    # this step; as uint64 the trial's seed, the run's key, word counter
+    # and retries.
+    state = np.zeros((12, _LANES), dtype=np.int64)
+    state[0] = _IDLE
+    width, admitted = _LANES, 0
+
+    def views():
+        lanes = state[:, :width]
+        return (lanes[:7], *lanes[:8], *lanes[8:].view(np.uint64))
+
+    regs, phase, m, shift, q, a, left, u, used, seed, key, ctr, retry = views()
+
+    def finish(i, found):
+        # searchsorted is several times faster on sorted keys
+        np.add.at(counts, np.searchsorted(primes, np.sort(found)), 1)
+        phase[i] = _IDLE
+
+    def exhaust(i):
+        """Lanes i spent their budget: fall back, or fail the run."""
+        if not capped:
+            regs[:, i] = trivial
+        elif len(i):
+            if not retry_nontermination:
                 raise NonTerminationError(
-                    f"no prime = {a} (mod {q}) found in {budget} "
-                    f"iterations; the class is likely empty"
-                )
-            else:
-                ended |= spent
-        live &= ~ended
-    return counts[:-1]
+                    f"no prime = {a[i[0]]} (mod {q[i[0]]}) found in {budget} "
+                    f"iterations; the class is likely empty")
+            retry[i] += np.uint64(1)
+            key[i] = split_seed(seed[i], retry[i])
+            ctr[i], regs[:, i] = 0, start
+
+    def unit_draw(i, t):
+        i, t = i[t < qf], t[t < qf]
+        b = (a[i] + t * u[i]) % qf
+        a[i] = b
+        unit = np.gcd(b, qf) == 1
+        phase[i[unit]] = _SEARCH
+        if cfg.unit_method is UnitMethod.REJECTION:
+            a[i[~unit]] = 0
+        else:
+            u[i[~unit]] = (1 - _pow_mod(b[~unit], modulus.carmichael, qf)) % qf
+
+    def pick_draw(i, t):
+        ok = t < m[i]
+        i, t = i[ok], t[ok]
+        phases = phase[i]
+        k = phases == _PICK_Q  # q drawn: draw a below it
+        j, drawn = i[k], t[k] + (half + 1)
+        q[j] = m[j] = drawn
+        shift[j] = _shifts(drawn)
+        phase[j] = _PICK_A
+        k = phases == _PICK_A  # a drawn: thin if it is a unit, else redraw
+        j, drawn = i[k], t[k]
+        a[j] = drawn
+        unit = np.gcd(drawn, q[j]) == 1
+        regs[:3, j[unit]] = to_thin
+        k = phases == _PICK_T  # keep (q, a) with chance q/Q, else redraw
+        j2, keep = i[k], t[k] < q[i[k]]
+        phase[j2[keep]] = _SEARCH
+        regs[:3, np.concatenate((j[~unit], j2[~keep]))] = to_redraw
+
+    def enter(i):
+        """Lanes i picked their class: set up its search."""
+        m[i] = (x - a[i]) // q[i] + 1
+        shift[i] = _shifts(m[i])
+        left[i] = budget
+        # a class of one member draws t = 0 from no word: if a is prime
+        # the search's first word (shifted out to 0) ends the trial alike
+        i = i[m[i] == 1]
+        exhaust(i[~table.prime_mask(a[i])])
+
+    def search(w):
+        """Searching lanes draw p = a + t*q from the rest of their words,
+        up to a prime or the end of their budget."""
+        lanes = phase == _SEARCH
+        # int32 halves the memory traffic: every bound is below 2^31
+        t = np.right_shift(w, shift.view(np.uint64)[:, None], out=w)
+        t = t.astype(np.int32)
+        ok = t < np.where(lanes, m, 0).astype(np.int32)[:, None]
+        # drop the words the selection took, and make tries[:, j] the draws
+        # accepted up to word j: running byte sums, times 0x0101...01
+        rows = ok.view(np.uint64)[:, 0]
+        rows &= ~np.uint64(0) << (8 * used).view(np.uint64)
+        tries = (rows * _ONES).view(np.uint8).reshape(width, _LOOK)
+        p = t  # a + t*q in place; a rejected draw's p may wrap, then is 0
+        p *= q.astype(np.int32)[:, None]
+        p += a.astype(np.int32)[:, None]
+        p *= ok
+        if algo is Algorithm.PRIMEINC:
+            # a start y <= the largest prime ends at the first prime >= y
+            hit = ok & (p <= primes[-1])
+        else:
+            hit = table.prime_mask(p)
+        within = np.minimum(left, _LOOK)[:, None]
+        if (within < _LOOK).any():
+            hit &= tries <= within
+        ended = hit.view(np.uint64)[:, 0] != 0
+        i = np.flatnonzero(ended)
+        finish(i, p[i, hit[i].argmax(axis=1)])
+        drawn = tries[:, -1]
+        spent = lanes & ~ended & (drawn >= left)
+        if capped:
+            # a class without primes can only spend its budget: test the
+            # class once, when its lane misses its first block
+            i = np.flatnonzero(lanes & ~ended & ~spent & (left == budget))
+            exhaust(i[~_holds_prime(table, q[i], a[i], m[i])])
+        np.subtract(left, drawn, out=left, where=lanes)
+        i = np.flatnonzero(spent)
+        # give back the words after the budget's last draw
+        ctr[i] -= (_LOOK - 1 - np.argmax(tries[i] >= within[i], axis=1)
+                   ).astype(np.uint64)
+        exhaust(i)
+
+    select = unit_draw if algo in _RESIDUE_ALGOS else pick_draw
+    while admitted < trials or (phase != _IDLE).any():
+        idle = phase == _IDLE
+        if admitted < trials:
+            i = np.flatnonzero(idle)[: trials - admitted]
+            trials_i = np.arange(admitted, admitted + len(i), dtype=np.uint64)
+            key[i] = seed[i] = split_seed(cfg.seed, trials_i)
+            admitted += len(i)
+            retry[i] = ctr[i] = 0
+            regs[:, i] = start
+        elif width > _MIN_WIDTH and 2 * np.count_nonzero(~idle) <= width:
+            # move the live lanes to the front and halve the width
+            live = np.flatnonzero(~idle)
+            while width > _MIN_WIDTH and 2 * len(live) <= width:
+                width //= 2
+            state[:, :len(live)] = state[:, live]
+            state[0, len(live):width] = _IDLE
+            (regs, phase, m, shift, q, a, left, u, used, seed, key, ctr,
+             retry) = views()
+        w = word_block(key, ctr, _LOOK)
+        ctr += np.uint64(_LOOK)
+        used[:] = 0
+        i = np.flatnonzero(phase > _SEARCH)
+        for c in range(_LOOK):
+            if not len(i):
+                break
+            select(i, (w[i, c] >> shift.view(np.uint64)[i]).view(np.int64))
+            going = phase[i] > _SEARCH
+            used[i[~going]] = c + 1
+            i = i[going]
+        enter(np.flatnonzero(used))
+        search(w)
+    return counts

@@ -35,7 +35,7 @@ from .generators import (
     Algorithm,
     GenConfig,
     generate,
-    sample_counts,
+    trial_counts,
 )
 from .metrics import DistMetrics, FiniteDist, metrics_of
 from .ntheory import (
@@ -179,28 +179,21 @@ def sample_distribution(
     table: PrimeTable | None = None,
     retry_nontermination: bool = False,
 ):
-    """Empirical output distribution over `runs` runs of cfg.  Returns
-    (FiniteDist, counts), counts mapping each observed prime to its runs.
+    """Empirical output distribution of `benchmark`'s trials 0..runs-1 of
+    cfg under Exact: (FiniteDist, counts), counts mapping each observed
+    prime to its runs.  generators.trial_counts runs them, draw for draw.
+    Primality is read from the table (the argument, which must cover x,
+    else the policy's table, else sieve(x)), never from cfg.primality.
 
-    The runs come from generators.sample_counts, a lockstep numpy sampler
-    with a stream of its own: results are reproducible per seed, but they
-    are not generate's per-run stream, so no run here matches a
-    `generate` call.  Primality is read from the table (the argument,
-    which must cover x, else the policy's table, else sieve(x), resolved
-    before the first draw), never from cfg.primality.  cfg.unit_method
-    changes only generate's per-run stream, not the law, and is not read.
-    The budget, the fallback and cfg.Q are generate's.
-
-    With retry_nontermination, a run that spends its budget without a
-    prime (an empty residue class under a no-fallback algorithm) is
-    redrawn; this samples the distribution conditioned on termination,
-    which is what the no-fallback closed form describes.  An empty class
-    is found at once, not by running its budget.
+    With retry_nontermination, retry r of a trial i that spends its budget
+    (basic, uncond_nofallback) runs on split_seed(k_i, r), k_i the trial's
+    seed: this samples the law conditioned on termination, which the
+    no-fallback closed form describes.
     """
     if runs < 1:
         raise DomainError(f"runs must be >= 1, got {runs}")
     table = table_for(cfg.x, table, cfg.primality.table)
-    tally = sample_counts(cfg, runs, table, retry_nontermination)
+    tally = trial_counts(cfg, runs, table, retry_nontermination)
     seen = np.flatnonzero(tally)
     counts = Counter(dict(zip(table.primes[seen].tolist(),
                               tally[seen].tolist())))
@@ -294,25 +287,17 @@ def primeinc_audit(
     lnx = math.log(x)
     primes_x = primes_upto(x, table)
     pi_x = len(primes_x)
-    F = int(np.count_nonzero(np.diff(primes_x) <= 2 * lnx))
+    gaps = np.diff(primes_x)
+    F = int(np.count_nonzero(gaps <= 2 * lnx))
     bound_small = lnx / x * F
     bound_large = lnx / x * (pi_x - 1 - F)
 
-    prime_set = set(primes_x.tolist())
-    twins = [p for p in prime_set if p >= 5 and (p - 2) in prime_set]
-    pmax = int(primes_x[-1])
+    twins = np.flatnonzero(gaps == 2) + 1  # indices of p with p - 2 prime
     twin_uniform = len(twins) / pi_x
-    twin_exact = 2 * len(twins) / pmax
-
-    cfg = GenConfig(
-        x=x, algorithm=Algorithm.PRIMEINC, seed=seed, primality=Exact(table)
-    )
-    src = CountingBitSource(cfg.seed)
-    twin_set = set(twins)
-    hits = 0
-    for _ in range(trials):
-        p, _tel = generate(cfg, src)
-        hits += p in twin_set
+    twin_exact = 2 * len(twins) / int(primes_x[-1])
+    cfg = GenConfig(x=x, algorithm=Algorithm.PRIMEINC, seed=seed,
+                    primality=Exact(table))
+    hits = int(trial_counts(cfg, trials, table)[twins].sum())
     twin_empirical = hits / trials
 
     return PrimeincAudit(

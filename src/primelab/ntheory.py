@@ -9,14 +9,13 @@ answers for x, and only `PrimeTable` reads its packed flags.
 
 import math
 import operator
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, ResourceLimitError
-from .rng import split_seed
+from .rng import CountingBitSource, split_seed
 
 # Desk-scale caps: sieving beyond 2^31 or totient tables beyond 10^8 are
 # refused rather than attempted.
@@ -75,7 +74,9 @@ class PrimeTable:
     def prime_mask(self, n: np.ndarray) -> np.ndarray:
         """Primality of each entry of the int array n, unchecked: every
         entry must lie in [0, bound]."""
-        return ((self._flags[n >> 3] >> (n & 7)) & 1).astype(bool)
+        # uint8 throughout: an int64 shift count would widen every byte
+        bit = n.astype(np.uint8) & 7
+        return ((self._flags[n >> 3] >> bit) & 1).view(bool)
 
     def prime_count(self) -> int:
         """pi(bound)."""
@@ -370,11 +371,11 @@ def _miller_rabin(n: int, bases=None) -> bool:
 
 
 def _random_bases(n: int, policy: MillerRabin):
-    """`policy.rounds` bases in [2, n-2] from a stream keyed by (seed, n);
-    the stream is seeded on the first base drawn."""
-    rnd = random.Random(split_seed(policy.seed, n))
+    """`policy.rounds` bases in [2, n-2]: each is 2 plus a draw below n-3
+    from the counter stream keyed by split_seed(seed, n)."""
+    src = CountingBitSource(split_seed(policy.seed, n))
     for _ in range(policy.rounds):
-        yield rnd.randint(2, n - 2)
+        yield 2 + src.uniform_below(n - 3)
 
 
 def is_prime(n: int, policy: PrimalityPolicy = EXACT) -> bool:

@@ -131,6 +131,14 @@ def test_erh_fallback_requires_positive_T():
         exact_dist_erh_fallback(30, 6, 0)
 
 
+def test_fallback_laws_refuse_a_non_integer_T():
+    # exact_dist_uncond reported "masses sum to ..., not 1"
+    with pytest.raises(DomainError, match="T needs an integer"):
+        exact_dist_uncond(200, 1.0, 2.5)
+    with pytest.raises(DomainError, match="T needs an integer"):
+        exact_dist_erh_fallback(1000, 30, 2.5)
+
+
 def test_uncond_nofallback_sum_and_meta():
     d = exact_dist_uncond_nofallback(200, 1.0)
     assert exact_sum(d) == 1

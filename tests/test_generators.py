@@ -139,6 +139,17 @@ def test_config_refuses_a_q_it_cannot_use():
                       modulus_mode="explicit")
 
 
+def test_config_refuses_a_non_integer_budget():
+    # each constructed, then generate raised a bare TypeError
+    for bad in (dict(algorithm="erh_fallback", q=30, modulus_mode="explicit",
+                     T_override=2.5),
+                dict(algorithm="basic", q=30, modulus_mode="explicit",
+                     max_iterations=2.5),
+                dict(algorithm="uncond", A=1.0, T_override=2.5)):
+        with pytest.raises(ConfigError, match="integer"):
+            GenConfig(x=1000, **bad)
+
+
 def test_modulus_reaching_x_is_refused():
     # 1 - 1e-17 rounds to 1.0, so x^(1-epsilon) rounds up to 2^60 > x; the
     # power-of-two modulus would be 2^60 and predictions_for reported 0.0
@@ -515,9 +526,9 @@ def _golden_stream_records():
 
 
 def test_golden_stream_digest():
-    # recorded from the six per-algorithm generator functions that
-    # `generate` replaced; any change in draw order, telemetry or error
-    # text moves the digest
+    # recorded on the counter stream (word j of seed s is
+    # splitmix64(s + j * GAMMA)); any change in draw order, telemetry or
+    # error text moves the digest
     import hashlib
     import json
 
@@ -528,5 +539,5 @@ def test_golden_stream_digest():
                     if not isinstance(r[0], str))
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode())
     assert (errors, fallbacks, digest.hexdigest()) == (
-        32, 43,
-        "67ffdef8018efaaa76f39e9f823a83eef66e929ba7b9152537d6692b767860b9")
+        35, 46,
+        "79b2d7690357c85ad42d3f9b656748cdcd1b2c221949d7233d26cce8b48bf900")

@@ -27,6 +27,8 @@ from primelab.ntheory import (
     totient_sieve,
 )
 
+from primelab.rng import CountingBitSource, split_seed
+
 from conftest import trial_division_primes
 
 
@@ -367,6 +369,16 @@ def test_miller_rabin_never_rejects_primes(table_100k):
         pol = MillerRabin(rounds, seed=17)
         for p in table_100k.primes.tolist():
             assert is_prime(p, pol)
+
+
+def test_miller_rabin_bases_come_from_the_counter_stream():
+    # base i of candidate n: 2 + the i-th draw below n - 3 from the stream
+    # keyed by split_seed(seed, n)
+    n, pol = 10**12 + 39, MillerRabin(5, seed=8)
+    src = CountingBitSource(split_seed(8, n))
+    bases = [2 + src.uniform_below(n - 3) for _ in range(5)]
+    assert list(ntheory._random_bases(n, pol)) == bases
+    assert all(2 <= b <= n - 2 for b in bases)
 
 
 def test_miller_rabin_finds_composites():

@@ -1,9 +1,17 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primelab.errors import DomainError
-from primelab.rng import CountingBitSource, split_seed
+from primelab.rng import (
+    _GAMMA,
+    _MASK64,
+    CountingBitSource,
+    _splitmix64,
+    split_seed,
+    word_block,
+)
 
 from conftest import chi2_critical, chi2_stat_uniform
 
@@ -34,16 +42,31 @@ def test_different_seed_differs():
     ]
 
 
-def test_words_are_successive_32_bit_draws():
-    a = CountingBitSource(9)
-    b = CountingBitSource(9)
-    words = a.words(100)
-    assert words.dtype.itemsize == 4 and words.dtype.kind == "u"
-    assert words.tolist() == [b.draw_bits(32) for _ in range(100)]
-    assert (a.bits_consumed, a.draws) == (b.bits_consumed, b.draws)
-    assert a.draw_bits(32) == b.draw_bits(32)
-    with pytest.raises(DomainError):
-        a.words(0)
+def test_words_follow_the_counter_rule():
+    # word j of seed s is splitmix64(s + j * GAMMA), in the scalar source
+    # and in numpy's `word_block` alike
+    s = 2**64 - 3
+    expected = [_splitmix64((s + j * _GAMMA) & _MASK64) for j in range(6)]
+    src = CountingBitSource(s)
+    assert [src.draw_bits(64) for _ in range(6)] == expected
+    block = word_block(np.array([s], dtype=np.uint64),
+                  np.array([2], dtype=np.uint64), 4)
+    assert block.tolist() == [expected[2:]]
+    # a draw below a power of two is the top bits of one word
+    assert CountingBitSource(s).uniform_below(1024) == expected[0] >> 54
+    # a 100-bit draw is the top 100 bits of two words, the first one high
+    a, b = CountingBitSource(9), CountingBitSource(9)
+    high, low = b.draw_bits(64), b.draw_bits(64)
+    assert a.draw_bits(100) == (high << 64 | low) >> 28
+    assert a.draw_bits(64) == b.draw_bits(64)
+    # uniform_below(1) takes no word
+    c, d = CountingBitSource(5), CountingBitSource(5)
+    assert c.uniform_below(1) == 0
+    assert c.draw_bits(64) == d.draw_bits(64)
+    # split_seed takes uint64 arrays too
+    index = np.arange(5, dtype=np.uint64)
+    assert split_seed(7, index).tolist() == [split_seed(7, i)
+                                             for i in range(5)]
 
 
 def test_draw_bits_rejects_nonpositive():

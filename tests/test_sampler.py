@@ -1,6 +1,7 @@
-"""The lockstep block sampler behind sample_distribution, judged by the
-exact laws of exactdist."""
+"""The lane engine behind sample_distribution: equal to generate trial for
+trial, and judged by the exact laws of exactdist."""
 
+import itertools
 import time
 import tracemalloc
 from collections import Counter
@@ -17,10 +18,17 @@ from primelab.exactdist import (
     exact_dist_uncond,
     exact_dist_uncond_nofallback,
 )
-from primelab.generators import Algorithm, GenConfig, ModulusMode
-from primelab.harness import sample_distribution
-from primelab.metrics import tv_between
+from primelab.generators import (
+    Algorithm,
+    GenConfig,
+    ModulusMode,
+    UnitMethod,
+    generate,
+)
+from primelab.harness import benchmark, sample_distribution
+from primelab.metrics import metrics_of, tv_between
 from primelab.ntheory import Exact, PrimeTable, sieve
+from primelab.rng import CountingBitSource, split_seed
 
 from conftest import chi2_z
 
@@ -141,3 +149,75 @@ def test_draws_wider_than_a_word_are_refused():
     cfg = GenConfig(x=2**33, algorithm=Algorithm.TRIVIAL)
     with pytest.raises(ResourceLimitError):
         sample_distribution(cfg, 10, wide)
+
+
+T1000 = sieve(1000)
+
+
+def _equality_cases():
+    """(x, algorithm, config fields, retry): every algorithm and unit
+    method, default budgets, a T that falls back and a cap that retries."""
+    for x, q in ((100, 25), (1000, 30)):
+        fixed = dict(q=q, modulus_mode=ModulusMode.EXPLICIT)
+        yield x, Algorithm.TRIVIAL, {}, False
+        yield x, Algorithm.PRIMEINC, {}, False
+        for method in UnitMethod:
+            unit = dict(fixed, unit_method=method)
+            yield x, Algorithm.ERH_FALLBACK, unit, False
+            yield x, Algorithm.ERH_FALLBACK, dict(unit, T_override=2), False
+            yield x, Algorithm.BASIC, dict(unit, max_iterations=3), True
+            if x == 1000:  # every unit class mod 30 holds a prime <= 1000
+                yield x, Algorithm.BASIC, unit, False
+        yield x, Algorithm.UNCOND, dict(A=1.0), False
+        yield x, Algorithm.UNCOND, dict(A=1.0, T_override=2), False
+        yield (x, Algorithm.UNCOND_NOFALLBACK, dict(A=1.0, max_iterations=3),
+               True)
+    # q > x/2: classes of one member, whose draw takes no word
+    yield 100, Algorithm.ERH_FALLBACK, dict(q=60, T_override=3,
+                                            modulus_mode="explicit"), False
+
+
+def _generate_counts(cfg, trials, retry):
+    """Outputs of benchmark's trials: trial i runs generate on the stream
+    k_i = split_seed(cfg.seed, i), its retry r on split_seed(k_i, r)."""
+    counts = Counter()
+    for i in range(trials):
+        k = split_seed(cfg.seed, i)
+        for r in itertools.count():
+            try:
+                p, _ = generate(cfg, CountingBitSource(split_seed(k, r)
+                                                       if r else k))
+                break
+            except NonTerminationError:
+                if not retry:
+                    raise
+        counts[p] += 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "x,algo,fields,retry", list(_equality_cases()),
+    ids=lambda v: getattr(v, "value", None) if isinstance(v, Algorithm)
+    else None)
+def test_samples_equal_generate_trial_for_trial(x, algo, fields, retry):
+    table = sieve(x)
+    for seed in (1, 2):
+        cfg = GenConfig(x=x, algorithm=algo, seed=seed,
+                        primality=Exact(table), **fields)
+        _, counts = sample_distribution(cfg, 2000, table, retry)
+        assert counts == _generate_counts(cfg, 2000, retry)
+
+
+@pytest.mark.parametrize("algo,fields", [
+    (Algorithm.TRIVIAL, {}), (Algorithm.PRIMEINC, {}),
+    (Algorithm.BASIC, dict(Q25, q=30)),
+    (Algorithm.ERH_FALLBACK, dict(Q25, q=30, T_override=2)),
+    (Algorithm.UNCOND, dict(A=1.0)),
+    # A = 2 at x = 1000: every selectable class holds a prime
+    (Algorithm.UNCOND_NOFALLBACK, dict(A=2.0)),
+])
+def test_benchmark_metrics_equal_the_samples(algo, fields):
+    cfg = GenConfig(x=1000, algorithm=algo, seed=3, primality=Exact(T1000),
+                    **fields)
+    report = benchmark(cfg, 2000, with_metrics=True)
+    assert report.metrics == metrics_of(sample_distribution(cfg, 2000)[0])

@@ -1,4 +1,7 @@
-"""Exception types shared across primelab modules."""
+"""Exception types shared across primelab modules, and the one rule that
+turns a non-integer argument into one of them."""
+
+import operator
 
 
 class PrimelabError(Exception):
@@ -27,3 +30,13 @@ class NonTerminationError(PrimelabError):
 
 class BrokenBitSourceError(PrimelabError):
     """Rejection sampling failed an implausible number of times in a row."""
+
+
+def _bound_index(name: str, value, error: type = DomainError) -> int:
+    """value as a Python int (numpy integers accepted); `error` if it is not
+    an integer: DomainError for a library argument, ConfigError for a
+    configuration field."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise error(f"{name} needs an integer, got {value!r}") from exc

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _bound_index
 from .generators import derived_Q
 from .metrics import FiniteDist
-from .ntheory import Modulus, PrimeTable, _bound_index, primes_upto, table_for
+from .ntheory import Modulus, PrimeTable, primes_upto, table_for
 
 # Refuse random-modulus sweeps needing more than this many class lookups.
 DEFAULT_WORK_CAP = 10**10
@@ -64,6 +64,8 @@ def exact_dist_primeinc(x: int, table: PrimeTable | None = None) -> FiniteDist:
     so the masses sum to exactly 1.
     """
     primes_x = primes_upto(x, table)
+    if len(primes_x) == 0:
+        raise DomainError(f"no prime <= x = {x}")
     gaps = np.diff(primes_x, prepend=0)  # d(2) = 2 - 0
     return FiniteDist.from_counts(dict(zip(primes_x.tolist(), gaps.tolist())),
                                   int(primes_x[-1]), len(primes_x))

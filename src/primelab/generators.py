@@ -19,7 +19,6 @@ each on its own counter stream, and counts their outputs.
 """
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,6 +31,7 @@ from .errors import (
     ConfigError,
     NonTerminationError,
     ResourceLimitError,
+    _bound_index,
 )
 from .ntheory import (
     EXACT,
@@ -118,12 +118,8 @@ def _modulus_limit(x: int, epsilon, mode, q) -> float | None:
 
 def _check_count(name: str, value) -> None:
     """ConfigError unless value is None or an integer >= 1."""
-    try:
-        if value is None or operator.index(value) >= 1:
-            return
-    except TypeError:
-        pass
-    raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    if value is not None and _bound_index(name, value, ConfigError) < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -156,6 +152,7 @@ class GenConfig:
             raise ConfigError(f"epsilon must be finite, got {eps}")
         if A is not None and not math.isfinite(A):
             raise ConfigError(f"A must be finite, got {A}")
+        _bound_index("seed", self.seed, ConfigError)
         _check_count("T_override", self.T_override)
         _check_count("max_iterations", self.max_iterations)
         # enum fields given by value ("basic") become members; the type

@@ -24,6 +24,7 @@ from .errors import (
     DomainError,
     PrimelabError,
     ResourceLimitError,
+    _bound_index,
 )
 from .exactdist import (
     DEFAULT_WORK_CAP,
@@ -120,6 +121,14 @@ def predictions_for(cfg: GenConfig):
     return pred_iter, pred_iter * (cfg.A * math.log(lnx) / LN2), None
 
 
+def _check_runs(name: str, runs) -> int:
+    """runs as an int; DomainError unless it is an integer >= 1."""
+    runs = _bound_index(name, runs)
+    if runs < 1:
+        raise DomainError(f"{name} must be >= 1, got {runs}")
+    return runs
+
+
 def benchmark(
     cfg: GenConfig,
     trials: int,
@@ -132,8 +141,7 @@ def benchmark(
     split_seed(cfg.seed, i); aggregation folds in trial order.  The
     metrics take pi(x) from table_for(x, table, the policy's table).
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    trials = _check_runs("trials", trials)
     if with_metrics:
         space = table_for(cfg.x, table, cfg.primality.table).count_leq(cfg.x)
     sum_iter = sum_bits = sum_sel = sum_tests = fallbacks = 0
@@ -190,8 +198,7 @@ def sample_distribution(
     seed: this samples the law conditioned on termination, which the
     no-fallback closed form describes.
     """
-    if runs < 1:
-        raise DomainError(f"runs must be >= 1, got {runs}")
+    runs = _check_runs("runs", runs)
     table = table_for(cfg.x, table, cfg.primality.table)
     tally = trial_counts(cfg, runs, table, retry_nontermination)
     seen = np.flatnonzero(tally)
@@ -277,8 +284,7 @@ def primeinc_audit(
     x: int, trials: int, seed: int = 0, table: PrimeTable | None = None
 ) -> PrimeincAudit:
     """Quantify the gap-length bias of the scan-upward generator."""
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    trials = _check_runs("trials", trials)
     if x < 5:
         raise DomainError(f"primeinc audit needs x >= 5 (a twin prime), got {x}")
     table = table_for(x, table)

@@ -8,13 +8,12 @@ answers for x, and only `PrimeTable` reads its packed flags.
 """
 
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ResourceLimitError
+from .errors import ConfigError, DomainError, ResourceLimitError, _bound_index
 from .rng import CountingBitSource, split_seed
 
 # Desk-scale caps: sieving beyond 2^31 or totient tables beyond 10^8 are
@@ -87,15 +86,6 @@ class PrimeTable:
         if n > self.bound:
             raise DomainError(f"{n} exceeds table bound {self.bound}")
         return int(np.searchsorted(self.primes, n, side="right"))
-
-
-def _bound_index(name: str, value) -> int:
-    """value as a Python int (numpy integers accepted); DomainError if it
-    is not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError as exc:
-        raise DomainError(f"{name} needs an integer, got {value!r}") from exc
 
 
 def _base_primes(root: int) -> list[int]:
@@ -240,6 +230,7 @@ def totient_partial_sum(bound: int, cap: int = DEFAULT_TOTIENT_CAP) -> int:
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 2 as ((p, e), ...) by trial division."""
+    n = _bound_index("factorize", n)
     if n < 2:
         raise DomainError(f"factorize needs n >= 2, got {n}")
     factors = []
@@ -280,6 +271,7 @@ class Modulus:
 
     @classmethod
     def from_int(cls, q: int) -> "Modulus":
+        q = _bound_index("modulus", q)
         if q < 2:
             raise DomainError(f"modulus must be >= 2, got {q}")
         factorization = factorize(q)
@@ -323,7 +315,8 @@ class MillerRabin(PrimalityPolicy):
     seed: int = 0
 
     def __post_init__(self):
-        if self.rounds < 1:
+        _bound_index("seed", self.seed, ConfigError)
+        if _bound_index("rounds", self.rounds, ConfigError) < 1:
             raise ConfigError(f"MillerRabin needs rounds >= 1, got {self.rounds}")
 
 

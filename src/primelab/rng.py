@@ -15,7 +15,7 @@ XOR splitmix64(i)).
 
 import numpy as np
 
-from .errors import BrokenBitSourceError, DomainError
+from .errors import BrokenBitSourceError, DomainError, _bound_index
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -71,7 +71,7 @@ class CountingBitSource:
     __slots__ = ("seed", "bits_consumed", "draws", "_state")
 
     def __init__(self, seed: int):
-        self.seed = seed & _MASK64
+        self.seed = _bound_index("seed", seed) & _MASK64
         self.bits_consumed = 0
         self.draws = 0
         self._state = self.seed  # s + j*GAMMA, j the next word's index

@@ -1,0 +1,55 @@
+"""A non-integer where an integer is needed fails at once with a
+PrimelabError: DomainError for a library argument, ConfigError for a
+configuration; a domain with no prime fails the same way."""
+
+import pytest
+
+from primelab.errors import ConfigError, DomainError
+from primelab.exactdist import (
+    class_profile,
+    exact_dist_basic,
+    exact_dist_erh_fallback,
+    exact_dist_primeinc,
+)
+from primelab.generators import Algorithm, GenConfig
+from primelab.harness import (
+    benchmark,
+    error_term_profile,
+    primeinc_audit,
+    sample_distribution,
+)
+from primelab.ntheory import MillerRabin, Modulus, factorize, sieve
+from primelab.rng import CountingBitSource
+
+CFG = GenConfig(x=1000, algorithm=Algorithm.TRIVIAL)
+
+CASES = {
+    "benchmark(trials=2.5)": (DomainError, lambda: benchmark(CFG, 2.5)),
+    "sample_distribution(runs=2.5)":
+        (DomainError, lambda: sample_distribution(CFG, 2.5)),
+    "primeinc_audit(trials=2.5)":
+        (DomainError, lambda: primeinc_audit(1000, 2.5)),
+    "Modulus.from_int(2.5)": (DomainError, lambda: Modulus.from_int(2.5)),
+    "factorize(10.5)": (DomainError, lambda: factorize(10.5)),
+    "class_profile(q=2.5)": (DomainError, lambda: class_profile(1000, 2.5)),
+    "error_term_profile(q=2.5)":
+        (DomainError, lambda: error_term_profile(1000, q=2.5)),
+    "exact_dist_basic(q=2.5)":
+        (DomainError, lambda: exact_dist_basic(1000, 2.5)),
+    "exact_dist_erh_fallback(q=2.5)":
+        (DomainError, lambda: exact_dist_erh_fallback(1000, 2.5, 3)),
+    "exact_dist_primeinc(x=1)":
+        (DomainError, lambda: exact_dist_primeinc(1, sieve(10))),
+    "CountingBitSource(1.5)": (DomainError, lambda: CountingBitSource(1.5)),
+    "GenConfig(seed=1.5)": (ConfigError, lambda: GenConfig(
+        x=1000, algorithm=Algorithm.TRIVIAL, seed=1.5)),
+    "MillerRabin(rounds=2.5)": (ConfigError, lambda: MillerRabin(rounds=2.5)),
+    "MillerRabin(seed=1.5)": (ConfigError, lambda: MillerRabin(seed=1.5)),
+    'MillerRabin(rounds="3")': (ConfigError, lambda: MillerRabin(rounds="3")),
+}
+
+
+@pytest.mark.parametrize("error,call", CASES.values(), ids=CASES.keys())
+def test_bad_integer_input_raises_its_error(error, call):
+    with pytest.raises(error):
+        call()

@@ -1,5 +1,6 @@
-"""Package layout: ntheory owns the prime table, and generators does not
-reach up into exactdist (which imports generators)."""
+"""Package layout: ntheory owns the prime table, generators does not
+reach up into exactdist (which imports generators), and a FiniteDist has
+one exact representation."""
 
 import ast
 import re
@@ -52,3 +53,17 @@ def test_table_helpers_keep_their_old_names():
     assert exactdist.primes_upto is ntheory.primes_upto
     # bench/tracing.py patches the tester by this name
     assert generators.primality_tester is ntheory.primality_tester
+
+
+def test_no_float_distribution_backend():
+    """No module divides masses by operator.truediv or asks a law whether
+    it is exact, and metrics binds no float (tolerance) at module level."""
+    uses = [(path.name, w) for path in sorted(SRC.glob("*.py"))
+            for w in _words(_tree(path)) if w in ("truediv", "is_exact")]
+    tolerances = [
+        ast.unparse(node) for node in _tree(SRC / "metrics.py").body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, float)
+    ]
+    assert uses == [] and tolerances == []

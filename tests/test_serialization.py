@@ -4,11 +4,14 @@ The digests were recorded before the per-type serializers were replaced
 by one dataclass-driven encoder; any change of a key, a value's encoding
 or a CSV cell moves them.  The seeded outputs (reports, mixed, audit,
 generate, bench) were re-recorded once when the bit source became the
-counter-based SplitMix64 stream.
+counter-based SplitMix64 stream.  dist2.dict was re-recorded when its
+float masses became the equal Fractions, as a FiniteDist holds only
+exact masses; its CSV, which writes each mass as a float, kept its digest.
 """
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -57,7 +60,8 @@ def _library_outputs():
     dists = [
         exact_dist_basic(1000, 30),
         exact_dist_uncond(500, A=1.0, T=4),
-        FiniteDist(4, {2: 0.5, 3: 0.25, 5: 0.25},
+        FiniteDist(4, {2: Fraction(1, 2), 3: Fraction(1, 4),
+                       5: Fraction(1, 4)},
                    meta={"conditioned": True, "algo": "basic"}),
     ]
     census = gap_census(10**4, [0.0, 0.5, 1.0, 2.0])
@@ -131,7 +135,7 @@ LIBRARY_DIGESTS = {
     "dist2.csv":
         "ac902110a9a01673a88634a882399684a7ee5206491bed0e49e311dc01a290da",
     "dist2.dict":
-        "c576b7cb03de5c4d83100a51d1e2cf1aea0ffdd71e4e2b16abc775c3ab7767d3",
+        "cbc30d3e1d065c25eb58bdf76c0c8116af6844d8571e2e64b8a6bd83eea858c6",
     "mixed.json":
         "afc21275218e8707586c97e5b562ed4d0247f16daf6ba2adddcbd3462fc8c59e",
     "mixed.parsed":

@@ -215,8 +215,12 @@ def class_census(
     only the class counts.  Weighted bincounts are float64, which is exact
     for counts below 2^53.
     """
+    qs = [_bound_index("modulus", q) for q in qs]
+    least = min(qs)
+    if least < 1:
+        raise DomainError(f"class_census needs moduli >= 1, got {least}")
     pi_x = len(primes_x)
-    base = x // min(qs) + 2  # key (c, m) is coded c * base + m
+    base = x // least + 2  # key (c, m) is coded c * base + m
     key_index: dict[int, int] = {}
     class_keys, class_counts, units, unit_primes, raw = [], [], [], [], []
     pairs = hits = np.zeros(0, dtype=np.int64)  # key * pi_x + prime

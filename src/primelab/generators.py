@@ -82,8 +82,11 @@ def default_T(x: int) -> int:
 def derived_Q(x: int, A: float) -> int:
     """Even modulus-range top for the random-modulus variants:
     2 * floor(x / (2 (ln x)^A)) for a finite A > 0, in [4, x]."""
-    if not 0 < A < math.inf:
-        raise ConfigError(f"A must be finite and > 0, got {A}")
+    try:
+        if not 0 < A < math.inf:
+            raise ConfigError(f"A must be finite and > 0, got {A}")
+    except TypeError as exc:
+        raise ConfigError(f"A must be a real number, got {A!r}") from exc
     try:
         Q = 2 * int(x / (2 * math.log(x) ** A))
     except (OverflowError, ZeroDivisionError) as exc:
@@ -148,10 +151,14 @@ class GenConfig:
         x, eps, A = self.x, self.epsilon, self.A
         if not isinstance(x, int) or x < 2:
             raise ConfigError(f"x must be an integer >= 2, got {x!r}")
-        if eps is not None and not math.isfinite(eps):
-            raise ConfigError(f"epsilon must be finite, got {eps}")
-        if A is not None and not math.isfinite(A):
-            raise ConfigError(f"A must be finite, got {A}")
+        try:
+            if eps is not None and not math.isfinite(eps):
+                raise ConfigError(f"epsilon must be finite, got {eps}")
+            if A is not None and not math.isfinite(A):
+                raise ConfigError(f"A must be finite, got {A}")
+        except TypeError as exc:
+            raise ConfigError(f"epsilon and A must be real numbers, got "
+                              f"epsilon={eps!r}, A={A!r}") from exc
         _bound_index("seed", self.seed, ConfigError)
         _check_count("T_override", self.T_override)
         _check_count("max_iterations", self.max_iterations)

@@ -10,7 +10,7 @@ import primelab
 from primelab import exactdist, generators, ntheory
 
 SRC = Path(primelab.__file__).parent
-_FLAGS = re.compile(r"(?<!\w)_flags\b")
+_FLAGS = re.compile(r"(?<!\w)_flags")  # _flags and _flags_view
 
 
 def _tree(path: Path) -> ast.AST:

@@ -50,20 +50,62 @@ def test_sieve_pi_100():
     assert sieve(100).prime_count() == 25
 
 
-def test_segmented_sieve_matches_flat_oracle():
-    # bound crosses the internal segment boundary; oracle is a plain
-    # one-shot sieve written here
-    bound = (1 << 22) + 1000
+def _flat_sieve(bound):
+    """Primality of 0..bound by a plain one-shot sieve."""
     flat = np.ones(bound + 1, dtype=bool)
     flat[:2] = False
     for p in range(2, math.isqrt(bound) + 1):
         if flat[p]:
             flat[p * p :: p] = False
+    return flat
+
+
+def test_segmented_sieve_matches_flat_oracle():
+    # bound crosses the internal segment boundary; oracle is a plain
+    # one-shot sieve written here
+    bound = (1 << 22) + 1000
+    flat = _flat_sieve(bound)
     t = sieve(bound)
     assert t.prime_count() == int(flat.sum())
     lo = (1 << 22) - 50
     for n in range(lo, bound + 1):
         assert t.is_prime(n) == bool(flat[n])
+
+
+def _assert_matches_flat(t, flat):
+    bound = len(flat) - 1
+    assert t.primes.dtype == np.int64
+    assert np.array_equal(t.primes, np.flatnonzero(flat))
+    # packed flags: bit n & 7 of byte n >> 3, nothing past bound
+    assert t._flags.tobytes() == np.packbits(flat, bitorder="little").tobytes()
+    assert t._flags[-1] >> (bound & 7) + 1 == 0
+
+
+def test_sieve_matches_flat_reference():
+    flat = _flat_sieve(2000)
+    for bound in range(2, 2001):
+        _assert_matches_flat(sieve(bound), flat[: bound + 1])
+
+
+def test_sieve_segment_and_wheel_edges(monkeypatch):
+    # segments of 64 odd numbers (128 integers): bounds on either side of
+    # segment edges, and where the wheel (period 15,015 odd numbers) first
+    # needs a second period
+    flat = _flat_sieve(2 * ntheory._WHEEL + 1)
+    wheel_edges = [2 * ntheory._WHEEL + d for d in (-1, 0, 1)]
+    for bound in wheel_edges:
+        _assert_matches_flat(sieve(bound), flat[: bound + 1])
+    monkeypatch.setattr(ntheory, "_SEGMENT", 64)
+    span = 2 * ntheory._SEGMENT
+    edges = [span * k + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+    edges += [ntheory._SEGMENT + d for d in (-1, 0, 1)]
+    for bound in edges + wheel_edges:
+        _assert_matches_flat(sieve(bound), flat[: bound + 1])
+
+
+def test_sieve_prime_counts():
+    counts = [sieve(10**k).prime_count() for k in range(1, 8)]
+    assert counts == [4, 25, 168, 1229, 9592, 78498, 664579]
 
 
 def test_sieve_domain_and_cap():

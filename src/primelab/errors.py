@@ -32,11 +32,24 @@ class BrokenBitSourceError(PrimelabError):
     """Rejection sampling failed an implausible number of times in a row."""
 
 
-def _bound_index(name: str, value, error: type = DomainError) -> int:
-    """value as a Python int (numpy integers accepted); `error` if it is not
-    an integer: DomainError for a library argument, ConfigError for a
-    configuration field."""
+def _bound_index(name: str, value, least: int | None = None,
+                 error: type = DomainError) -> int:
+    """value as a Python int (numpy integers accepted), and at least `least`
+    if a bound is given; `error` otherwise: DomainError for a library
+    argument, ConfigError for a configuration field."""
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError as exc:
         raise error(f"{name} needs an integer, got {value!r}") from exc
+    if least is not None and index < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return index
+
+
+def _index_field(obj, name: str, least: int | None = None) -> None:
+    """Check the field `name` of the frozen dataclass obj by _bound_index,
+    with ConfigError, and store it as a Python int."""
+    value = getattr(obj, name)
+    index = _bound_index(name, value, least, ConfigError)
+    if type(value) is not int:
+        object.__setattr__(obj, name, index)

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError, _bound_index
 from .generators import derived_Q
 from .metrics import FiniteDist
-from .ntheory import Modulus, PrimeTable, primes_upto, table_for
+from .ntheory import Modulus, PrimeTable, primes_upto
 
 # Refuse random-modulus sweeps needing more than this many class lookups.
 DEFAULT_WORK_CAP = 10**10
@@ -39,7 +39,8 @@ class ClassProfile:
 
 def class_profile(x: int, q: int, table: PrimeTable | None = None) -> ClassProfile:
     primes_x = primes_upto(x, table)
-    phi = Modulus.from_int(q).phi
+    modulus = Modulus.from_int(q)
+    q, phi = modulus.q, modulus.phi
     units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
     counts_arr = np.bincount(primes_x % q, minlength=q)[units]
     # |c - pi_x / phi|, rounded once from integers
@@ -63,9 +64,7 @@ def exact_dist_primeinc(x: int, table: PrimeTable | None = None) -> FiniteDist:
     the starts 1 and 2), and p_max the largest prime <= x; gaps telescope
     so the masses sum to exactly 1.
     """
-    primes_x = primes_upto(x, table)
-    if len(primes_x) == 0:
-        raise DomainError(f"no prime <= x = {x}")
+    primes_x = primes_upto(x, table)  # x >= 2: it holds 2
     gaps = np.diff(primes_x, prepend=0)  # d(2) = 2 - 0
     return FiniteDist.from_counts(dict(zip(primes_x.tolist(), gaps.tolist())),
                                   int(primes_x[-1]), len(primes_x))
@@ -81,18 +80,18 @@ def exact_dist_basic(
     termination uses the count of nonempty classes instead of phi(q); the
     result is flagged in meta["conditional"] with the empty classes listed.
     """
-    if q >= x:
-        raise DomainError(f"modulus {q} must be < x = {x}")
-    table = table_for(x, table)
-    profile = class_profile(x, q, table)
     primes_x = primes_upto(x, table)
-    empty = [a for a, c in profile.counts.items() if c == 0]
-    num, den, _ = _nofallback_law(class_census(x, [q], primes_x), primes_x)
+    q = _fixed_modulus(x, q)
+    census = class_census(x, [q], primes_x)
+    num, den, phi_star = _nofallback_law(census, primes_x)
+    units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+    # not np.setdiff1d: its np.unique imports numpy.ma (about 1 MB of RSS)
+    empty = units[~np.isin(units, primes_x % q)].tolist()
     meta = {
         "conditional": bool(empty),
         "empty_classes": empty,
-        "phi": len(profile.counts),
-        "phi_star": profile.phi_star,
+        "phi": int(census.units[0]),
+        "phi_star": phi_star,
     }
     return FiniteDist.from_counts(num, den, len(primes_x), meta)
 
@@ -111,36 +110,37 @@ def exact_dist_erh_fallback(
 
     Empty classes contribute only the fallback term.
     """
-    if q >= x:
-        raise DomainError(f"modulus {q} must be < x = {x}")
-    if _bound_index("T", T) < 1:
-        raise DomainError(f"T must be >= 1, got {T}")
+    T = _bound_index("T", T, 1)
     primes_x = primes_upto(x, table)
-    Modulus.from_int(q)  # rejects q < 2
+    q = _fixed_modulus(x, q)
     num, den, _ = _fallback_law(class_census(x, [q], primes_x), primes_x, T)
     return FiniteDist.from_counts(num, den, len(primes_x))
 
 
-def _range_census(x: int, A: float, table, work_cap: int,
-                  with_hits: bool = True):
+def _fixed_modulus(x: int, q) -> int:
+    """q as an int in [2, x), else DomainError."""
+    q = _bound_index("modulus", q, 2)
+    if q >= x:
+        raise DomainError(f"modulus {q} must be < x = {x}")
+    return q
+
+
+def _range_census(x: int, A: float, table, with_hits: bool = True):
     """(primes <= x, Q, census of the moduli in (Q/2, Q]), refused with
-    ResourceLimitError above work_cap class lookups."""
+    ResourceLimitError above DEFAULT_WORK_CAP class lookups."""
     primes_x = primes_upto(x, table)
     Q = derived_Q(x, A)
-    if Q * len(primes_x) > work_cap:
+    if Q * len(primes_x) > DEFAULT_WORK_CAP:
         raise ResourceLimitError(
             f"random-modulus sweep needs ~{Q * len(primes_x)} class lookups "
-            f"(cap {work_cap}); increase A or decrease x"
+            f"(cap {DEFAULT_WORK_CAP}); increase A or decrease x"
         )
     return primes_x, Q, class_census(x, range(Q // 2 + 1, Q + 1), primes_x,
                                      with_hits)
 
 
 def exact_dist_uncond_nofallback(
-    x: int,
-    A: float,
-    table: PrimeTable | None = None,
-    work_cap: int = DEFAULT_WORK_CAP,
+    x: int, A: float, table: PrimeTable | None = None
 ) -> FiniteDist:
     """Distribution of the random-modulus generator without fallback.
 
@@ -151,27 +151,22 @@ def exact_dist_uncond_nofallback(
 
     where F* counts the selectable (q, a) pairs with a nonempty class.
     """
-    primes_x, Q, census = _range_census(x, A, table, work_cap)
+    primes_x, Q, census = _range_census(x, A, table)
     num, den, f_star = _nofallback_law(census, primes_x)
     return FiniteDist.from_counts(num, den, len(primes_x),
                                   {"Q": Q, "F_star": f_star})
 
 
 def exact_dist_uncond(
-    x: int,
-    A: float,
-    T: int,
-    table: PrimeTable | None = None,
-    work_cap: int = DEFAULT_WORK_CAP,
+    x: int, A: float, T: int, table: PrimeTable | None = None
 ) -> FiniteDist:
     """Distribution of the random-modulus generator with trivial fallback.
 
     Averages the fixed-(q, a) fallback mixture over the F(Q) selectable
     pairs; empty classes always fall back and contribute uniform mass.
     """
-    if _bound_index("T", T) < 1:
-        raise DomainError(f"T must be >= 1, got {T}")
-    primes_x, Q, census = _range_census(x, A, table, work_cap)
+    T = _bound_index("T", T, 1)
+    primes_x, Q, census = _range_census(x, A, table)
     num, den, f_q = _fallback_law(census, primes_x, T)
     return FiniteDist.from_counts(num, den, len(primes_x),
                                   {"Q": Q, "F": f_q, "T": T})
@@ -215,10 +210,9 @@ def class_census(
     only the class counts.  Weighted bincounts are float64, which is exact
     for counts below 2^53.
     """
-    qs = [_bound_index("modulus", q) for q in qs]
+    x = _bound_index("x", x)
+    qs = [_bound_index("modulus", q, 1) for q in qs]
     least = min(qs)
-    if least < 1:
-        raise DomainError(f"class_census needs moduli >= 1, got {least}")
     pi_x = len(primes_x)
     base = x // least + 2  # key (c, m) is coded c * base + m
     key_index: dict[int, int] = {}

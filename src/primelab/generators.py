@@ -31,7 +31,7 @@ from .errors import (
     ConfigError,
     NonTerminationError,
     ResourceLimitError,
-    _bound_index,
+    _index_field,
 )
 from .ntheory import (
     EXACT,
@@ -119,12 +119,6 @@ def _modulus_limit(x: int, epsilon, mode, q) -> float | None:
     return limit
 
 
-def _check_count(name: str, value) -> None:
-    """ConfigError unless value is None or an integer >= 1."""
-    if value is not None and _bound_index(name, value, ConfigError) < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 @dataclass(frozen=True)
 class GenConfig:
     """Algorithm selector plus parameters; primes produced are <= x.
@@ -159,11 +153,16 @@ class GenConfig:
         except TypeError as exc:
             raise ConfigError(f"epsilon and A must be real numbers, got "
                               f"epsilon={eps!r}, A={A!r}") from exc
-        _bound_index("seed", self.seed, ConfigError)
-        _check_count("T_override", self.T_override)
-        _check_count("max_iterations", self.max_iterations)
-        # enum fields given by value ("basic") become members; the type
-        # test keeps the common case, a member, to one comparison each
+        # numpy integers become ints and enum values ("basic") members; the
+        # type test keeps the common case to one comparison per field
+        if type(self.seed) is not int:
+            _index_field(self, "seed")
+        if self.T_override is not None:
+            _index_field(self, "T_override", 1)
+        if self.max_iterations is not None:
+            _index_field(self, "max_iterations", 1)
+        if not isinstance(self.primality, PrimalityPolicy):
+            raise ConfigError(f"not a primality policy: {self.primality!r}")
         algo = self.algorithm
         if type(algo) is not Algorithm:
             algo = self._coerce("algorithm", Algorithm)

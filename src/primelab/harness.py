@@ -27,7 +27,6 @@ from .errors import (
     _bound_index,
 )
 from .exactdist import (
-    DEFAULT_WORK_CAP,
     _range_census,
     class_profile,
     exact_dist_primeinc,
@@ -121,14 +120,6 @@ def predictions_for(cfg: GenConfig):
     return pred_iter, pred_iter * (cfg.A * math.log(lnx) / LN2), None
 
 
-def _check_runs(name: str, runs) -> int:
-    """runs as an int; DomainError unless it is an integer >= 1."""
-    runs = _bound_index(name, runs)
-    if runs < 1:
-        raise DomainError(f"{name} must be >= 1, got {runs}")
-    return runs
-
-
 def benchmark(
     cfg: GenConfig,
     trials: int,
@@ -141,7 +132,7 @@ def benchmark(
     split_seed(cfg.seed, i); aggregation folds in trial order.  The
     metrics take pi(x) from table_for(x, table, the policy's table).
     """
-    trials = _check_runs("trials", trials)
+    trials = _bound_index("trials", trials, 1)
     if with_metrics:
         space = table_for(cfg.x, table, cfg.primality.table).count_leq(cfg.x)
     sum_iter = sum_bits = sum_sel = sum_tests = fallbacks = 0
@@ -198,7 +189,7 @@ def sample_distribution(
     seed: this samples the law conditioned on termination, which the
     no-fallback closed form describes.
     """
-    runs = _check_runs("runs", runs)
+    runs = _bound_index("runs", runs, 1)
     table = table_for(cfg.x, table, cfg.primality.table)
     tally = trial_counts(cfg, runs, table, retry_nontermination)
     seen = np.flatnonzero(tally)
@@ -227,10 +218,12 @@ def gap_census(
     x: int, lambdas, table: PrimeTable | None = None
 ) -> GapCensus:
     """Exact census of prime gaps at thresholds lambda * ln x."""
-    if x < 100:
-        raise DomainError(f"gap census needs x >= 100, got {x}")
+    x = _bound_index("x", x, 100)
     lambdas = list(lambdas)
-    bad = [lam for lam in lambdas if not (0 <= lam < math.inf)]
+    try:
+        bad = [lam for lam in lambdas if not (0 <= lam < math.inf)]
+    except TypeError as exc:
+        raise DomainError(f"lambda must be real, got {lambdas!r}") from exc
     if bad:
         raise DomainError(f"lambda must be finite and >= 0, got {bad}")
     primes_x = primes_upto(x, table)
@@ -284,9 +277,8 @@ def primeinc_audit(
     x: int, trials: int, seed: int = 0, table: PrimeTable | None = None
 ) -> PrimeincAudit:
     """Quantify the gap-length bias of the scan-upward generator."""
-    trials = _check_runs("trials", trials)
-    if x < 5:
-        raise DomainError(f"primeinc audit needs x >= 5 (a twin prime), got {x}")
+    trials = _bound_index("trials", trials, 1)
+    x = _bound_index("x", x, 5)  # the least twin pair is (3, 5)
     table = table_for(x, table)
     dist = exact_dist_primeinc(x, table)
     delta1 = metrics_of(dist).delta1
@@ -363,6 +355,7 @@ def error_term_profile(
     """
     if (q is None) == (A is None):
         raise ConfigError("provide exactly one of q or A")
+    x = _bound_index("x", x, 2)
     table = table_for(x, table)
     primes_x = primes_upto(x, table)
     pi_x = len(primes_x)
@@ -374,7 +367,7 @@ def error_term_profile(
         exceeding = sum(1 for e in errors.values() if e > threshold)
         return FixedModulusErrorProfile(
             x=x,
-            q=q,
+            q=profile.q,
             error_terms=errors,
             max_error=max(errors.values()),
             mean_error=sum(errors.values()) / len(errors),
@@ -382,8 +375,7 @@ def error_term_profile(
             fraction_exceeding=exceeding / len(errors),
         )
 
-    _, Q, census = _range_census(x, A, table, DEFAULT_WORK_CAP,
-                                 with_hits=False)
+    _, Q, census = _range_census(x, A, table, with_hits=False)
     # per modulus, sum over units of (c - pi/phi)^2
     #   = sum c^2 - pi * (2 * (primes coprime to q) - pi) / phi
     total = int((census.classes * census.c ** 2).sum()) - sum(
@@ -535,9 +527,8 @@ def _reports_to_csv(items: list) -> str:
     return buf.getvalue()
 
 
-def report_emit(reports: list, format: str = "json",
-                out: str | None = None) -> str:
-    """Serialize reports/distributions/censuses; optionally write a file.
+def report_emit(reports: list, format: str = "json") -> str:
+    """Serialize reports/distributions/censuses (write_text saves them).
 
     JSON output is a (possibly empty) array of records, each carrying
     schema_version; serialization is deterministic (sorted keys).
@@ -551,24 +542,28 @@ def report_emit(reports: list, format: str = "json",
         payload = _reports_to_csv(reports)
     else:
         raise DomainError(f"unknown format {format!r}")
-    if out is not None:
-        write_text(payload, out)
     return payload
 
 
-def write_text(payload: str, out: str) -> None:
-    """Write payload to the file `out`; an OSError becomes a PrimelabError."""
+def write_text(payload: str, path: str) -> None:
+    """Write payload to the file `path`; an OSError becomes a PrimelabError."""
     try:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(payload)
     except OSError as exc:
-        raise PrimelabError(f"cannot write report to {out}: {exc}") from exc
+        raise PrimelabError(f"cannot write report to {path}: {exc}") from exc
 
 
 def parse_reports(text: str) -> list:
     """Parse a JSON report array back into objects (run reports only;
-    other record kinds are returned as dicts)."""
-    records = json.loads(text)
+    other record kinds are returned as dicts).  DomainError unless text
+    is a JSON array."""
+    try:
+        records = json.loads(text)
+    except ValueError as exc:  # json.JSONDecodeError among them
+        raise DomainError(f"reports are not JSON: {exc}") from exc
+    if not isinstance(records, list):
+        raise DomainError("reports must be a JSON array")
     out = []
     for record in records:
         if isinstance(record, dict) and record.get("kind") == "run_report":

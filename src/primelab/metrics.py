@@ -43,9 +43,7 @@ class FiniteDist:
         self._store(space_size, num, den, meta)
 
     def _store(self, space_size, num, den, meta):
-        space_size = _bound_index("space_size", space_size)
-        if space_size < 1:
-            raise DomainError(f"space_size must be >= 1, got {space_size}")
+        space_size = _bound_index("space_size", space_size, 1)
         if len(num) > space_size:
             raise DomainError(
                 f"{len(num)} stored outcomes exceed space size {space_size}"

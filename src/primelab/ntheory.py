@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ResourceLimitError, _bound_index
+from .errors import DomainError, ResourceLimitError, _bound_index, _index_field
 from .rng import CountingBitSource, split_seed
 
 # Desk-scale caps: sieving beyond 2^31 or totient tables beyond 10^8 are
@@ -131,7 +131,7 @@ def _prime_count_bound(x: int) -> int:
     return int(x / log * (1 + 1.2762 / log)) + 1
 
 
-def sieve(bound: int, cap: int = DEFAULT_SIEVE_CAP) -> PrimeTable:
+def sieve(bound: int) -> PrimeTable:
     """Segmented sieve of Eratosthenes over [0, bound], odd numbers only.
 
     Index i of a segment mask stands for the odd number 2i + 1, and a
@@ -146,13 +146,12 @@ def sieve(bound: int, cap: int = DEFAULT_SIEVE_CAP) -> PrimeTable:
     Peak memory is the result (bound / 8 bytes of flags, 8 bytes per prime
     and Dusart's slack, 0.75 % at 10^8) plus about 3 MB of wheel and
     segment buffers; 10^8 takes about 0.25 s and 10^9 about 4 s (542 MB
-    peak) on a 2-vCPU VM.
+    peak) on a 2-vCPU VM.  A bound above DEFAULT_SIEVE_CAP is refused.
     """
-    bound = _bound_index("sieve", bound)
-    if bound < 2:
-        raise DomainError(f"sieve needs bound >= 2, got {bound}")
-    if bound > cap:
-        raise ResourceLimitError(f"sieve bound {bound} exceeds cap {cap}")
+    bound = _bound_index("sieve bound", bound, 2)
+    if bound > DEFAULT_SIEVE_CAP:
+        raise ResourceLimitError(
+            f"sieve bound {bound} exceeds cap {DEFAULT_SIEVE_CAP}")
 
     n_odd = (bound + 1) // 2  # the odd numbers 1, 3, ..., <= bound
     if n_odd <= _WHEEL:
@@ -197,9 +196,10 @@ def sieve(bound: int, cap: int = DEFAULT_SIEVE_CAP) -> PrimeTable:
 
 def table_for(x: int, table: PrimeTable | None = None,
               fallback: PrimeTable | None = None) -> PrimeTable:
-    """The table that answers for [0, x]: `table` if given (DomainError if
-    it does not cover x), else `fallback` if it covers x, else sieve(x)
-    (ResourceLimitError above the sieve cap)."""
+    """The table that answers for [0, x], x an integer >= 2: `table` if
+    given (DomainError if it does not cover x), else `fallback` if it
+    covers x, else sieve(x) (ResourceLimitError above the sieve cap)."""
+    x = _bound_index("x", x, 2)
     if table is not None:
         if table.bound < x:
             raise DomainError(f"table bound {table.bound} below x = {x}")
@@ -217,10 +217,8 @@ def primes_upto(x: int, table: PrimeTable | None = None) -> np.ndarray:
 
 def _class_mask(table: PrimeTable, q: int, a: int) -> np.ndarray:
     """Which of table.primes are = a (mod q), for q >= 1 and 0 <= a < q."""
-    q, a = _bound_index("modulus", q), _bound_index("residue", a)
-    if q < 1:
-        raise DomainError(f"modulus must be >= 1, got {q}")
-    if not 0 <= a < q:
+    q, a = _bound_index("modulus", q, 1), _bound_index("residue", a, 0)
+    if a >= q:
         raise DomainError(f"residue {a} not in [0, {q})")
     return table.primes % q == a
 
@@ -237,8 +235,7 @@ def residue_class_primes(table: PrimeTable, q: int, a: int) -> list[int]:
 
 def primorial_below(limit: int) -> int:
     """Largest product of all primes up to some bound that is <= limit."""
-    if limit < 2:
-        raise DomainError(f"primorial_below needs limit >= 2, got {limit}")
+    limit = _bound_index("limit", limit, 2)
     product = 1
     p = 2
     while product * p <= limit:
@@ -249,7 +246,7 @@ def primorial_below(limit: int) -> int:
     return product
 
 
-def totient_sieve(bound: int, cap: int = DEFAULT_TOTIENT_CAP) -> np.ndarray:
+def totient_sieve(bound: int) -> np.ndarray:
     """Euler phi for 0..bound as an int64 array (phi[0] = 0).
 
     A numpy kernel over blocks of 2^17 integers.  For each prime
@@ -260,13 +257,12 @@ def totient_sieve(bound: int, cap: int = DEFAULT_TOTIENT_CAP) -> np.ndarray:
     phi[n] stays divisible by each prime of n not yet applied.  Peak memory
     is the 8 (bound + 1) bytes of the result plus about two block copies
     (2 MiB); 294,704 takes about 15-20 ms and 10^7 about 0.8 s on a 2-vCPU
-    VM.
+    VM.  A bound above DEFAULT_TOTIENT_CAP is refused.
     """
-    bound = _bound_index("totient_sieve", bound)
-    if bound < 1:
-        raise DomainError(f"totient_sieve needs bound >= 1, got {bound}")
-    if bound > cap:
-        raise ResourceLimitError(f"totient bound {bound} exceeds cap {cap}")
+    bound = _bound_index("totient bound", bound, 1)
+    if bound > DEFAULT_TOTIENT_CAP:
+        raise ResourceLimitError(
+            f"totient bound {bound} exceeds cap {DEFAULT_TOTIENT_CAP}")
     phi = np.arange(bound + 1, dtype=np.int64)
     base = _base_primes(math.isqrt(bound))
     for lo in range(0, bound + 1, _TOTIENT_BLOCK):
@@ -290,17 +286,15 @@ def totient_sieve(bound: int, cap: int = DEFAULT_TOTIENT_CAP) -> np.ndarray:
     return phi
 
 
-def totient_partial_sum(bound: int, cap: int = DEFAULT_TOTIENT_CAP) -> int:
+def totient_partial_sum(bound: int) -> int:
     """Sum of phi(q) for q = 1..bound, exactly."""
-    phi = totient_sieve(bound, cap)
+    phi = totient_sieve(bound)
     return int(phi[1:].sum())
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 2 as ((p, e), ...) by trial division."""
-    n = _bound_index("factorize", n)
-    if n < 2:
-        raise DomainError(f"factorize needs n >= 2, got {n}")
+    n = _bound_index("factorize", n, 2)
     factors = []
     p = 2
     while p * p <= n:
@@ -339,9 +333,7 @@ class Modulus:
 
     @classmethod
     def from_int(cls, q: int) -> "Modulus":
-        q = _bound_index("modulus", q)
-        if q < 2:
-            raise DomainError(f"modulus must be >= 2, got {q}")
+        q = _bound_index("modulus", q, 2)
         factorization = factorize(q)
         phi = 1
         lam = 1
@@ -377,15 +369,15 @@ class MillerRabin(PrimalityPolicy):
     Composite verdicts are always correct; a prime verdict on a composite
     has probability <= 4^(-rounds).  Bases come from a dedicated stream
     derived from (seed, n), separate from any generation bit source.
+    Both fields are stored as Python ints (numpy integers accepted).
     """
 
     rounds: int = 20
     seed: int = 0
 
     def __post_init__(self):
-        _bound_index("seed", self.seed, ConfigError)
-        if _bound_index("rounds", self.rounds, ConfigError) < 1:
-            raise ConfigError(f"MillerRabin needs rounds >= 1, got {self.rounds}")
+        _index_field(self, "rounds", 1)
+        _index_field(self, "seed")
 
 
 EXACT = Exact()
@@ -442,9 +434,7 @@ def _random_bases(n: int, policy: MillerRabin):
 def is_prime(n: int, policy: PrimalityPolicy = EXACT) -> bool:
     """Primality of n under the given policy.  n may be any integer type
     (numpy integers included); DomainError for anything else."""
-    n = _bound_index("is_prime", n)
-    if n < 0:
-        raise DomainError(f"is_prime needs n >= 0, got {n}")
+    n = _bound_index("is_prime", n, 0)
     if n < 2:
         return False
     if isinstance(policy, Exact):

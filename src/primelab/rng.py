@@ -86,8 +86,7 @@ class CountingBitSource:
 
     def draw_bits(self, k: int) -> int:
         """Return a uniform k-bit value and charge exactly k bits."""
-        if k < 1:
-            raise DomainError(f"draw_bits needs k >= 1, got {k}")
+        k = _bound_index("k", k, 1)
         self.bits_consumed += k
         self.draws += 1
         return self._bits(k)
@@ -95,11 +94,15 @@ class CountingBitSource:
     def uniform_below(self, m: int) -> int:
         """Uniform draw from {0, ..., m-1} by rejection.  Each attempt draws
         and charges ceil(log2 m) bits; m = 1 takes no word and is free."""
-        if m < 1:
-            raise DomainError(f"uniform_below needs m >= 1, got {m}")
-        if m == 1:
-            return 0
-        k = (m - 1).bit_length()
+        try:  # free on the valid path: the hottest call of generate
+            if m < 1:
+                raise DomainError(f"uniform_below needs m >= 1, got {m}")
+            if m == 1:
+                return 0
+            k = (m - 1).bit_length()
+        except (TypeError, AttributeError) as exc:
+            raise DomainError(
+                f"uniform_below needs an integer, got {m!r}") from exc
         draws, value = 0, m
         if k > 64:
             while value >= m and draws <= _MAX_REJECTIONS:

@@ -1,10 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Heavy artifacts (the 10^6 and 10^7 sieves, the big benchmark reports) are
-module-scoped fixtures shared across criteria.  Two literal-form checks
+module-scoped fixtures shared across criteria.  Three literal-form checks
 that are contradicted by exact computation at every tested scale are kept
-as strict xfails right below their corrected counterparts; the module
-docstrings of `harness` explain the discrepancy.
+as strict xfails right below their corrected counterparts.  Each xfail
+gives its reason; the `RunReport` and `PrimeincAudit` docstrings in
+`harness` describe the corrected forms.
 """
 
 import math

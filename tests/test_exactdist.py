@@ -161,9 +161,10 @@ def test_uncond_nofallback_single_prime_oracle():
     assert d.mass[149] == total / f_star
 
 
-def test_uncond_nofallback_work_cap():
+def test_uncond_nofallback_work_cap(monkeypatch):
+    monkeypatch.setattr(exactdist, "DEFAULT_WORK_CAP", 10)
     with pytest.raises(ResourceLimitError):
-        exact_dist_uncond_nofallback(200, 1.0, work_cap=10)
+        exact_dist_uncond_nofallback(200, 1.0)
 
 
 def test_uncond_mixture_sum_and_limit():

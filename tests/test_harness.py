@@ -23,6 +23,7 @@ from primelab.harness import (
     report_emit,
     sample_distribution,
     to_jsonable,
+    write_text,
 )
 from primelab.exactdist import exact_dist_basic
 from primelab.ntheory import Exact, sieve, totient_partial_sum
@@ -282,12 +283,13 @@ def test_report_emit_io_error(tmp_path):
 
     target = tmp_path / "nosuchdir" / "out.json"
     with pytest.raises(PrimelabError, match="nosuchdir"):
-        report_emit([], "json", out=str(target))
+        write_text(report_emit([], "json"), str(target))
 
 
 def test_report_emit_writes_file(tmp_path):
     target = tmp_path / "out.json"
-    payload = report_emit([], "json", out=str(target))
+    payload = report_emit([], "json")
+    write_text(payload, str(target))
     assert target.read_text() == payload
 
 

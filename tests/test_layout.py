@@ -1,8 +1,11 @@
 """Package layout: ntheory owns the prime table, generators does not
-reach up into exactdist (which imports generators), and a FiniteDist has
-one exact representation."""
+reach up into exactdist (which imports generators), a FiniteDist has
+one exact representation, and no public function takes a parameter that
+only tests would set."""
 
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -67,3 +70,31 @@ def test_no_float_distribution_backend():
         and isinstance(node.value.value, float)
     ]
     assert uses == [] and tolerances == []
+
+
+def test_no_test_only_parameters():
+    """The caps are module constants (tests monkeypatch them), and
+    harness.write_text writes a report: no public function or method
+    takes `cap`, `work_cap` or `out`."""
+    def python_function(obj):
+        return inspect.isfunction(obj) or inspect.ismethod(obj)
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"primelab.{path.stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) \
+                    != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{attr}", fn) for attr, fn
+                            in inspect.getmembers(obj, python_function)
+                            if not attr.startswith("_")]
+            for label, fn in members:
+                if not python_function(fn):
+                    continue
+                params = inspect.signature(fn).parameters
+                found += [f"{path.stem}.{label}({p})" for p in params
+                          if p in ("cap", "work_cap", "out")]
+    assert found == []

@@ -113,8 +113,6 @@ def test_sieve_domain_and_cap():
         sieve(1)
     with pytest.raises(ResourceLimitError):
         sieve(2**31 + 1)
-    with pytest.raises(ResourceLimitError):
-        sieve(100, cap=50)
 
 
 def test_count_ap_primes_examples():

@@ -15,8 +15,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .exactdist import (
-    ClassProfile,
-    class_profile,
+    error_term_profile,
     exact_dist_basic,
     exact_dist_erh_fallback,
     exact_dist_primeinc,
@@ -41,7 +40,6 @@ from .harness import (
     PrimeincAudit,
     RunReport,
     benchmark,
-    error_term_profile,
     gap_census,
     parse_reports,
     primeinc_audit,
@@ -70,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Algorithm",
     "BrokenBitSourceError",
-    "ClassProfile",
     "ConfigError",
     "CountingBitSource",
     "DistMetrics",
@@ -93,7 +90,6 @@ __all__ = [
     "Telemetry",
     "UnitMethod",
     "benchmark",
-    "class_profile",
     "count_ap_primes",
     "default_T",
     "derived_Q",

@@ -28,7 +28,6 @@ from .generators import (
 from .harness import (
     benchmark,
     dist_to_dict,
-    error_term_profile,
     gap_census,
     primeinc_audit,
     report_emit,
@@ -38,6 +37,7 @@ from .harness import (
 from .metrics import metrics_of
 from .ntheory import Exact, MillerRabin, sieve
 from .exactdist import (
+    error_term_profile,
     exact_dist_basic,
     exact_dist_erh_fallback,
     exact_dist_primeinc,

@@ -4,52 +4,25 @@ Each generator's exact probability of producing a given prime p <= x is
 computed from residue-class prime counts, using rational arithmetic so
 that masses sum to exactly 1.  These distributions are the brute-force
 oracle against which Monte Carlo runs and analytic predictions are
-checked.
+checked.  This module alone counts primes per residue class
+(`_unit_counts`, and `class_census` over a set of moduli); the closed
+forms and the error-term profiles E(x;q,a) of `error_term_profile` all
+read those counts.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, _bound_index
+from .errors import ConfigError, DomainError, ResourceLimitError, _bound_index
 from .generators import derived_Q
 from .metrics import FiniteDist
-from .ntheory import Modulus, PrimeTable, primes_upto
+from .ntheory import Modulus, PrimeTable, primes_upto, table_for
 
 # Refuse random-modulus sweeps needing more than this many class lookups.
 DEFAULT_WORK_CAP = 10**10
-
-
-@dataclass(frozen=True)
-class ClassProfile:
-    """Residue-class census of the primes <= x for one modulus.
-
-    counts maps each unit a to pi(x; q, a); phi_star is the number of
-    units whose class is nonempty; error_terms maps a to
-    |pi(x;q,a) - pi(x)/phi(q)|.
-    """
-
-    x: int
-    q: int
-    counts: dict[int, int]
-    phi_star: int
-    error_terms: dict[int, float]
-
-
-def class_profile(x: int, q: int, table: PrimeTable | None = None) -> ClassProfile:
-    primes_x = primes_upto(x, table)
-    modulus = Modulus.from_int(q)
-    q, phi = modulus.q, modulus.phi
-    units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
-    counts_arr = np.bincount(primes_x % q, minlength=q)[units]
-    # |c - pi_x / phi|, rounded once from integers
-    errors_arr = np.abs(counts_arr * phi - len(primes_x)) / phi
-    units = units.tolist()
-    counts = dict(zip(units, counts_arr.tolist()))
-    errors = dict(zip(units, errors_arr.tolist()))
-    phi_star = int(np.count_nonzero(counts_arr))
-    return ClassProfile(x, q, counts, phi_star, errors)
 
 
 def exact_dist_trivial(x: int, table: PrimeTable | None = None) -> FiniteDist:
@@ -84,9 +57,8 @@ def exact_dist_basic(
     q = _fixed_modulus(x, q)
     census = class_census(x, [q], primes_x)
     num, den, phi_star = _nofallback_law(census, primes_x)
-    units = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
-    # not np.setdiff1d: its np.unique imports numpy.ma (about 1 MB of RSS)
-    empty = units[~np.isin(units, primes_x % q)].tolist()
+    _, unit, counts = _unit_counts(primes_x, q)
+    empty = np.flatnonzero(unit & (counts == 0)).tolist()
     meta = {
         "conditional": bool(empty),
         "empty_classes": empty,
@@ -173,7 +145,7 @@ def exact_dist_uncond(
 
 
 # ---------------------------------------------------------------------------
-# the class census and the two laws built on it
+# the class census, the error terms and the two laws built on it
 
 # Raw prime hits buffered before they are merged into distinct pairs.
 _HIT_CHUNK = 1 << 18
@@ -212,6 +184,8 @@ def class_census(
     """
     x = _bound_index("x", x)
     qs = [_bound_index("modulus", q, 1) for q in qs]
+    if not qs:
+        raise DomainError("class_census needs at least one modulus")
     least = min(qs)
     pi_x = len(primes_x)
     base = x // least + 2  # key (c, m) is coded c * base + m
@@ -219,10 +193,8 @@ def class_census(
     class_keys, class_counts, units, unit_primes, raw = [], [], [], [], []
     pairs = hits = np.zeros(0, dtype=np.int64)  # key * pi_x + prime
     for q in qs:
-        residues = primes_x % q
-        a = np.arange(q)
-        unit = np.gcd(a, q) == 1
-        codes = np.bincount(residues, minlength=q) * base + (x - a) // q + 1
+        residues, unit, in_class = _unit_counts(primes_x, q)
+        codes = in_class * base + (x - np.arange(q)) // q + 1
         local, counts = np.unique(codes[unit], return_counts=True)
         keys = np.array([key_index.setdefault(k, len(key_index))
                          for k in local.tolist()])
@@ -249,6 +221,94 @@ def class_census(
         hit_prime=pairs % pi_x, hit_key=pairs // pi_x,
         hits=hits.astype(np.int64),
         units=np.array(units), unit_primes=np.array(unit_primes),
+    )
+
+
+def _unit_counts(primes_x: np.ndarray, q: int):
+    """(residues, unit, counts) for q >= 1: residues = primes_x mod q, unit
+    the mask of the a in [0, q) coprime to q, counts[a] = pi(x; q, a)."""
+    residues = primes_x % q
+    unit = np.gcd(np.arange(q), q) == 1
+    return residues, unit, np.bincount(residues, minlength=q)
+
+
+@dataclass
+class FixedModulusErrorProfile:
+    """Deviations E(x;q,a) = |pi(x;q,a) - pi(x)/phi(q)| over the units."""
+
+    x: int
+    q: int
+    error_terms: dict[int, float]
+    max_error: float
+    mean_error: float
+    threshold: float
+    fraction_exceeding: float
+
+
+@dataclass
+class RangeErrorProfile:
+    """Sum of E(x;q,a)^2 over q in (Q/2, Q] and all units a."""
+
+    x: int
+    A: float
+    Q: int
+    sum_sq_error: float
+    scale: float        # x * Q / ln Q
+    ratio: float
+
+
+def error_term_profile(
+    x: int,
+    q: int | None = None,
+    A: float | None = None,
+    table: PrimeTable | None = None,
+):
+    """Error-term census for a fixed modulus (q) or a modulus range (A).
+
+    Fixed q: the multiset {E(x;q,a)}, its extremes, and the fraction of
+    units exceeding the default threshold sqrt(pi(x)/phi(q)).  Range mode:
+    the exact double sum of E^2 over (Q/2, Q], reported against the
+    dimensionless scale x*Q/ln Q; a range needing more than
+    DEFAULT_WORK_CAP class lookups raises ResourceLimitError.
+    """
+    if (q is None) == (A is None):
+        raise ConfigError("provide exactly one of q or A")
+    x = _bound_index("x", x, 2)
+    table = table_for(x, table)
+    primes_x = primes_upto(x, table)
+    pi_x = len(primes_x)
+
+    if q is not None:
+        modulus = Modulus.from_int(q)
+        q, phi = modulus.q, modulus.phi
+        _, unit, counts = _unit_counts(primes_x, q)
+        # |c - pi_x / phi|, rounded once from integers
+        terms = np.abs(counts[unit] * phi - pi_x) / phi
+        errors = dict(zip(np.flatnonzero(unit).tolist(), terms.tolist()))
+        threshold = math.sqrt(pi_x / phi)
+        exceeding = sum(1 for e in errors.values() if e > threshold)
+        return FixedModulusErrorProfile(
+            x=x,
+            q=q,
+            error_terms=errors,
+            max_error=max(errors.values()),
+            mean_error=sum(errors.values()) / phi,
+            threshold=threshold,
+            fraction_exceeding=exceeding / phi,
+        )
+
+    _, Q, census = _range_census(x, A, table, with_hits=False)
+    # per modulus, sum over units of (c - pi/phi)^2
+    #   = sum c^2 - pi * (2 * (primes coprime to q) - pi) / phi
+    total = int((census.classes * census.c ** 2).sum()) - sum(
+        Fraction(pi_x * (2 * covered - pi_x), phi)
+        for covered, phi in zip(census.unit_primes.tolist(),
+                                census.units.tolist())
+    )
+    scale = x * Q / math.log(Q)
+    return RangeErrorProfile(
+        x=x, A=A, Q=Q, sum_sq_error=float(total), scale=scale,
+        ratio=float(total) / scale,
     )
 
 

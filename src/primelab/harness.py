@@ -1,9 +1,12 @@
-"""Experiment orchestration: budget benchmarks, bias audits, censuses.
+"""Experiment orchestration: budget benchmarks, bias audits, the gap
+census, and report serialization.
 
 Benchmarks aggregate per-run Telemetry over many trials with per-trial
 seeds derived from a master seed (``rng.split_seed``), so reports are
 byte-for-byte reproducible.  Reports serialize to JSON (schema_version on
-every record) or CSV with a fixed, documented column order.
+every record) or CSV with a fixed, documented column order; among them
+are the error-term profiles, which exactdist computes from its class
+census.
 """
 
 import csv
@@ -20,15 +23,14 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DomainError,
     PrimelabError,
     ResourceLimitError,
     _bound_index,
 )
 from .exactdist import (
-    _range_census,
-    class_profile,
+    FixedModulusErrorProfile,
+    RangeErrorProfile,
     exact_dist_primeinc,
 )
 from .generators import (
@@ -314,82 +316,6 @@ def primeinc_audit(
     )
 
 
-@dataclass
-class FixedModulusErrorProfile:
-    """Deviations E(x;q,a) = |pi(x;q,a) - pi(x)/phi(q)| over the units."""
-
-    x: int
-    q: int
-    error_terms: dict[int, float]
-    max_error: float
-    mean_error: float
-    threshold: float
-    fraction_exceeding: float
-
-
-@dataclass
-class RangeErrorProfile:
-    """Sum of E(x;q,a)^2 over q in (Q/2, Q] and all units a."""
-
-    x: int
-    A: float
-    Q: int
-    sum_sq_error: float
-    scale: float        # x * Q / ln Q
-    ratio: float
-
-
-def error_term_profile(
-    x: int,
-    q: int | None = None,
-    A: float | None = None,
-    table: PrimeTable | None = None,
-):
-    """Error-term census for a fixed modulus (q) or a modulus range (A).
-
-    Fixed q: the multiset {E(x;q,a)}, its extremes, and the fraction of
-    units exceeding the default threshold sqrt(pi(x)/phi(q)).  Range mode:
-    the exact double sum of E^2 over (Q/2, Q], reported against the
-    dimensionless scale x*Q/ln Q; a range needing more than
-    DEFAULT_WORK_CAP class lookups raises ResourceLimitError.
-    """
-    if (q is None) == (A is None):
-        raise ConfigError("provide exactly one of q or A")
-    x = _bound_index("x", x, 2)
-    table = table_for(x, table)
-    primes_x = primes_upto(x, table)
-    pi_x = len(primes_x)
-
-    if q is not None:
-        profile = class_profile(x, q, table)
-        errors = profile.error_terms
-        threshold = math.sqrt(pi_x / len(errors))
-        exceeding = sum(1 for e in errors.values() if e > threshold)
-        return FixedModulusErrorProfile(
-            x=x,
-            q=profile.q,
-            error_terms=errors,
-            max_error=max(errors.values()),
-            mean_error=sum(errors.values()) / len(errors),
-            threshold=threshold,
-            fraction_exceeding=exceeding / len(errors),
-        )
-
-    _, Q, census = _range_census(x, A, table, with_hits=False)
-    # per modulus, sum over units of (c - pi/phi)^2
-    #   = sum c^2 - pi * (2 * (primes coprime to q) - pi) / phi
-    total = int((census.classes * census.c ** 2).sum()) - sum(
-        Fraction(pi_x * (2 * covered - pi_x), phi)
-        for covered, phi in zip(census.unit_primes.tolist(),
-                                census.units.tolist())
-    )
-    scale = x * Q / math.log(Q)
-    return RangeErrorProfile(
-        x=x, A=A, Q=Q, sum_sq_error=float(total), scale=scale,
-        ratio=float(total) / scale,
-    )
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -437,6 +363,9 @@ def _decode_value(v):
 
 
 def _field_values(cls, d: dict) -> dict:
+    """The fields of cls read from d; DomainError if d is not an object."""
+    if not isinstance(d, dict):
+        raise DomainError(f"{cls.__name__} must be an object, got {d!r}")
     return {f.name: _decode_value(d[f.name]) for f in fields(cls)}
 
 
@@ -445,6 +374,8 @@ def config_from_dict(d: dict) -> GenConfig:
     reports, so they come back as Exact(table=None)."""
     kw = _field_values(GenConfig, d)
     pol = kw["primality"]
+    if not isinstance(pol, dict):
+        raise DomainError(f"primality must be an object, got {pol!r}")
     if pol["type"] == "exact":
         kw["primality"] = EXACT
     elif pol["type"] == "miller_rabin":
@@ -459,7 +390,8 @@ def report_from_dict(d: dict) -> RunReport:
         raise DomainError(f"not a run report: kind={d.get('kind')!r}")
     kw = _field_values(RunReport, d)
     kw["config"] = config_from_dict(kw["config"])
-    if kw["metrics"]:
+    kw["trials"] = _bound_index("trials", kw["trials"], 1)
+    if kw["metrics"] is not None:
         kw["metrics"] = DistMetrics(**_field_values(DistMetrics, kw["metrics"]))
     return RunReport(**kw)
 
@@ -557,7 +489,9 @@ def write_text(payload: str, path: str) -> None:
 def parse_reports(text: str) -> list:
     """Parse a JSON report array back into objects (run reports only;
     other record kinds are returned as dicts).  DomainError unless text
-    is a JSON array."""
+    is a JSON array, and for a run_report that lacks a field, whose
+    config, primality or non-null metrics is not an object, or whose
+    trials is not an integer >= 1."""
     try:
         records = json.loads(text)
     except ValueError as exc:  # json.JSONDecodeError among them

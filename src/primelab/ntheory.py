@@ -112,15 +112,10 @@ class PrimeTable:
 
 def _base_primes(root: int) -> list[int]:
     """The primes <= root: a prefix of _SMALL_PRIMES when root is within
-    it, else by a flat sieve of Eratosthenes."""
+    it, else sieve(root)'s (whose own roots, below 252, take the prefix)."""
     if root <= _SMALL_PRIMES[-1]:
         return list(_SMALL_PRIMES[: bisect_right(_SMALL_PRIMES, root)])
-    flags = np.ones(root + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).tolist()
+    return sieve(root).primes.tolist()
 
 
 def _prime_count_bound(x: int) -> int:

@@ -3,13 +3,15 @@ is needed, fails at once with a PrimelabError: DomainError for a library
 argument, ConfigError for a configuration; a domain with no prime fails
 the same way."""
 
+import json
+
 import numpy as np
 import pytest
 
 from primelab.errors import ConfigError, DomainError
 from primelab.exactdist import (
     class_census,
-    class_profile,
+    error_term_profile,
     exact_dist_basic,
     exact_dist_erh_fallback,
     exact_dist_primeinc,
@@ -20,7 +22,6 @@ from primelab.exactdist import (
 from primelab.generators import Algorithm, GenConfig
 from primelab.harness import (
     benchmark,
-    error_term_profile,
     gap_census,
     parse_reports,
     primeinc_audit,
@@ -40,6 +41,18 @@ from primelab.rng import CountingBitSource
 CFG = GenConfig(x=1000, algorithm=Algorithm.TRIVIAL)
 T1K = sieve(1000)
 
+def parse_edited(field, value):
+    """parse_reports on one run_report whose field (a dotted path into the
+    record) is replaced by value."""
+    record = json.loads(report_emit([benchmark(CFG, 5)]))[0]
+    *parents, last = field.split(".")
+    target = record
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return parse_reports(json.dumps([record]))
+
+
 CASES = {
     "benchmark(trials=2.5)": (DomainError, lambda: benchmark(CFG, 2.5)),
     "sample_distribution(runs=2.5)":
@@ -48,7 +61,6 @@ CASES = {
         (DomainError, lambda: primeinc_audit(1000, 2.5)),
     "Modulus.from_int(2.5)": (DomainError, lambda: Modulus.from_int(2.5)),
     "factorize(10.5)": (DomainError, lambda: factorize(10.5)),
-    "class_profile(q=2.5)": (DomainError, lambda: class_profile(1000, 2.5)),
     "error_term_profile(q=2.5)":
         (DomainError, lambda: error_term_profile(1000, q=2.5)),
     "exact_dist_basic(q=2.5)":
@@ -103,6 +115,18 @@ CASES = {
         (DomainError, lambda: parse_reports("not json")),
     """parse_reports('{"a": 1}')""":
         (DomainError, lambda: parse_reports('{"a": 1}')),
+    # a bare ValueError from min()
+    "class_census(qs=[])":
+        (DomainError, lambda: class_census(100, [], primes_upto(100))),
+    # each raised a bare TypeError
+    "parse_reports(config=1)": (DomainError, lambda: parse_edited("config", 1)),
+    "parse_reports(config.primality=1)":
+        (DomainError, lambda: parse_edited("config.primality", 1)),
+    "parse_reports(metrics=1)":
+        (DomainError, lambda: parse_edited("metrics", 1)),
+    # was accepted into a RunReport
+    'parse_reports(trials="x")':
+        (DomainError, lambda: parse_edited("trials", "x")),
 }
 
 

@@ -11,7 +11,7 @@ from primelab import exactdist
 from primelab.errors import ConfigError, DomainError, ResourceLimitError
 from primelab.exactdist import (
     class_census,
-    class_profile,
+    error_term_profile,
     exact_dist_basic,
     exact_dist_erh_fallback,
     exact_dist_primeinc,
@@ -21,11 +21,7 @@ from primelab.exactdist import (
     primes_upto,
 )
 from primelab.generators import Algorithm, GenConfig, ModulusMode, derived_Q
-from primelab.harness import (
-    dist_to_dict,
-    error_term_profile,
-    sample_distribution,
-)
+from primelab.harness import dist_to_dict, sample_distribution
 from primelab.metrics import metrics_of, tv_between
 from primelab.ntheory import Exact, residue_class_primes, sieve
 
@@ -189,37 +185,24 @@ def test_uncond_monotone_in_A():
     assert d3 < d1
 
 
-def test_class_profile_q2():
-    prof = class_profile(100, 2)
-    assert list(prof.counts) == [1]
-    assert prof.counts[1] == 24
-    assert prof.error_terms[1] == 1.0  # |24 - 25|
-    assert prof.phi_star == 1
-
-
-def test_class_profile_consistency(table_1k):
-    prof = class_profile(1000, 30, table_1k)
-    assert sum(prof.counts.values()) == 168 - 3  # primes 2, 3, 5 divide 30
-    assert prof.phi_star <= 8
-    # each error term is |c - pi(x)/phi(q)| rounded once, as from a Fraction
-    expected = Fraction(168, 8)
-    assert prof.error_terms == {a: float(abs(c - expected))
-                                for a, c in prof.counts.items()}
-
-
 @pytest.mark.parametrize("x,q", [(30, 25), (100, 2), (1000, 30),
                                  (20_000, 2310), (10**5, 30030)])
 def test_class_profile_matches_the_unit_loop(x, q, table_100k):
-    # the reference: one math.gcd per residue, one count per prime
+    """The per-class figures of (x, q), error_term_profile's error terms
+    and exact_dist_basic's phi, phi_star and empty classes, equal a loop
+    with one math.gcd per residue and one count per prime."""
     primes_x = [p for p in table_100k.primes.tolist() if p <= x]
     residues = Counter(p % q for p in primes_x)
     counts = {a: residues[a] for a in range(q) if math.gcd(a, q) == 1}
     phi = len(counts)
-    prof = class_profile(x, q, table_100k)
-    assert prof.counts == counts
-    assert prof.error_terms == {a: abs(c * phi - len(primes_x)) / phi
+    # each error term is |c - pi(x)/phi(q)| rounded once, as from a Fraction
+    prof = error_term_profile(x, q=q, table=table_100k)
+    assert prof.error_terms == {a: float(abs(c - Fraction(len(primes_x), phi)))
                                 for a, c in counts.items()}
-    assert prof.phi_star == sum(1 for c in counts.values() if c)
+    meta = exact_dist_basic(x, q, table_100k).meta  # every case has q < x
+    assert meta["phi"] == phi
+    assert meta["phi_star"] == sum(1 for c in counts.values() if c)
+    assert meta["empty_classes"] == [a for a, c in counts.items() if not c]
 
 
 @pytest.mark.parametrize("maker,cfg_kwargs", [

@@ -15,7 +15,6 @@ from primelab.generators import Algorithm, GenConfig, ModulusMode
 from primelab.harness import (
     REPORT_CSV_COLUMNS,
     benchmark,
-    error_term_profile,
     gap_census,
     parse_reports,
     predictions_for,
@@ -25,7 +24,7 @@ from primelab.harness import (
     to_jsonable,
     write_text,
 )
-from primelab.exactdist import exact_dist_basic
+from primelab.exactdist import error_term_profile, exact_dist_basic
 from primelab.ntheory import Exact, sieve, totient_partial_sum
 
 

@@ -98,3 +98,24 @@ def test_no_test_only_parameters():
                 found += [f"{path.stem}.{label}({p})" for p in params
                           if p in ("cap", "work_cap", "out")]
     assert found == []
+
+
+# The only private names one primelab module may import from another: the
+# rule that checks every integer argument, and its dataclass-field form.
+_SHARED_PRIVATE = {("errors", "_bound_index"), ("errors", "_index_field")}
+
+
+def test_no_private_imports_across_modules():
+    """A module reaches another only through its public names, so e.g. the
+    class census stays inside exactdist."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.ImportFrom) or not (
+                    node.level or (node.module or "").startswith("primelab")):
+                continue
+            source = (node.module or "").split(".")[-1]
+            found += [f"{path.stem}: {source}.{a.name}" for a in node.names
+                      if a.name.startswith("_")
+                      and (source, a.name) not in _SHARED_PRIVATE]
+    assert found == []

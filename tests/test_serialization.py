@@ -16,12 +16,15 @@ from fractions import Fraction
 import pytest
 
 from primelab.cli import main
-from primelab.exactdist import exact_dist_basic, exact_dist_uncond
+from primelab.exactdist import (
+    error_term_profile,
+    exact_dist_basic,
+    exact_dist_uncond,
+)
 from primelab.generators import Algorithm, GenConfig, ModulusMode
 from primelab.harness import (
     benchmark,
     dist_to_dict,
-    error_term_profile,
     gap_census,
     parse_reports,
     primeinc_audit,

@@ -185,6 +185,28 @@ def test_uncond_monotone_in_A():
     assert d3 < d1
 
 
+def test_class_profile_q2():
+    census = class_census(100, [2], primes_upto(100))
+    assert census.units.tolist() == [1]
+    assert census.unit_primes.tolist() == [24]  # pi(100; 2, 1)
+    assert error_term_profile(100, q=2).error_terms == {1: 1.0}  # |24 - 25|
+    assert exact_dist_basic(100, 2).meta["phi_star"] == 1
+
+
+def test_class_profile_consistency(table_1k):
+    census = class_census(1000, [30], primes_upto(1000, table_1k))
+    # primes 2, 3, 5 divide 30
+    assert census.unit_primes.tolist() == [168 - 3]
+    assert int((census.c * census.classes).sum()) == 168 - 3
+    assert exact_dist_basic(1000, 30, table_1k).meta["phi_star"] <= 8
+    # each error term is |c - pi(x)/phi(q)| rounded once, as from a Fraction
+    expected = Fraction(168, 8)
+    counts = {a: len(residue_class_primes(table_1k, 30, a))
+              for a in range(30) if math.gcd(a, 30) == 1}
+    assert error_term_profile(1000, q=30, table=table_1k).error_terms == {
+        a: float(abs(c - expected)) for a, c in counts.items()}
+
+
 @pytest.mark.parametrize("x,q", [(30, 25), (100, 2), (1000, 30),
                                  (20_000, 2310), (10**5, 30030)])
 def test_class_profile_matches_the_unit_loop(x, q, table_100k):

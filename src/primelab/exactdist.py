@@ -55,10 +55,9 @@ def exact_dist_basic(
     """
     primes_x = primes_upto(x, table)
     q = _fixed_modulus(x, q)
-    census = class_census(x, [q], primes_x)
+    census = class_census(x, [q], primes_x, with_empty=True)
     num, den, phi_star = _nofallback_law(census, primes_x)
-    _, unit, counts = _unit_counts(primes_x, q)
-    empty = np.flatnonzero(unit & (counts == 0)).tolist()
+    empty = census.empty[:, 1].tolist()
     meta = {
         "conditional": bool(empty),
         "empty_classes": empty,
@@ -159,7 +158,9 @@ class ClassCensus:
     m = floor((x - a) / q) + 1 members <= x.  classes[k] classes have key
     (c[k], m[k]); prime primes_x[hit_prime[j]] lies in hits[j] classes of
     key hit_key[j] (a prime dividing q in none of q's).  The i-th modulus
-    has units[i] = phi(q) classes, holding unit_primes[i] primes.
+    has units[i] = phi(q) classes, holding unit_primes[i] primes.  The rows
+    (q, a) of `empty` are the unit classes without a prime, in order (none
+    unless asked for).
     """
 
     c: np.ndarray
@@ -170,16 +171,19 @@ class ClassCensus:
     hits: np.ndarray
     units: np.ndarray
     unit_primes: np.ndarray
+    empty: np.ndarray
 
 
 def class_census(
-    x: int, qs, primes_x: np.ndarray, with_hits: bool = True
+    x: int, qs, primes_x: np.ndarray, with_hits: bool = True,
+    with_empty: bool = False,
 ) -> ClassCensus:
     """Census of the moduli in the sequence qs, one numpy pass per q.
 
     Raw hits are merged into distinct (prime, key) pairs every _HIT_CHUNK,
     which bounds memory; with_hits=False skips them for callers that need
-    only the class counts.  Weighted bincounts are float64, which is exact
+    only the class counts.  with_empty lists the classes without a prime,
+    from the same pass.  Weighted bincounts are float64, which is exact
     for counts below 2^53.
     """
     x = _bound_index("x", x)
@@ -191,6 +195,7 @@ def class_census(
     base = x // least + 2  # key (c, m) is coded c * base + m
     key_index: dict[int, int] = {}
     class_keys, class_counts, units, unit_primes, raw = [], [], [], [], []
+    empty = [np.zeros((0, 2), dtype=np.int64)]
     pairs = hits = np.zeros(0, dtype=np.int64)  # key * pi_x + prime
     for q in qs:
         residues, unit, in_class = _unit_counts(primes_x, q)
@@ -202,6 +207,9 @@ def class_census(
         class_counts.append(counts)
         units.append(counts.sum())
         unit_primes.append((local // base * counts).sum())
+        if with_empty:
+            a = np.flatnonzero(unit & (in_class == 0))
+            empty.append(np.stack((np.full_like(a, q), a), axis=1))
         if with_hits:
             in_unit = np.flatnonzero(unit[residues])
             where = np.searchsorted(local, codes[residues[in_unit]])
@@ -221,6 +229,7 @@ def class_census(
         hit_prime=pairs % pi_x, hit_key=pairs // pi_x,
         hits=hits.astype(np.int64),
         units=np.array(units), unit_primes=np.array(unit_primes),
+        empty=np.concatenate(empty),
     )
 
 

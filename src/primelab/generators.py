@@ -14,8 +14,9 @@ drawn from the generation source (with the subset spent on modulus/unit
 selection broken out), the accepted (q, a) and whether the fallback was
 entered.  Runs are bit-for-bit reproducible from the seed.
 
-`trial_counts` runs many trials of `generate` at once in numpy lanes,
-each on its own counter stream, and counts their outputs.
+`trial_records` runs many trials of `generate` at once in numpy lanes,
+each on its own counter stream, and returns each trial's output and
+telemetry.
 """
 
 import math
@@ -35,6 +36,7 @@ from .errors import (
 )
 from .ntheory import (
     EXACT,
+    Exact,
     Modulus,
     PrimalityPolicy,
     primality_tester,
@@ -372,14 +374,17 @@ def generate(cfg: GenConfig, src: CountingBitSource | None = None):
 # ---------------------------------------------------------------------------
 # lane engine: generate's trials in numpy lanes, word for word
 
-# Lanes in flight, and words per lane and step: 8, so that a lane's row of
-# 8 bools reads as one little-endian uint64 (see search).
+# Lanes in flight (at most; no more than the trials), and words per lane
+# and step: 8, so that a lane's row of 8 bools reads as one little-endian
+# uint64 (see search).
 _LANES, _LOOK, _MIN_WIDTH = 4096, 8, 32
 _ONES = np.uint64(0x0101010101010101)
 _SCAN = 16  # class members tested at a time for a prime
 # A lane's next draw: none, the search for p = a + t*q (trivial and
 # primeinc: q = 1, a = 1), a unit, or a draw of _pick_random_modulus.
 _IDLE, _SEARCH, _UNIT, _PICK_Q, _PICK_A, _PICK_T = range(-1, 5)
+_TEL = slice(13, 19)  # the lane-state rows of the telemetry
+_LANE_X_LIMIT = 1 << 31  # the engine computes candidates in int32
 
 
 def _shifts(m):
@@ -410,11 +415,26 @@ def _holds_prime(table, q, a, m):
     return alive
 
 
-def trial_counts(cfg: GenConfig, trials: int, table,
-                 retry_nontermination: bool = False) -> np.ndarray:
-    """Output counts of generate's trials 0..trials-1 of cfg, trial i on
-    CountingBitSource(split_seed(cfg.seed, i)), as an int64 array over the
-    primes <= x, which `table` must cover; x must be below 2^31.
+def lane_table(cfg: GenConfig):
+    """The table that the lane engine reads for cfg's trials, or None
+    where generate alone runs them: the policy must be Exact with a table
+    that covers x, and x must be below 2^31."""
+    policy = cfg.primality
+    if (isinstance(policy, Exact) and policy.table is not None
+            and policy.table.bound >= cfg.x and cfg.x < _LANE_X_LIMIT):
+        return policy.table
+    return None
+
+
+def trial_records(cfg: GenConfig, trials: int, table,
+                  retry_nontermination: bool = False,
+                  telemetry: bool = False) -> dict:
+    """Generate's trials 0..trials-1 of cfg, trial i on
+    CountingBitSource(split_seed(cfg.seed, i)), as numpy arrays in trial
+    order: "prime", the outputs, in the narrowest unsigned dtype that holds
+    x (`table` must cover x, and x must be below 2^31), and with
+    `telemetry` one array per Telemetry field, equal to generate's.  No
+    array grows with the number of primes <= x.
 
     Lanes run the trials in lockstep, each on its own word counter, draw
     for draw as generate does.  Each step hands a lane its next _LOOK
@@ -422,16 +442,32 @@ def trial_counts(cfg: GenConfig, trials: int, table,
     at once.  Lanes refill in place; once all trials are admitted the live
     ones move to the front and the width halves, so arrays keep a few
     shapes.  A run that spends its budget (basic, uncond_nofallback) raises
-    NonTerminationError, or with retry_nontermination reruns: retry r of
-    trial i on split_seed(k_i, r), k_i the trial's seed.  A class with no
-    prime <= x is settled once its lane misses a block of words.
+    NonTerminationError naming the least such trial, as a loop over
+    generate would; with retry_nontermination it reruns instead: retry r
+    of trial i on split_seed(k_i, r), k_i the trial's seed, and the
+    telemetry is that of the run that ends.  A class with no prime <= x is
+    settled once its lane misses a block of words.
+
+    Telemetry moves only where a lane's phase does.  A selection draw
+    charges its bits when taken.  A search segment (the residue search,
+    then a fallback's trivial search) charges its words times their width,
+    and its iterations from its draws left, when it ends.  A primeinc
+    start above the largest prime adds its x - y tests past the first.
     """
     x = cfg.x
-    if x >= 1 << 31:
+    if x >= _LANE_X_LIMIT:
         raise ResourceLimitError(
             f"the lane engine computes in int32: x = {x} is not below 2^31")
     primes = primes_upto(x, table)
-    counts = np.zeros(len(primes), dtype=np.int64)
+    outputs = np.empty(trials, dtype=np.min_scalar_type(x))
+    records = {"prime": outputs}
+    if telemetry:
+        records.update(
+            {name: np.zeros(trials, dtype=np.int64) for name in (
+                "loop_iterations", "primality_tests", "bits_consumed",
+                "selection_bits", "chosen_a")},
+            fallback_entered=np.zeros(trials, dtype=bool),
+            chosen_q=np.ones(trials, dtype=np.int64))
     algo, budget = cfg.algorithm, cfg.budget
     capped = algo in (Algorithm.BASIC, Algorithm.UNCOND_NOFALLBACK)
 
@@ -440,45 +476,61 @@ def trial_counts(cfg: GenConfig, trials: int, table,
         return np.array([[phase], [bound], [shift], [q], [a], [left], [u]])
 
     trivial = start = column(_SEARCH, x, 1, 1, _NO_BUDGET)
+    first = _NO_BUDGET  # the draws of a trial's first search
     if algo in _RESIDUE_ALGOS:
         modulus = cfg.modulus
         qf = modulus.q
         start = column(_UNIT, qf, qf, 0, 0, 1)
+        first = budget
     elif algo in _RANDOM_MODULUS_ALGOS:
         Q, half = cfg.Q, cfg.Q // 2
         start = column(_PICK_Q, half)
         to_thin, to_redraw = column(_PICK_T, Q)[:3], start[:3]
+        first = budget
     # Per lane: phase, bound of the next draw and its shift, class (q, a),
     # draws left, Joye-Paillier's u (and b in `a`), words the selection took
-    # this step; as uint64 the trial's seed, the run's key, word counter
-    # and retries.
-    state = np.zeros((12, _LANES), dtype=np.int64)
+    # this step; as uint64 the trial's seed, the run's key, word counter and
+    # retries; the trial index; the telemetry (rows _TEL, kept only with
+    # `telemetry`): the word its search segment began at, iterations and
+    # bits of its ended segments, primeinc tests past the first of each
+    # start, selection bits, and whether it fell back.
+    width, admitted, failed = min(_LANES, trials), 0, None
+    state = np.zeros((_TEL.stop, width), dtype=np.int64)
     state[0] = _IDLE
-    width, admitted = _LANES, 0
+    rows = _TEL.stop if telemetry else _TEL.start
 
     def views():
         lanes = state[:, :width]
-        return (lanes[:7], *lanes[:8], *lanes[8:].view(np.uint64))
+        # the word counter read as int64 too: the lane's next word
+        return (lanes[:7], *lanes[:8], *lanes[8:12].view(np.uint64),
+                *lanes[12:], lanes[10])
 
-    regs, phase, m, shift, q, a, left, u, used, seed, key, ctr, retry = views()
+    (regs, phase, m, shift, q, a, left, u, used, seed, key, ctr, retry,
+     trial, mark, iters, extra, bits, sel, fell, pos) = views()
 
-    def finish(i, found):
-        # searchsorted is several times faster on sorted keys
-        np.add.at(counts, np.searchsorted(primes, np.sort(found)), 1)
-        phase[i] = _IDLE
-
-    def exhaust(i):
-        """Lanes i spent their budget: fall back, or fail the run."""
+    def exhaust(i, at=None):
+        """Lanes i spent their budget, the last draw before word `at`: fall
+        back, or fail the run."""
+        nonlocal failed
+        if not len(i):
+            return
         if not capped:
+            if telemetry:
+                bits[i] += (at - mark[i]) * (64 - shift[i])
+                iters[i] += budget
+                mark[i], fell[i] = at, 1
             regs[:, i] = trivial
-        elif len(i):
-            if not retry_nontermination:
-                raise NonTerminationError(
-                    f"no prime = {a[i[0]]} (mod {q[i[0]]}) found in {budget} "
-                    f"iterations; the class is likely empty")
+        elif retry_nontermination:
             retry[i] += np.uint64(1)
             key[i] = split_seed(seed[i], retry[i])
             ctr[i], regs[:, i] = 0, start
+            if telemetry:
+                state[_TEL, i] = 0
+        else:
+            j = i[np.argmin(trial[i])]
+            if failed is None or trial[j] < failed[0]:
+                failed = int(trial[j]), int(a[j]), int(q[j])
+            phase[i] = _IDLE
 
     def unit_draw(i, t):
         i, t = i[t < qf], t[t < qf]
@@ -515,10 +567,41 @@ def trial_counts(cfg: GenConfig, trials: int, table,
         m[i] = (x - a[i]) // q[i] + 1
         shift[i] = _shifts(m[i])
         left[i] = budget
-        # a class of one member draws t = 0 from no word: if a is prime
-        # the search's first word (shifted out to 0) ends the trial alike
+        if telemetry:
+            mark[i] = pos[i] - _LOOK + used[i]
+            records["chosen_q"][trial[i]] = q[i]
+            records["chosen_a"][trial[i]] = a[i]
+        # a class of one member draws t = 0 from no word, so its draws
+        # cost no bits: if a is prime the search's first word (shifted out
+        # to 0) ends the trial alike
         i = i[m[i] == 1]
-        exhaust(i[~table.prime_mask(a[i])])
+        i = i[~table.prime_mask(a[i])]
+        exhaust(i, mark[i])
+
+    def finish(i, h, found, tries):
+        """Lanes i ended on their word h of this step: found is the
+        prime, or for primeinc the start y below it."""
+        done = trial[i]
+        if algo is Algorithm.PRIMEINC:
+            # searchsorted is several times faster on sorted keys
+            order = np.argsort(found)
+            y, found = found, np.empty_like(found)
+            found[order] = primes[np.searchsorted(primes, y[order])]
+        outputs[done] = found
+        phase[i] = _IDLE
+        if not telemetry:
+            return
+        n = iters[i] + np.where(fell[i] == 1, _NO_BUDGET, first) - left[i]
+        n += tries[i, h]
+        records["loop_iterations"][done] = n
+        if algo is Algorithm.PRIMEINC:
+            n += found - y  # y, y + 1, ..., the prime
+        records["primality_tests"][done] = n + extra[i]
+        words = pos[i] - (_LOOK - 1) + h - mark[i]
+        records["bits_consumed"][done] = (bits[i] + sel[i]
+                                          + words * (64 - shift[i]))
+        records["selection_bits"][done] = sel[i]
+        records["fallback_entered"][done] = fell[i] == 1
 
     def search(w):
         """Searching lanes draw p = a + t*q from the rest of their words,
@@ -527,7 +610,8 @@ def trial_counts(cfg: GenConfig, trials: int, table,
         # int32 halves the memory traffic: every bound is below 2^31
         t = np.right_shift(w, shift.view(np.uint64)[:, None], out=w)
         t = t.astype(np.int32)
-        ok = t < np.where(lanes, m, 0).astype(np.int32)[:, None]
+        # other lanes accept no word, not even one that reads negative
+        ok = t < np.where(lanes, m, -1 << 31).astype(np.int32)[:, None]
         # drop the words the selection took, and make tries[:, j] the draws
         # accepted up to word j: running byte sums, times 0x0101...01
         rows = ok.view(np.uint64)[:, 0]
@@ -546,8 +630,14 @@ def trial_counts(cfg: GenConfig, trials: int, table,
         if (within < _LOOK).any():
             hit &= tries <= within
         ended = hit.view(np.uint64)[:, 0] != 0
+        if telemetry and algo is Algorithm.PRIMEINC:
+            # a start y above the largest prime is tested up to x, redrawn
+            r, c = np.nonzero(ok ^ hit)
+            keep = ~ended[r] | (c < hit[r].argmax(axis=1))
+            np.add.at(extra, r[keep], x - p[r[keep], c[keep]])
         i = np.flatnonzero(ended)
-        finish(i, p[i, hit[i].argmax(axis=1)])
+        h = hit[i].argmax(axis=1)
+        finish(i, h, p[i, h], tries)
         drawn = tries[:, -1]
         spent = lanes & ~ended & (drawn >= left)
         if capped:
@@ -560,27 +650,30 @@ def trial_counts(cfg: GenConfig, trials: int, table,
         # give back the words after the budget's last draw
         ctr[i] -= (_LOOK - 1 - np.argmax(tries[i] >= within[i], axis=1)
                    ).astype(np.uint64)
-        exhaust(i)
+        exhaust(i, pos[i])
 
     select = unit_draw if algo in _RESIDUE_ALGOS else pick_draw
-    while admitted < trials or (phase != _IDLE).any():
+    while (admitted < trials and failed is None) or (phase != _IDLE).any():
         idle = phase == _IDLE
-        if admitted < trials:
+        if admitted < trials and failed is None:
             i = np.flatnonzero(idle)[: trials - admitted]
-            trials_i = np.arange(admitted, admitted + len(i), dtype=np.uint64)
-            key[i] = seed[i] = split_seed(cfg.seed, trials_i)
+            new = np.arange(admitted, admitted + len(i))
+            trial[i] = new
+            key[i] = seed[i] = split_seed(cfg.seed, new.view(np.uint64))
             admitted += len(i)
             retry[i] = ctr[i] = 0
             regs[:, i] = start
+            if telemetry:
+                state[_TEL, i] = 0
         elif width > _MIN_WIDTH and 2 * np.count_nonzero(~idle) <= width:
             # move the live lanes to the front and halve the width
             live = np.flatnonzero(~idle)
             while width > _MIN_WIDTH and 2 * len(live) <= width:
                 width //= 2
-            state[:, :len(live)] = state[:, live]
+            state[:rows, :len(live)] = state[:rows, live]
             state[0, len(live):width] = _IDLE
             (regs, phase, m, shift, q, a, left, u, used, seed, key, ctr,
-             retry) = views()
+             retry, trial, mark, iters, extra, bits, sel, fell, pos) = views()
         w = word_block(key, ctr, _LOOK)
         ctr += np.uint64(_LOOK)
         used[:] = 0
@@ -588,10 +681,18 @@ def trial_counts(cfg: GenConfig, trials: int, table,
         for c in range(_LOOK):
             if not len(i):
                 break
-            select(i, (w[i, c] >> shift.view(np.uint64)[i]).view(np.int64))
+            drop = shift[i]
+            if telemetry:
+                sel[i] += 64 - drop
+            select(i, (w[i, c] >> drop.view(np.uint64)).view(np.int64))
             going = phase[i] > _SEARCH
             used[i[~going]] = c + 1
             i = i[going]
         enter(np.flatnonzero(used))
         search(w)
-    return counts
+    if failed is not None:
+        t, fa, fq = failed
+        raise NonTerminationError(
+            f"trial {t}: no prime = {fa} (mod {fq}) found in {budget} "
+            f"iterations; the class is likely empty")
+    return records

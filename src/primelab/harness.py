@@ -14,6 +14,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass
@@ -37,7 +38,8 @@ from .generators import (
     Algorithm,
     GenConfig,
     generate,
-    trial_counts,
+    lane_table,
+    trial_records,
 )
 from .metrics import DistMetrics, FiniteDist, metrics_of
 from .ntheory import (
@@ -131,27 +133,40 @@ def benchmark(
     """Run the configured generator `trials` times and aggregate telemetry.
 
     Trial i uses an independent bit source seeded with
-    split_seed(cfg.seed, i); aggregation folds in trial order.  The
-    metrics take pi(x) from table_for(x, table, the policy's table).
+    split_seed(cfg.seed, i).  Where generators.lane_table finds a table
+    (Exact with a table covering x < 2^31) the lane engine runs the
+    trials and their telemetry is summed; otherwise generate runs them
+    one by one, the error of a failed trial naming it.  The metrics take
+    pi(x) from table_for(x, table, the policy's table).
     """
     trials = _bound_index("trials", trials, 1)
     if with_metrics:
         space = table_for(cfg.x, table, cfg.primality.table).count_leq(cfg.x)
-    sum_iter = sum_bits = sum_sel = sum_tests = fallbacks = 0
-    outputs: Counter = Counter()
-    for i in range(trials):
-        src = CountingBitSource(split_seed(cfg.seed, i))
-        try:
-            p, tel = generate(cfg, src)
-        except PrimelabError as exc:
-            raise type(exc)(f"trial {i}: {exc}") from exc
-        sum_iter += tel.loop_iterations
-        sum_bits += tel.bits_consumed
-        sum_sel += tel.selection_bits
-        sum_tests += tel.primality_tests
-        fallbacks += tel.fallback_entered
+    engine_table = lane_table(cfg)
+    if engine_table is not None:
+        records = trial_records(cfg, trials, engine_table, telemetry=True)
+        sum_iter, sum_bits, sum_sel, sum_tests, fallbacks = (
+            int(records[name].sum()) for name in (
+                "loop_iterations", "bits_consumed", "selection_bits",
+                "primality_tests", "fallback_entered"))
         if with_metrics:
-            outputs[p] += 1
+            outputs = _output_counts(records["prime"])
+    else:
+        sum_iter = sum_bits = sum_sel = sum_tests = fallbacks = 0
+        outputs: Counter = Counter()
+        for i in range(trials):
+            src = CountingBitSource(split_seed(cfg.seed, i))
+            try:
+                p, tel = generate(cfg, src)
+            except PrimelabError as exc:
+                raise type(exc)(f"trial {i}: {exc}") from exc
+            sum_iter += tel.loop_iterations
+            sum_bits += tel.bits_consumed
+            sum_sel += tel.selection_bits
+            sum_tests += tel.primality_tests
+            fallbacks += tel.fallback_entered
+            if with_metrics:
+                outputs[p] += 1
 
     pred_iter, pred_bits, eps_eff = predictions_for(cfg)
     dist_metrics = None
@@ -174,6 +189,23 @@ def benchmark(
     )
 
 
+def _output_counts(outputs: np.ndarray) -> Counter:
+    """Runs per observed prime, in increasing order, from the output
+    primes of generators.trial_records: a count per integer up to the
+    largest output where there are no more of them than outputs, else
+    from a sort.  np.add.at reads the narrow outputs as they are;
+    np.bincount would widen them all to intp first."""
+    top = int(outputs.max()) + 1
+    if top <= len(outputs):
+        runs = np.zeros(top, dtype=np.int64)
+        np.add.at(runs, outputs, 1)
+        seen = np.flatnonzero(runs)
+        runs = runs[seen]
+    else:
+        seen, runs = np.unique(outputs, return_counts=True)
+    return Counter(dict(zip(seen.tolist(), runs.tolist())))
+
+
 def sample_distribution(
     cfg: GenConfig,
     runs: int,
@@ -182,9 +214,10 @@ def sample_distribution(
 ):
     """Empirical output distribution of `benchmark`'s trials 0..runs-1 of
     cfg under Exact: (FiniteDist, counts), counts mapping each observed
-    prime to its runs.  generators.trial_counts runs them, draw for draw.
-    Primality is read from the table (the argument, which must cover x,
-    else the policy's table, else sieve(x)), never from cfg.primality.
+    prime to its runs.  generators.trial_records runs them, draw for draw,
+    and the counts come from its array of their outputs.  Primality
+    is read from the table (the argument, which must cover x, else the
+    policy's table, else sieve(x)), never from cfg.primality.
 
     With retry_nontermination, retry r of a trial i that spends its budget
     (basic, uncond_nofallback) runs on split_seed(k_i, r), k_i the trial's
@@ -193,11 +226,10 @@ def sample_distribution(
     """
     runs = _bound_index("runs", runs, 1)
     table = table_for(cfg.x, table, cfg.primality.table)
-    tally = trial_counts(cfg, runs, table, retry_nontermination)
-    seen = np.flatnonzero(tally)
-    counts = Counter(dict(zip(table.primes[seen].tolist(),
-                              tally[seen].tolist())))
-    return FiniteDist.from_counts(counts, runs, len(tally)), counts
+    outputs = trial_records(cfg, runs, table, retry_nontermination)["prime"]
+    counts = _output_counts(outputs)
+    return (FiniteDist.from_counts(counts, runs, table.count_leq(cfg.x)),
+            counts)
 
 
 @dataclass
@@ -278,7 +310,9 @@ class PrimeincAudit:
 def primeinc_audit(
     x: int, trials: int, seed: int = 0, table: PrimeTable | None = None
 ) -> PrimeincAudit:
-    """Quantify the gap-length bias of the scan-upward generator."""
+    """Quantify the gap-length bias of the scan-upward generator: the
+    twin hits are the outputs of its `trials` runs, from
+    generators.trial_records, that are the larger of a twin pair."""
     trials = _bound_index("trials", trials, 1)
     x = _bound_index("x", x, 5)  # the least twin pair is (3, 5)
     table = table_for(x, table)
@@ -297,7 +331,8 @@ def primeinc_audit(
     twin_exact = 2 * len(twins) / int(primes_x[-1])
     cfg = GenConfig(x=x, algorithm=Algorithm.PRIMEINC, seed=seed,
                     primality=Exact(table))
-    hits = int(trial_counts(cfg, trials, table)[twins].sum())
+    outputs = trial_records(cfg, trials, table)["prime"]
+    hits = int(np.count_nonzero(np.isin(outputs, primes_x[twins])))
     twin_empirical = hits / trials
 
     return PrimeincAudit(
@@ -356,10 +391,29 @@ def _encode_value(v):
     return v
 
 
+_FRACTION = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
 def _decode_value(v):
-    if isinstance(v, dict) and set(v) == {"fraction"}:
-        return Fraction(v["fraction"])
-    return v
+    """A report value from its JSON form: {"fraction": "n/d"} becomes a
+    Fraction (DomainError unless it reads n/d, d > 0), anything else
+    passes as it is."""
+    if not (isinstance(v, dict) and set(v) == {"fraction"}):
+        return v
+    text = v["fraction"]
+    match = _FRACTION.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise DomainError(f"not a fraction n/d: {text!r}")
+    try:
+        num, den = int(match[1]), int(match[2])
+    except ValueError as exc:
+        raise ResourceLimitError(
+            f"fraction has more than {sys.get_int_max_str_digits()} "
+            f"digits, Python's integer-to-string limit"
+        ) from exc
+    if not den:
+        raise DomainError(f"fraction {text!r} has denominator 0")
+    return Fraction(num, den)
 
 
 def _field_values(cls, d: dict) -> dict:
@@ -489,9 +543,11 @@ def write_text(payload: str, path: str) -> None:
 def parse_reports(text: str) -> list:
     """Parse a JSON report array back into objects (run reports only;
     other record kinds are returned as dicts).  DomainError unless text
-    is a JSON array, and for a run_report that lacks a field, whose
-    config, primality or non-null metrics is not an object, or whose
-    trials is not an integer >= 1."""
+    is a JSON array, for a record with a kind whose schema_version is not
+    SCHEMA_VERSION, and for a run_report that lacks a field, whose
+    config, primality or non-null metrics is not an object, whose trials
+    is not an integer >= 1, or with a {"fraction": ...} value that does
+    not read n/d."""
     try:
         records = json.loads(text)
     except ValueError as exc:  # json.JSONDecodeError among them
@@ -500,6 +556,11 @@ def parse_reports(text: str) -> list:
         raise DomainError("reports must be a JSON array")
     out = []
     for record in records:
+        if (isinstance(record, dict) and "kind" in record
+                and record.get("schema_version") != SCHEMA_VERSION):
+            raise DomainError(
+                f"{record['kind']!r} record has schema_version "
+                f"{record.get('schema_version')!r}, not {SCHEMA_VERSION}")
         if isinstance(record, dict) and record.get("kind") == "run_report":
             try:
                 out.append(report_from_dict(record))

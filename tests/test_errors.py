@@ -127,6 +127,12 @@ CASES = {
     # was accepted into a RunReport
     'parse_reports(trials="x")':
         (DomainError, lambda: parse_edited("trials", "x")),
+    # a bare ValueError from Fraction
+    'parse_reports(mean_bits={"fraction": "a/b"})':
+        (DomainError, lambda: parse_edited("mean_bits", {"fraction": "a/b"})),
+    # was accepted
+    "parse_reports(schema_version=99)":
+        (DomainError, lambda: parse_edited("schema_version", 99)),
 }
 
 

@@ -351,6 +351,38 @@ def test_class_census_counts(table_1k):
     bare = class_census(x, qs, primes_x, with_hits=False)
     assert bare.classes.tolist() == census.classes.tolist()
     assert len(bare.hits) == 0
+    assert census.empty.shape == bare.empty.shape == (0, 2)
+
+
+def test_class_census_lists_the_empty_classes():
+    # x = 100, moduli 10..40: classes with no prime, by a gcd loop
+    x, qs = 100, range(10, 41)
+    primes_x = primes_upto(x)
+    census = class_census(x, qs, primes_x, with_empty=True)
+    held = {(q, p % q) for q in qs for p in primes_x.tolist()}
+    assert census.empty.tolist() == [
+        [q, a] for q in qs for a in range(q)
+        if math.gcd(a, q) == 1 and (q, a) not in held]
+    assert len(census.empty) == int(census.classes[census.c == 0].sum())
+
+
+def test_basic_counts_its_classes_in_one_pass(monkeypatch):
+    # x = 30, q = 25: 20 unit classes, 11 of them without a prime
+    calls = []
+    unit_counts = exactdist._unit_counts
+
+    def counting(primes_x, q):
+        calls.append(q)
+        return unit_counts(primes_x, q)
+    monkeypatch.setattr(exactdist, "_unit_counts", counting)
+    meta = exact_dist_basic(30, 25).meta
+    assert calls == [25]
+    primes = [p for p in range(2, 31) if all(p % d for d in range(2, p))]
+    empty = [a for a in range(25) if math.gcd(a, 25) == 1
+             and all(p % 25 != a for p in primes)]
+    assert len(empty) == 11
+    assert meta["empty_classes"] == empty
+    assert meta["phi_star"] == 20 - 11
 
 
 @pytest.mark.parametrize("A", [math.nan, math.inf, 0.0, -1.0])

@@ -1,6 +1,8 @@
-"""The lane engine behind sample_distribution: equal to generate trial for
-trial, and judged by the exact laws of exactdist."""
+"""The lane engine behind sample_distribution and table-backed benchmark
+calls: equal to generate trial for trial, output and telemetry, and judged
+by the exact laws of exactdist."""
 
+import dataclasses
 import itertools
 import time
 import tracemalloc
@@ -22,12 +24,19 @@ from primelab.generators import (
     Algorithm,
     GenConfig,
     ModulusMode,
+    Telemetry,
     UnitMethod,
     generate,
+    trial_records,
 )
-from primelab.harness import benchmark, sample_distribution
-from primelab.metrics import metrics_of, tv_between
-from primelab.ntheory import Exact, PrimeTable, sieve
+from primelab.harness import (
+    RunReport,
+    benchmark,
+    predictions_for,
+    sample_distribution,
+)
+from primelab.metrics import FiniteDist, metrics_of, tv_between
+from primelab.ntheory import Exact, MillerRabin, PrimeTable, sieve
 from primelab.rng import CountingBitSource, split_seed
 
 from conftest import chi2_z
@@ -177,22 +186,30 @@ def _equality_cases():
                                             modulus_mode="explicit"), False
 
 
-def _generate_counts(cfg, trials, retry):
-    """Outputs of benchmark's trials: trial i runs generate on the stream
-    k_i = split_seed(cfg.seed, i), its retry r on split_seed(k_i, r)."""
-    counts = Counter()
+def _generate_runs(cfg, trials, retry):
+    """(prime, Telemetry) of benchmark's trials: trial i runs generate on
+    the stream k_i = split_seed(cfg.seed, i), its retry r on
+    split_seed(k_i, r)."""
+    runs = []
     for i in range(trials):
         k = split_seed(cfg.seed, i)
         for r in itertools.count():
             try:
-                p, _ = generate(cfg, CountingBitSource(split_seed(k, r)
-                                                       if r else k))
+                runs.append(generate(cfg, CountingBitSource(
+                    split_seed(k, r) if r else k)))
                 break
             except NonTerminationError:
                 if not retry:
                     raise
-        counts[p] += 1
-    return counts
+    return runs
+
+
+def _engine_runs(cfg, trials, table, retry):
+    """(prime, Telemetry) of each trial, from trial_records."""
+    records = trial_records(cfg, trials, table, retry, telemetry=True)
+    names = [f.name for f in dataclasses.fields(Telemetry)]
+    return [(p, Telemetry(*row)) for p, *row in
+            zip(*(records[name].tolist() for name in ["prime", *names]))]
 
 
 @pytest.mark.parametrize(
@@ -204,8 +221,10 @@ def test_samples_equal_generate_trial_for_trial(x, algo, fields, retry):
     for seed in (1, 2):
         cfg = GenConfig(x=x, algorithm=algo, seed=seed,
                         primality=Exact(table), **fields)
+        runs = _generate_runs(cfg, 2000, retry)
         _, counts = sample_distribution(cfg, 2000, table, retry)
-        assert counts == _generate_counts(cfg, 2000, retry)
+        assert counts == Counter(p for p, _ in runs)
+        assert _engine_runs(cfg, 2000, table, retry) == runs
 
 
 @pytest.mark.parametrize("algo,fields", [
@@ -221,3 +240,81 @@ def test_benchmark_metrics_equal_the_samples(algo, fields):
                     **fields)
     report = benchmark(cfg, 2000, with_metrics=True)
     assert report.metrics == metrics_of(sample_distribution(cfg, 2000)[0])
+
+
+@pytest.mark.parametrize("algo,fields", [
+    (Algorithm.TRIVIAL, {}), (Algorithm.PRIMEINC, {}),
+    *((algo, dict(Q25, q=30, unit_method=method, **extra))
+      for algo, extra in ((Algorithm.BASIC, {}),
+                          (Algorithm.ERH_FALLBACK, dict(T_override=2)))
+      for method in UnitMethod),
+    (Algorithm.UNCOND, dict(A=1.0)),
+    (Algorithm.UNCOND_NOFALLBACK, dict(A=2.0)),
+])
+def test_benchmark_equals_a_generate_loop(algo, fields):
+    cfg = GenConfig(x=1000, algorithm=algo, seed=5, primality=Exact(T1000),
+                    **fields)
+    runs = _generate_runs(cfg, 2000, False)
+
+    def mean(field):
+        return sum(getattr(tel, field) for _, tel in runs) / 2000
+    outputs = Counter(p for p, _ in runs)
+    expected = RunReport(
+        cfg, 2000, mean("loop_iterations"), mean("bits_consumed"),
+        mean("loop_bits"), mean("selection_bits"), mean("primality_tests"),
+        mean("fallback_entered"), *predictions_for(cfg),
+        metrics=metrics_of(FiniteDist.from_counts(outputs, 2000, 168)))
+    assert benchmark(cfg, 2000, with_metrics=True) == expected
+
+
+def test_engine_failure_names_the_trial_a_generate_loop_names():
+    # x = 30, q = 25 has empty classes: the engine must report the same
+    # first failing trial (3 here), class and budget as a generate loop
+    t30 = sieve(30)
+    cfg = GenConfig(x=30, algorithm=Algorithm.BASIC, seed=6,
+                    primality=Exact(t30), max_iterations=30, **Q25)
+    messages = []
+    for policy in (Exact(t30), Exact()):
+        with pytest.raises(NonTerminationError) as err:
+            benchmark(dataclasses.replace(cfg, primality=policy), 2000)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("trial ")
+
+
+def test_only_a_covering_exact_table_skips_generate(monkeypatch):
+    from primelab import generators, harness
+
+    def refuse(*args):
+        raise AssertionError("generate ran")
+    for module in (generators, harness):
+        monkeypatch.setattr(module, "generate", refuse)
+    cfg = GenConfig(x=1000, algorithm=Algorithm.BASIC, epsilon=0.3, seed=6,
+                    primality=Exact(T1000))
+    assert benchmark(cfg, 50).trials == 50
+    for policy in (Exact(), Exact(sieve(999)), MillerRabin()):
+        with pytest.raises(AssertionError, match="generate ran"):
+            benchmark(dataclasses.replace(cfg, primality=policy), 5)
+
+
+def test_benchmark_memory_does_not_scale_with_the_primes():
+    # a count per prime <= x would take 8 pi(x) bytes: 5.3 MB here
+    table = sieve(10**7)
+    policy = Exact(table)
+    for cfg in (
+        GenConfig(x=10**7, algorithm=Algorithm.TRIVIAL, primality=policy),
+        GenConfig(x=10**7, algorithm=Algorithm.PRIMEINC, primality=policy),
+        GenConfig(x=10**7, algorithm=Algorithm.BASIC, epsilon=0.3,
+                  primality=policy),
+        GenConfig(x=10**7, algorithm=Algorithm.UNCOND, A=2.0,
+                  primality=policy),
+    ):
+        benchmark(cfg, 10)
+        tracemalloc.start()
+        try:
+            report = benchmark(cfg, 10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.trials == 10**4
+        assert peak < 8 * table.prime_count()

@@ -19,7 +19,13 @@ import numpy as np
 from .errors import ConfigError, DomainError, ResourceLimitError, _bound_index
 from .generators import derived_Q
 from .metrics import FiniteDist
-from .ntheory import Modulus, PrimeTable, primes_upto, table_for
+from .ntheory import (
+    DEFAULT_TOTIENT_CAP,
+    Modulus,
+    PrimeTable,
+    primes_upto,
+    table_for,
+)
 
 # Refuse random-modulus sweeps needing more than this many class lookups.
 DEFAULT_WORK_CAP = 10**10
@@ -235,7 +241,12 @@ def class_census(
 
 def _unit_counts(primes_x: np.ndarray, q: int):
     """(residues, unit, counts) for q >= 1: residues = primes_x mod q, unit
-    the mask of the a in [0, q) coprime to q, counts[a] = pi(x; q, a)."""
+    the mask of the a in [0, q) coprime to q, counts[a] = pi(x; q, a).
+    ResourceLimitError for q above DEFAULT_TOTIENT_CAP: unit and counts
+    hold q entries each, as a totient table to q does."""
+    if q > DEFAULT_TOTIENT_CAP:
+        raise ResourceLimitError(
+            f"modulus {q} above the class-table cap {DEFAULT_TOTIENT_CAP}")
     residues = primes_x % q
     unit = np.gcd(np.arange(q), q) == 1
     return residues, unit, np.bincount(residues, minlength=q)

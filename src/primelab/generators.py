@@ -36,7 +36,6 @@ from .errors import (
 )
 from .ntheory import (
     EXACT,
-    Exact,
     Modulus,
     PrimalityPolicy,
     primality_tester,
@@ -384,7 +383,7 @@ _SCAN = 16  # class members tested at a time for a prime
 # primeinc: q = 1, a = 1), a unit, or a draw of _pick_random_modulus.
 _IDLE, _SEARCH, _UNIT, _PICK_Q, _PICK_A, _PICK_T = range(-1, 5)
 _TEL = slice(13, 19)  # the lane-state rows of the telemetry
-_LANE_X_LIMIT = 1 << 31  # the engine computes candidates in int32
+LANE_X_LIMIT = 1 << 31  # the engine computes candidates in int32
 
 
 def _shifts(m):
@@ -413,17 +412,6 @@ def _holds_prime(table, q, a, m):
         alive |= table.prime_mask(members).any(axis=1)
         t = t + _SCAN
     return alive
-
-
-def lane_table(cfg: GenConfig):
-    """The table that the lane engine reads for cfg's trials, or None
-    where generate alone runs them: the policy must be Exact with a table
-    that covers x, and x must be below 2^31."""
-    policy = cfg.primality
-    if (isinstance(policy, Exact) and policy.table is not None
-            and policy.table.bound >= cfg.x and cfg.x < _LANE_X_LIMIT):
-        return policy.table
-    return None
 
 
 def trial_records(cfg: GenConfig, trials: int, table,
@@ -455,7 +443,7 @@ def trial_records(cfg: GenConfig, trials: int, table,
     start above the largest prime adds its x - y tests past the first.
     """
     x = cfg.x
-    if x >= _LANE_X_LIMIT:
+    if x >= LANE_X_LIMIT:
         raise ResourceLimitError(
             f"the lane engine computes in int32: x = {x} is not below 2^31")
     primes = primes_upto(x, table)

@@ -16,6 +16,7 @@ import json
 import math
 import re
 import sys
+import types
 from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
@@ -37,8 +38,8 @@ from .exactdist import (
 from .generators import (
     Algorithm,
     GenConfig,
+    LANE_X_LIMIT,
     generate,
-    lane_table,
     trial_records,
 )
 from .metrics import DistMetrics, FiniteDist, metrics_of
@@ -49,6 +50,7 @@ from .ntheory import (
     MillerRabin,
     PrimalityPolicy,
     PrimeTable,
+    covering_table,
     primes_upto,
     table_for,
     totient_sieve,
@@ -124,27 +126,23 @@ def predictions_for(cfg: GenConfig):
     return pred_iter, pred_iter * (cfg.A * math.log(lnx) / LN2), None
 
 
-def benchmark(
-    cfg: GenConfig,
-    trials: int,
-    with_metrics: bool = False,
-    table: PrimeTable | None = None,
-) -> RunReport:
+def benchmark(cfg: GenConfig, trials: int,
+              with_metrics: bool = False) -> RunReport:
     """Run the configured generator `trials` times and aggregate telemetry.
 
     Trial i uses an independent bit source seeded with
-    split_seed(cfg.seed, i).  Where generators.lane_table finds a table
-    (Exact with a table covering x < 2^31) the lane engine runs the
-    trials and their telemetry is summed; otherwise generate runs them
-    one by one, the error of a failed trial naming it.  The metrics take
-    pi(x) from table_for(x, table, the policy's table).
+    split_seed(cfg.seed, i).  Where the policy's table covers x
+    (ntheory.covering_table) and x is below generators.LANE_X_LIMIT, the
+    lane engine runs the trials and their telemetry is summed; otherwise
+    generate runs them one by one, the error of a failed trial naming it.
+    The metrics take pi(x) from that table, else from sieve(x).
     """
     trials = _bound_index("trials", trials, 1)
+    table = covering_table(cfg.primality.table, cfg.x)
     if with_metrics:
-        space = table_for(cfg.x, table, cfg.primality.table).count_leq(cfg.x)
-    engine_table = lane_table(cfg)
-    if engine_table is not None:
-        records = trial_records(cfg, trials, engine_table, telemetry=True)
+        space = table_for(cfg.x, table).count_leq(cfg.x)
+    if table is not None and cfg.x < LANE_X_LIMIT:
+        records = trial_records(cfg, trials, table, telemetry=True)
         sum_iter, sum_bits, sum_sel, sum_tests, fallbacks = (
             int(records[name].sum()) for name in (
                 "loop_iterations", "bits_consumed", "selection_bits",
@@ -371,10 +369,7 @@ def _encode_value(v):
         try:
             return {"fraction": f"{v.numerator}/{v.denominator}"}
         except ValueError as exc:
-            raise ResourceLimitError(
-                f"fraction has more than {sys.get_int_max_str_digits()} "
-                f"digits, Python's integer-to-string limit"
-            ) from exc
+            raise _digit_limit_error() from exc
     if isinstance(v, Enum):
         return v.value
     if isinstance(v, Exact):
@@ -391,63 +386,54 @@ def _encode_value(v):
     return v
 
 
-_FRACTION = re.compile(r"(-?[0-9]+)/([0-9]+)")
+_FRACTION = re.compile(r"(-?[0-9]+)/([0-9]*[1-9][0-9]*)")  # d > 0
 
 
-def _decode_value(v):
-    """A report value from its JSON form: {"fraction": "n/d"} becomes a
-    Fraction (DomainError unless it reads n/d, d > 0), anything else
-    passes as it is."""
-    if not (isinstance(v, dict) and set(v) == {"fraction"}):
-        return v
-    text = v["fraction"]
-    match = _FRACTION.fullmatch(text) if isinstance(text, str) else None
-    if match is None:
-        raise DomainError(f"not a fraction n/d: {text!r}")
-    try:
-        num, den = int(match[1]), int(match[2])
-    except ValueError as exc:
-        raise ResourceLimitError(
-            f"fraction has more than {sys.get_int_max_str_digits()} "
-            f"digits, Python's integer-to-string limit"
-        ) from exc
-    if not den:
-        raise DomainError(f"fraction {text!r} has denominator 0")
-    return Fraction(num, den)
+def _digit_limit_error() -> ResourceLimitError:
+    return ResourceLimitError(
+        f"fraction has more than {sys.get_int_max_str_digits()} "
+        f"digits, Python's integer-to-string limit")
 
 
-def _field_values(cls, d: dict) -> dict:
-    """The fields of cls read from d; DomainError if d is not an object."""
-    if not isinstance(d, dict):
-        raise DomainError(f"{cls.__name__} must be an object, got {d!r}")
-    return {f.name: _decode_value(d[f.name]) for f in fields(cls)}
-
-
-def config_from_dict(d: dict) -> GenConfig:
-    """Rebuild a GenConfig; exact-policy prime tables are not embedded in
-    reports, so they come back as Exact(table=None)."""
-    kw = _field_values(GenConfig, d)
-    pol = kw["primality"]
-    if not isinstance(pol, dict):
-        raise DomainError(f"primality must be an object, got {pol!r}")
-    if pol["type"] == "exact":
-        kw["primality"] = EXACT
-    elif pol["type"] == "miller_rabin":
-        kw["primality"] = MillerRabin(rounds=pol["rounds"], seed=pol["seed"])
-    else:
-        raise DomainError(f"unknown policy type {pol['type']!r}")
-    return GenConfig(**kw)  # it turns the enum values back into members
-
-
-def report_from_dict(d: dict) -> RunReport:
-    if d.get("kind") != "run_report":
-        raise DomainError(f"not a run report: kind={d.get('kind')!r}")
-    kw = _field_values(RunReport, d)
-    kw["config"] = config_from_dict(kw["config"])
-    kw["trials"] = _bound_index("trials", kw["trials"], 1)
-    if kw["metrics"] is not None:
-        kw["metrics"] = DistMetrics(**_field_values(DistMetrics, kw["metrics"]))
-    return RunReport(**kw)
+def _decode(tp, value, name: str):
+    """The value of annotation tp from the JSON form that _encode_value
+    writes, `name` its path in the record; DomainError where it does not
+    fit tp.  Enum values are left for GenConfig to turn into members."""
+    if isinstance(tp, types.UnionType):  # X | None
+        return None if value is None else _decode(tp.__args__[0], value, name)
+    if tp is int:
+        if isinstance(value, bool):
+            raise DomainError(f"{name} needs an integer, got {value!r}")
+        return _bound_index(name, value)
+    if tp is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return value
+        raise DomainError(f"{name} needs a finite number, got {value!r}")
+    if tp is Fraction:
+        text = value.get("fraction") if isinstance(value, dict) else None
+        match = _FRACTION.fullmatch(text) if isinstance(text, str) else None
+        if match is None:
+            raise DomainError(f"{name} is not a fraction n/d: {value!r}")
+        try:
+            return Fraction(int(match[1]), int(match[2]))
+        except ValueError as exc:
+            raise _digit_limit_error() from exc
+    if tp is PrimalityPolicy:
+        kind = value.get("type") if isinstance(value, dict) else None
+        if kind == "exact":
+            return EXACT
+        if kind == "miller_rabin":
+            return _decode(MillerRabin, value, name)
+        raise DomainError(f"{name} is not a primality policy: {value!r}")
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise DomainError(f"{name} must be an object, got {value!r}")
+        for f in fields(tp):
+            if f.name not in value:
+                raise DomainError(f"{name} lacks field {f.name!r}")
+        return tp(**{f.name: _decode(f.type, value[f.name], f"{name}.{f.name}")
+                     for f in fields(tp)})
+    return value
 
 
 def dist_to_dict(dist: FiniteDist) -> dict:
@@ -541,13 +527,12 @@ def write_text(payload: str, path: str) -> None:
 
 
 def parse_reports(text: str) -> list:
-    """Parse a JSON report array back into objects (run reports only;
-    other record kinds are returned as dicts).  DomainError unless text
-    is a JSON array, for a record with a kind whose schema_version is not
-    SCHEMA_VERSION, and for a run_report that lacks a field, whose
-    config, primality or non-null metrics is not an object, whose trials
-    is not an integer >= 1, or with a {"fraction": ...} value that does
-    not read n/d."""
+    """Parse a JSON report array back into objects: a run_report record
+    becomes a RunReport, read by _decode, with EXACT for an exact policy
+    (its table is not written); any other record stays a dict.
+    DomainError unless text is a JSON array, for a record with a kind
+    whose schema_version is not SCHEMA_VERSION, and for a run_report with
+    a field missing, a value its annotation refuses, or trials < 1."""
     try:
         records = json.loads(text)
     except ValueError as exc:  # json.JSONDecodeError among them
@@ -562,10 +547,7 @@ def parse_reports(text: str) -> list:
                 f"{record['kind']!r} record has schema_version "
                 f"{record.get('schema_version')!r}, not {SCHEMA_VERSION}")
         if isinstance(record, dict) and record.get("kind") == "run_report":
-            try:
-                out.append(report_from_dict(record))
-            except KeyError as exc:
-                raise DomainError(f"run_report lacks field {exc}") from exc
-        else:
-            out.append(record)
+            record = _decode(RunReport, record, "run_report")
+            _bound_index("run_report.trials", record.trials, 1)
+        out.append(record)
     return out

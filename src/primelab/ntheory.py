@@ -3,8 +3,9 @@
 Sieving, prime counting in residue classes, totients, primorials and
 primality testing.  Everything here is exact integer arithmetic; these
 routines are the oracle substrate for the distribution computations.
-This module owns the prime table: `table_for` decides which table
-answers for x, and only `PrimeTable` reads its packed flags.
+This module owns the prime table: `covering_table` decides whether a
+table answers for x, `table_for` which one does, and only `PrimeTable`
+reads its packed flags.
 """
 
 import math
@@ -199,9 +200,13 @@ def table_for(x: int, table: PrimeTable | None = None,
         if table.bound < x:
             raise DomainError(f"table bound {table.bound} below x = {x}")
         return table
-    if fallback is not None and fallback.bound >= x:
-        return fallback
-    return sieve(x)
+    return covering_table(fallback, x) or sieve(x)
+
+
+def covering_table(table: PrimeTable | None, x: int) -> PrimeTable | None:
+    """table if it answers for all of [0, x], else None: the one rule for
+    when a prime table, a policy's among them, stands in for a test."""
+    return table if table is not None and table.bound >= x else None
 
 
 def primes_upto(x: int, table: PrimeTable | None = None) -> np.ndarray:
@@ -215,6 +220,8 @@ def _class_mask(table: PrimeTable, q: int, a: int) -> np.ndarray:
     q, a = _bound_index("modulus", q, 1), _bound_index("residue", a, 0)
     if a >= q:
         raise DomainError(f"residue {a} not in [0, {q})")
+    if q > table.bound:  # each prime is its own residue; q may pass int64
+        return table.primes == a
     return table.primes % q == a
 
 
@@ -433,8 +440,9 @@ def is_prime(n: int, policy: PrimalityPolicy = EXACT) -> bool:
     if n < 2:
         return False
     if isinstance(policy, Exact):
-        if policy.table is not None and n <= policy.table.bound:
-            return policy.table.is_prime(n)
+        table = covering_table(policy.table, n)
+        if table is not None:
+            return table.is_prime(n)
         _check_witness_bound(n)
         return _miller_rabin(n)
     if isinstance(policy, MillerRabin):
@@ -445,8 +453,8 @@ def is_prime(n: int, policy: PrimalityPolicy = EXACT) -> bool:
 def primality_tester(policy: PrimalityPolicy, x: int):
     """Fastest correct primality callable for candidates in [0, x]."""
     if isinstance(policy, Exact):
-        table = policy.table
-        if table is not None and table.bound >= x:
+        table = covering_table(policy.table, x)
+        if table is not None:
             return table.is_prime
         _check_witness_bound(x)
         return _miller_rabin

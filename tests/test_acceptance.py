@@ -316,9 +316,7 @@ def test_criterion_9_reproducibility(table_1k):
         ]:
             cfg = GenConfig(x=1000, algorithm=algo, seed=107,
                             primality=Exact(table_1k), **extra)
-            reports.append(
-                benchmark(cfg, 200, with_metrics=True, table=table_1k)
-            )
+            reports.append(benchmark(cfg, 200, with_metrics=True))
         payloads.append(report_emit(reports, "json"))
     _report("criterion 9 (reproducibility)",
             payloads[0] == payloads[1],

@@ -4,11 +4,12 @@ argument, ConfigError for a configuration; a domain with no prime fails
 the same way."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from primelab.errors import ConfigError, DomainError
+from primelab.errors import ConfigError, DomainError, ResourceLimitError
 from primelab.exactdist import (
     class_census,
     error_term_profile,
@@ -44,7 +45,7 @@ T1K = sieve(1000)
 def parse_edited(field, value):
     """parse_reports on one run_report whose field (a dotted path into the
     record) is replaced by value."""
-    record = json.loads(report_emit([benchmark(CFG, 5)]))[0]
+    record = json.loads(report_emit([benchmark(CFG, 5, with_metrics=True)]))[0]
     *parents, last = field.split(".")
     target = record
     for key in parents:
@@ -133,6 +134,22 @@ CASES = {
     # was accepted
     "parse_reports(schema_version=99)":
         (DomainError, lambda: parse_edited("schema_version", 99)),
+    # each was accepted into a RunReport
+    'parse_reports(mean_bits="lots")':
+        (DomainError, lambda: parse_edited("mean_bits", "lots")),
+    "parse_reports(mean_bits=NaN)":
+        (DomainError, lambda: parse_edited("mean_bits", math.nan)),
+    "parse_reports(trials=true)":
+        (DomainError, lambda: parse_edited("trials", True)),
+    'parse_reports(predicted_bits="inf")':
+        (DomainError, lambda: parse_edited("predicted_bits", "inf")),
+    'parse_reports(metrics.delta1="x")':
+        (DomainError, lambda: parse_edited("metrics.delta1", "x")),
+    "parse_reports(metrics.h2_bits=[1])":
+        (DomainError, lambda: parse_edited("metrics.h2_bits", [1])),
+    # np.arange(10**9): a MemoryError under a 2 GiB address-space limit
+    "error_term_profile(q=10**9)":
+        (ResourceLimitError, lambda: error_term_profile(1000, q=10**9)),
 }
 
 

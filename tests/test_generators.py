@@ -83,8 +83,10 @@ def test_config_validation():
                 {"algorithm": Algorithm.UNCOND, "A": 2.0}):
         with pytest.raises(ConfigError):
             GenConfig(x=10**400, primality=MillerRabin(rounds=2), **bad)
+    # seed 86 needs few tests: 2 for trivial, 22 for primeinc (the mean is
+    # ln x = 921, at about 1.5 ms per test)
     for algo in (Algorithm.TRIVIAL, Algorithm.PRIMEINC):
-        p, _ = generate(GenConfig(x=10**400, algorithm=algo,
+        p, _ = generate(GenConfig(x=10**400, algorithm=algo, seed=86,
                                   primality=MillerRabin(rounds=2)))
         assert p <= 10**400
     # derived search parameters out of range fail at construction, not in

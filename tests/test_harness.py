@@ -55,7 +55,7 @@ def test_benchmark_means_sane(table_1k):
 
 def test_benchmark_with_metrics(table_1k):
     cfg = small_cfg(primality=Exact(table_1k))
-    r = benchmark(cfg, 500, with_metrics=True, table=table_1k)
+    r = benchmark(cfg, 500, with_metrics=True)
     assert r.metrics is not None
     assert 0 <= float(r.metrics.delta1) <= 2
 
@@ -232,15 +232,15 @@ def test_report_emit_empty_is_valid_json_array():
     assert json.loads(payload) == []
 
 
-def test_report_round_trip(table_1k):
-    r = benchmark(small_cfg(), 50, with_metrics=True, table=table_1k)
+def test_report_round_trip():
+    r = benchmark(small_cfg(), 50, with_metrics=True)
     payload = report_emit([r], "json")
     (parsed,) = parse_reports(payload)
     assert parsed == r
 
 
-def test_parse_reports_missing_field_is_domain_error(table_1k):
-    record = to_jsonable(benchmark(small_cfg(), 10, table=table_1k))
+def test_parse_reports_missing_field_is_domain_error():
+    record = to_jsonable(benchmark(small_cfg(), 10))
     del record["mean_bits"]
     with pytest.raises(DomainError):
         parse_reports(json.dumps([record]))
@@ -342,13 +342,11 @@ def test_csv_refuses_mixed_items(table_1k):
 
 
 def test_undersized_table_is_refused():
-    # both sieved x = 1000 in silence instead
+    # it sieved x = 1000 in silence instead
     small = sieve(100)
     cfg = small_cfg()
     with pytest.raises(DomainError):
         sample_distribution(cfg, 10, small)
-    with pytest.raises(DomainError):
-        benchmark(cfg, 10, with_metrics=True, table=small)
     # an undersized policy table is passed over for a sieve of x
     cfg = small_cfg(primality=Exact(small))
     dist, _ = sample_distribution(cfg, 10)

@@ -162,6 +162,16 @@ def test_residue_class_primes_matches_count():
         assert len(residue_class_primes(t, q, a)) == count_ap_primes(t, q, a)
 
 
+def test_class_of_a_modulus_past_the_table():
+    # a class mod q > bound holds at most a itself; q = 2^63 raised a bare
+    # OverflowError from the int64 primes % q
+    t = sieve(1000)
+    for q in (1009, 2**63, 10**30):
+        assert residue_class_primes(t, q, 7) == [7]
+        assert count_ap_primes(t, q, 7) == 1
+        assert count_ap_primes(t, q, 9) == count_ap_primes(t, q, 1001) == 0
+
+
 def test_primorial_below():
     assert primorial_below(100) == 30
     assert primorial_below(6) == 6

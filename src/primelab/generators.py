@@ -19,6 +19,7 @@ each on its own counter stream, and returns each trial's output and
 telemetry.
 """
 
+import dataclasses
 import math
 import sys
 from dataclasses import dataclass
@@ -151,9 +152,9 @@ class GenConfig:
                 raise ConfigError(f"epsilon must be finite, got {eps}")
             if A is not None and not math.isfinite(A):
                 raise ConfigError(f"A must be finite, got {A}")
-        except TypeError as exc:
-            raise ConfigError(f"epsilon and A must be real numbers, got "
-                              f"epsilon={eps!r}, A={A!r}") from exc
+        except (TypeError, OverflowError) as exc:
+            raise ConfigError(f"epsilon and A must be finite real numbers, "
+                              f"got epsilon={eps!r}, A={A!r}") from exc
         # numpy integers become ints and enum values ("basic") members; the
         # type test keeps the common case to one comparison per field
         if type(self.seed) is not int:
@@ -375,20 +376,28 @@ def generate(cfg: GenConfig, src: CountingBitSource | None = None):
 
 # Lanes in flight (at most; no more than the trials), and words per lane
 # and step: 8, so that a lane's row of 8 bools reads as one little-endian
-# uint64 (see search).
+# uint64 (see _search).
 _LANES, _LOOK, _MIN_WIDTH = 4096, 8, 32
 _ONES = np.uint64(0x0101010101010101)
 _SCAN = 16  # class members tested at a time for a prime
 # A lane's next draw: none, the search for p = a + t*q (trivial and
 # primeinc: q = 1, a = 1), a unit, or a draw of _pick_random_modulus.
-_IDLE, _SEARCH, _UNIT, _PICK_Q, _PICK_A, _PICK_T = range(-1, 5)
-_TEL = slice(13, 19)  # the lane-state rows of the telemetry
+_IDLE, _SEARCH, _UNIT, _PICK_Q, _PICK_A, _PICK_T = range(6)
+_ROWS = ("phase", "m", "shift", "q", "a", "left", "u", "used", "ctr",
+         "trial", "seed", "key", "retries", "iters", "bits", "sel")
+_REGS, _KEYS, _TEL = 7, slice(10, 13), 13
 LANE_X_LIMIT = 1 << 31  # the engine computes candidates in int32
 
 
 def _shifts(m):
     """64 - ceil(log2 m): a draw below m takes a word shifted this far."""
     return 64 - np.frexp(m - 1)[1]
+
+
+def _column(phase, bound, q=0, a=0, left=0, u=0):
+    """Registers: the phase, the next draw's bound and shift, the class
+    (q, a), the draws left, and Joye-Paillier's u (its b is kept in a)."""
+    return np.array([phase, bound, _shifts(bound), q, a, left, u])[:, None]
 
 
 def _pow_mod(b, e: int, q: int):
@@ -414,6 +423,230 @@ def _holds_prime(table, q, a, m):
     return alive
 
 
+class _Lanes:
+    """Lanes that run trials of cfg (all idle at first) and what the steps
+    read of cfg.  Each name in _ROWS is an attribute, that row of `state`
+    over the first `width` lanes: the registers (`regs`, see _column), the
+    words the selection took this step, the next word, the trial; as
+    uint64 its seed, the run's key and retries; and with `telemetry`
+    `iters`, charged a search segment's draws when it opens less those
+    left when it ends, `bits`, its words times their width (from its first
+    word when it opens, to its end when it ends), and `sel`, the selection
+    bits."""
+
+    def __init__(self, cfg: GenConfig, table, trials: int,
+                 retry: bool = False, telemetry: bool = False):
+        self.cfg, self.algo, self.budget = cfg, cfg.algorithm, cfg.budget
+        self.table, self.primes = table, primes_upto(cfg.x, table)
+        self.retry, self.telemetry = retry, telemetry
+        self.capped = self.algo in (Algorithm.BASIC,
+                                    Algorithm.UNCOND_NOFALLBACK)
+        self.trivial = self.start = _column(_SEARCH, cfg.x, 1, 1, _NO_BUDGET)
+        if self.algo in _RESIDUE_ALGOS:
+            self.modulus, self.select = cfg.modulus, _unit
+            self.start = _column(_UNIT, cfg.modulus.q, cfg.modulus.q, 0, 0, 1)
+        elif self.algo in _RANDOM_MODULUS_ALGOS:
+            self.start, self.select = _column(_PICK_Q, cfg.Q // 2), _pick
+            self.thin = _column(_PICK_T, cfg.Q)[:3]
+        self.records = {"prime": np.empty(trials, np.min_scalar_type(cfg.x))}
+        if telemetry:
+            self.records.update({f.name: np.full(trials, f.default, f.type)
+                                 for f in dataclasses.fields(Telemetry)})
+        self.admitted, self.failed = 0, None  # failed: (trial, a, q)
+        self.width = min(_LANES, trials)
+        self.state = np.zeros((len(_ROWS), self.width), np.int64)  # idle
+        self.narrow(np.arange(self.width))  # binds the rows
+
+    def narrow(self, live):
+        """Move the live lanes to the front, halve the width while at most
+        half of it is live, and rebind the rows."""
+        while self.width > _MIN_WIDTH and 2 * len(live) <= self.width:
+            self.width //= 2
+        rows = len(_ROWS) if self.telemetry else _TEL
+        self.state[:rows, :len(live)] = self.state[:rows, live]
+        self.state[0, len(live):self.width] = _IDLE
+        lanes = self.state[:, :self.width]
+        vars(self).update(zip(_ROWS, lanes), regs=lanes[:_REGS])
+        self.seed, self.key, self.retries = lanes[_KEYS].view(np.uint64)
+
+
+def _admit(s: _Lanes, i, key=None):
+    """Lanes i start a retry on word 0 of `key`, or else the next trials."""
+    if key is None:
+        new = np.arange(s.admitted, s.admitted + len(i))
+        s.admitted += len(i)
+        s.trial[i], s.retries[i] = new, 0
+        key = s.seed[i] = split_seed(s.cfg.seed, new.view(np.uint64))
+    s.key[i], s.ctr[i] = key, 0
+    s.regs[:, i] = s.start
+    if s.telemetry:
+        s.state[_TEL:, i] = 0
+        s.iters[i] = s.left[i]  # a selecting start has no draws left
+
+
+def _exhaust(s: _Lanes, i, at=None):
+    """Lanes i spent their budget, the last draw before word `at`: fall
+    back to the trivial search from there, or fail the run."""
+    if not len(i):
+        return
+    if not s.capped:
+        if s.telemetry:
+            s.bits[i] += at * (64 - s.shift[i]) - at * (64 - s.trivial[2, 0])
+            s.iters[i] += _NO_BUDGET
+            s.records["fallback_entered"][s.trial[i]] = True
+        s.regs[:, i] = s.trivial
+    elif s.retry:
+        s.retries[i] += np.uint64(1)
+        _admit(s, i, split_seed(s.seed[i], s.retries[i]))
+    else:
+        j = i[np.argmin(s.trial[i])]
+        if s.failed is None or s.trial[j] < s.failed[0]:
+            s.failed = int(s.trial[j]), int(s.a[j]), int(s.q[j])
+        s.phase[i] = _IDLE
+
+
+def _unit(s: _Lanes, i, t):
+    """Lanes i drew t < q: sample_unit's b (in a) moves to b + t*u, taken
+    if a unit, else u = 1 - b^lambda (Joye-Paillier) or b = 0 (rejection)."""
+    q = s.modulus.q
+    b = s.a[i] = (s.a[i] + t * s.u[i]) % q
+    unit = np.gcd(b, q) == 1
+    s.phase[i[unit]] = _SEARCH
+    if s.cfg.unit_method is UnitMethod.REJECTION:
+        s.a[i[~unit]] = 0
+    else:
+        s.u[i[~unit]] = (1 - _pow_mod(b[~unit], s.modulus.carmichael, q)) % q
+
+
+def _pick(s: _Lanes, i, t):
+    """Lanes i drew t below their bound in _pick_random_modulus: q, then
+    a below it, then (for a unit) keep (q, a) if t < q; or start over."""
+    phases = s.phase[i]
+    k = phases == _PICK_Q
+    j, drawn = i[k], t[k] + s.start[1, 0] + 1
+    s.q[j] = s.m[j] = drawn
+    s.shift[j] = _shifts(drawn)
+    s.phase[j] = _PICK_A
+    k = phases == _PICK_A
+    j, drawn = i[k], t[k]
+    s.a[j] = drawn
+    unit = np.gcd(drawn, s.q[j]) == 1
+    s.regs[:3, j[unit]] = s.thin
+    k = phases == _PICK_T
+    j2, keep = i[k], t[k] < s.q[i[k]]
+    s.phase[j2[keep]] = _SEARCH
+    s.regs[:3, np.concatenate((j[~unit], j2[~keep]))] = s.start[:3]
+
+
+def _select(s: _Lanes, w):
+    """Selecting lanes draw from w's columns in turn, dropping a t not below
+    the bound, until they pick their class; its search opens there."""
+    s.used[:] = 0
+    i = np.flatnonzero(s.phase > _SEARCH)
+    for c in range(w.shape[1]):
+        if not len(i):
+            break
+        drop = s.shift[i]
+        if s.telemetry:
+            s.sel[i] += 64 - drop
+        t = (w[i, c] >> drop.view(np.uint64)).view(np.int64)
+        ok = t < s.m[i]
+        s.select(s, i[ok], t[ok])
+        going = s.phase[i] > _SEARCH
+        s.used[i[~going]] = c + 1
+        i = i[going]
+    i = np.flatnonzero(s.used)
+    s.m[i] = (s.cfg.x - s.a[i]) // s.q[i] + 1
+    s.shift[i] = _shifts(s.m[i])
+    s.left[i] = s.budget
+    at = s.ctr[i] - _LOOK + s.used[i]
+    if s.telemetry:
+        s.iters[i] += s.budget
+        s.bits[i] -= at * (64 - s.shift[i])
+        s.records["chosen_q"][s.trial[i]] = s.q[i]
+        s.records["chosen_a"][s.trial[i]] = s.a[i]
+    # a class of one member draws t = 0 from no word, at no cost: if a is
+    # prime the search's first word (shifted out to 0) ends the trial alike
+    empty = s.m[i] == 1
+    empty[empty] = ~s.table.prime_mask(s.a[i[empty]])
+    _exhaust(s, i[empty], at[empty])
+
+
+def _finish(s: _Lanes, i, h, found, tries):
+    """Lanes i ended on their word h of this step: found is the prime, or
+    for primeinc the start y below it."""
+    done, records = s.trial[i], s.records
+    if s.algo is Algorithm.PRIMEINC:
+        # searchsorted is several times faster on sorted keys
+        order = np.argsort(found)
+        y, found = found, np.empty_like(found)
+        found[order] = s.primes[np.searchsorted(s.primes, y[order])]
+    records["prime"][done] = found
+    s.phase[i] = _IDLE
+    if not s.telemetry:
+        return
+    n = s.iters[i] - s.left[i] + tries[i, h]
+    records["loop_iterations"][done] = n
+    if s.algo is Algorithm.PRIMEINC:
+        n += found - y  # y, y + 1, ..., the prime
+    records["primality_tests"][done] += n
+    words = s.ctr[i] - (_LOOK - 1) + h  # up to the last draw's word
+    records["bits_consumed"][done] = (s.bits[i] + s.sel[i]
+                                      + words * (64 - s.shift[i]))
+    records["selection_bits"][done] = s.sel[i]
+
+
+def _search(s: _Lanes, w):
+    """Searching lanes draw p = a + t*q from the rest of their words of
+    the block w, up to a prime or the end of their budget."""
+    lanes, left = s.phase == _SEARCH, s.left
+    # int32 halves the memory traffic: every bound is below 2^31
+    t = np.right_shift(w, s.shift.view(np.uint64)[:, None], out=w)
+    t = t.astype(np.int32)
+    # other lanes accept no word, not even one that reads negative
+    ok = t < np.where(lanes, s.m, -1 << 31).astype(np.int32)[:, None]
+    # drop the words the selection took, and make tries[:, j] the draws
+    # accepted up to word j: running byte sums, times 0x0101...01
+    rows = ok.view(np.uint64)[:, 0]
+    rows &= ~np.uint64(0) << (8 * s.used).view(np.uint64)
+    tries = (rows * _ONES).view(np.uint8).reshape(s.width, _LOOK)
+    p = t  # a + t*q in place; a rejected draw's p may wrap, then is 0
+    p *= s.q.astype(np.int32)[:, None]
+    p += s.a.astype(np.int32)[:, None]
+    p *= ok
+    if s.algo is Algorithm.PRIMEINC:
+        # a start y <= the largest prime ends at the first prime >= y
+        hit = ok & (p <= s.primes[-1])
+    else:
+        hit = s.table.prime_mask(p)
+    within = np.minimum(left, _LOOK)[:, None]
+    if (within < _LOOK).any():
+        hit &= tries <= within
+    ended = hit.view(np.uint64)[:, 0] != 0
+    if s.telemetry and s.algo is Algorithm.PRIMEINC:
+        # a start y above the largest prime is tested up to x, redrawn: its
+        # x - y tests past the first count as they happen
+        r, c = np.nonzero(ok ^ hit)
+        keep = ~ended[r] | (c < hit[r].argmax(axis=1))
+        np.add.at(s.records["primality_tests"], s.trial[r[keep]],
+                  s.cfg.x - p[r[keep], c[keep]])
+    i = np.flatnonzero(ended)
+    h = hit[i].argmax(axis=1)
+    _finish(s, i, h, p[i, h], tries)
+    drawn = tries[:, -1]
+    spent = lanes & ~ended & (drawn >= left)
+    if s.capped:
+        # a class without primes can only spend its budget: test the class
+        # once, when its lane misses its first block
+        i = np.flatnonzero(lanes & ~ended & ~spent & (left == s.budget))
+        _exhaust(s, i[~_holds_prime(s.table, s.q[i], s.a[i], s.m[i])])
+    np.subtract(left, drawn, out=left, where=lanes)
+    i = np.flatnonzero(spent)
+    # give back the words after the budget's last draw
+    s.ctr[i] -= _LOOK - 1 - np.argmax(tries[i] >= within[i], axis=1)
+    _exhaust(s, i, s.ctr[i])
+
+
 def trial_records(cfg: GenConfig, trials: int, table,
                   retry_nontermination: bool = False,
                   telemetry: bool = False) -> dict:
@@ -421,266 +654,33 @@ def trial_records(cfg: GenConfig, trials: int, table,
     CountingBitSource(split_seed(cfg.seed, i)), as numpy arrays in trial
     order: "prime", the outputs, in the narrowest unsigned dtype that holds
     x (`table` must cover x, and x must be below 2^31), and with
-    `telemetry` one array per Telemetry field, equal to generate's.  No
-    array grows with the number of primes <= x.
+    `telemetry` one array per Telemetry field, equal to generate's.
 
-    Lanes run the trials in lockstep, each on its own word counter, draw
-    for draw as generate does.  Each step hands a lane its next _LOOK
-    words: selection draws take them one at a time, the search the rest
-    at once.  Lanes refill in place; once all trials are admitted the live
-    ones move to the front and the width halves, so arrays keep a few
-    shapes.  A run that spends its budget (basic, uncond_nofallback) raises
-    NonTerminationError naming the least such trial, as a loop over
-    generate would; with retry_nontermination it reruns instead: retry r
-    of trial i on split_seed(k_i, r), k_i the trial's seed, and the
-    telemetry is that of the run that ends.  A class with no prime <= x is
-    settled once its lane misses a block of words.
-
-    Telemetry moves only where a lane's phase does.  A selection draw
-    charges its bits when taken.  A search segment (the residue search,
-    then a fallback's trivial search) charges its words times their width,
-    and its iterations from its draws left, when it ends.  A primeinc
-    start above the largest prime adds its x - y tests past the first.
-    """
-    x = cfg.x
-    if x >= LANE_X_LIMIT:
-        raise ResourceLimitError(
-            f"the lane engine computes in int32: x = {x} is not below 2^31")
-    primes = primes_upto(x, table)
-    outputs = np.empty(trials, dtype=np.min_scalar_type(x))
-    records = {"prime": outputs}
-    if telemetry:
-        records.update(
-            {name: np.zeros(trials, dtype=np.int64) for name in (
-                "loop_iterations", "primality_tests", "bits_consumed",
-                "selection_bits", "chosen_a")},
-            fallback_entered=np.zeros(trials, dtype=bool),
-            chosen_q=np.ones(trials, dtype=np.int64))
-    algo, budget = cfg.algorithm, cfg.budget
-    capped = algo in (Algorithm.BASIC, Algorithm.UNCOND_NOFALLBACK)
-
-    def column(phase, bound, q=0, a=0, left=0, u=0):
-        shift = 64 - (bound - 1).bit_length()
-        return np.array([[phase], [bound], [shift], [q], [a], [left], [u]])
-
-    trivial = start = column(_SEARCH, x, 1, 1, _NO_BUDGET)
-    first = _NO_BUDGET  # the draws of a trial's first search
-    if algo in _RESIDUE_ALGOS:
-        modulus = cfg.modulus
-        qf = modulus.q
-        start = column(_UNIT, qf, qf, 0, 0, 1)
-        first = budget
-    elif algo in _RANDOM_MODULUS_ALGOS:
-        Q, half = cfg.Q, cfg.Q // 2
-        start = column(_PICK_Q, half)
-        to_thin, to_redraw = column(_PICK_T, Q)[:3], start[:3]
-        first = budget
-    # Per lane: phase, bound of the next draw and its shift, class (q, a),
-    # draws left, Joye-Paillier's u (and b in `a`), words the selection took
-    # this step; as uint64 the trial's seed, the run's key, word counter and
-    # retries; the trial index; the telemetry (rows _TEL, kept only with
-    # `telemetry`): the word its search segment began at, iterations and
-    # bits of its ended segments, primeinc tests past the first of each
-    # start, selection bits, and whether it fell back.
-    width, admitted, failed = min(_LANES, trials), 0, None
-    state = np.zeros((_TEL.stop, width), dtype=np.int64)
-    state[0] = _IDLE
-    rows = _TEL.stop if telemetry else _TEL.start
-
-    def views():
-        lanes = state[:, :width]
-        # the word counter read as int64 too: the lane's next word
-        return (lanes[:7], *lanes[:8], *lanes[8:12].view(np.uint64),
-                *lanes[12:], lanes[10])
-
-    (regs, phase, m, shift, q, a, left, u, used, seed, key, ctr, retry,
-     trial, mark, iters, extra, bits, sel, fell, pos) = views()
-
-    def exhaust(i, at=None):
-        """Lanes i spent their budget, the last draw before word `at`: fall
-        back, or fail the run."""
-        nonlocal failed
-        if not len(i):
-            return
-        if not capped:
-            if telemetry:
-                bits[i] += (at - mark[i]) * (64 - shift[i])
-                iters[i] += budget
-                mark[i], fell[i] = at, 1
-            regs[:, i] = trivial
-        elif retry_nontermination:
-            retry[i] += np.uint64(1)
-            key[i] = split_seed(seed[i], retry[i])
-            ctr[i], regs[:, i] = 0, start
-            if telemetry:
-                state[_TEL, i] = 0
-        else:
-            j = i[np.argmin(trial[i])]
-            if failed is None or trial[j] < failed[0]:
-                failed = int(trial[j]), int(a[j]), int(q[j])
-            phase[i] = _IDLE
-
-    def unit_draw(i, t):
-        i, t = i[t < qf], t[t < qf]
-        b = (a[i] + t * u[i]) % qf
-        a[i] = b
-        unit = np.gcd(b, qf) == 1
-        phase[i[unit]] = _SEARCH
-        if cfg.unit_method is UnitMethod.REJECTION:
-            a[i[~unit]] = 0
-        else:
-            u[i[~unit]] = (1 - _pow_mod(b[~unit], modulus.carmichael, qf)) % qf
-
-    def pick_draw(i, t):
-        ok = t < m[i]
-        i, t = i[ok], t[ok]
-        phases = phase[i]
-        k = phases == _PICK_Q  # q drawn: draw a below it
-        j, drawn = i[k], t[k] + (half + 1)
-        q[j] = m[j] = drawn
-        shift[j] = _shifts(drawn)
-        phase[j] = _PICK_A
-        k = phases == _PICK_A  # a drawn: thin if it is a unit, else redraw
-        j, drawn = i[k], t[k]
-        a[j] = drawn
-        unit = np.gcd(drawn, q[j]) == 1
-        regs[:3, j[unit]] = to_thin
-        k = phases == _PICK_T  # keep (q, a) with chance q/Q, else redraw
-        j2, keep = i[k], t[k] < q[i[k]]
-        phase[j2[keep]] = _SEARCH
-        regs[:3, np.concatenate((j[~unit], j2[~keep]))] = to_redraw
-
-    def enter(i):
-        """Lanes i picked their class: set up its search."""
-        m[i] = (x - a[i]) // q[i] + 1
-        shift[i] = _shifts(m[i])
-        left[i] = budget
-        if telemetry:
-            mark[i] = pos[i] - _LOOK + used[i]
-            records["chosen_q"][trial[i]] = q[i]
-            records["chosen_a"][trial[i]] = a[i]
-        # a class of one member draws t = 0 from no word, so its draws
-        # cost no bits: if a is prime the search's first word (shifted out
-        # to 0) ends the trial alike
-        i = i[m[i] == 1]
-        i = i[~table.prime_mask(a[i])]
-        exhaust(i, mark[i])
-
-    def finish(i, h, found, tries):
-        """Lanes i ended on their word h of this step: found is the
-        prime, or for primeinc the start y below it."""
-        done = trial[i]
-        if algo is Algorithm.PRIMEINC:
-            # searchsorted is several times faster on sorted keys
-            order = np.argsort(found)
-            y, found = found, np.empty_like(found)
-            found[order] = primes[np.searchsorted(primes, y[order])]
-        outputs[done] = found
-        phase[i] = _IDLE
-        if not telemetry:
-            return
-        n = iters[i] + np.where(fell[i] == 1, _NO_BUDGET, first) - left[i]
-        n += tries[i, h]
-        records["loop_iterations"][done] = n
-        if algo is Algorithm.PRIMEINC:
-            n += found - y  # y, y + 1, ..., the prime
-        records["primality_tests"][done] = n + extra[i]
-        words = pos[i] - (_LOOK - 1) + h - mark[i]
-        records["bits_consumed"][done] = (bits[i] + sel[i]
-                                          + words * (64 - shift[i]))
-        records["selection_bits"][done] = sel[i]
-        records["fallback_entered"][done] = fell[i] == 1
-
-    def search(w):
-        """Searching lanes draw p = a + t*q from the rest of their words,
-        up to a prime or the end of their budget."""
-        lanes = phase == _SEARCH
-        # int32 halves the memory traffic: every bound is below 2^31
-        t = np.right_shift(w, shift.view(np.uint64)[:, None], out=w)
-        t = t.astype(np.int32)
-        # other lanes accept no word, not even one that reads negative
-        ok = t < np.where(lanes, m, -1 << 31).astype(np.int32)[:, None]
-        # drop the words the selection took, and make tries[:, j] the draws
-        # accepted up to word j: running byte sums, times 0x0101...01
-        rows = ok.view(np.uint64)[:, 0]
-        rows &= ~np.uint64(0) << (8 * used).view(np.uint64)
-        tries = (rows * _ONES).view(np.uint8).reshape(width, _LOOK)
-        p = t  # a + t*q in place; a rejected draw's p may wrap, then is 0
-        p *= q.astype(np.int32)[:, None]
-        p += a.astype(np.int32)[:, None]
-        p *= ok
-        if algo is Algorithm.PRIMEINC:
-            # a start y <= the largest prime ends at the first prime >= y
-            hit = ok & (p <= primes[-1])
-        else:
-            hit = table.prime_mask(p)
-        within = np.minimum(left, _LOOK)[:, None]
-        if (within < _LOOK).any():
-            hit &= tries <= within
-        ended = hit.view(np.uint64)[:, 0] != 0
-        if telemetry and algo is Algorithm.PRIMEINC:
-            # a start y above the largest prime is tested up to x, redrawn
-            r, c = np.nonzero(ok ^ hit)
-            keep = ~ended[r] | (c < hit[r].argmax(axis=1))
-            np.add.at(extra, r[keep], x - p[r[keep], c[keep]])
-        i = np.flatnonzero(ended)
-        h = hit[i].argmax(axis=1)
-        finish(i, h, p[i, h], tries)
-        drawn = tries[:, -1]
-        spent = lanes & ~ended & (drawn >= left)
-        if capped:
-            # a class without primes can only spend its budget: test the
-            # class once, when its lane misses its first block
-            i = np.flatnonzero(lanes & ~ended & ~spent & (left == budget))
-            exhaust(i[~_holds_prime(table, q[i], a[i], m[i])])
-        np.subtract(left, drawn, out=left, where=lanes)
-        i = np.flatnonzero(spent)
-        # give back the words after the budget's last draw
-        ctr[i] -= (_LOOK - 1 - np.argmax(tries[i] >= within[i], axis=1)
-                   ).astype(np.uint64)
-        exhaust(i, pos[i])
-
-    select = unit_draw if algo in _RESIDUE_ALGOS else pick_draw
-    while (admitted < trials and failed is None) or (phase != _IDLE).any():
-        idle = phase == _IDLE
-        if admitted < trials and failed is None:
-            i = np.flatnonzero(idle)[: trials - admitted]
-            new = np.arange(admitted, admitted + len(i))
-            trial[i] = new
-            key[i] = seed[i] = split_seed(cfg.seed, new.view(np.uint64))
-            admitted += len(i)
-            retry[i] = ctr[i] = 0
-            regs[:, i] = start
-            if telemetry:
-                state[_TEL, i] = 0
-        elif width > _MIN_WIDTH and 2 * np.count_nonzero(~idle) <= width:
-            # move the live lanes to the front and halve the width
-            live = np.flatnonzero(~idle)
-            while width > _MIN_WIDTH and 2 * len(live) <= width:
-                width //= 2
-            state[:rows, :len(live)] = state[:rows, live]
-            state[0, len(live):width] = _IDLE
-            (regs, phase, m, shift, q, a, left, u, used, seed, key, ctr,
-             retry, trial, mark, iters, extra, bits, sel, fell, pos) = views()
-        w = word_block(key, ctr, _LOOK)
-        ctr += np.uint64(_LOOK)
-        used[:] = 0
-        i = np.flatnonzero(phase > _SEARCH)
-        for c in range(_LOOK):
-            if not len(i):
-                break
-            drop = shift[i]
-            if telemetry:
-                sel[i] += 64 - drop
-            select(i, (w[i, c] >> drop.view(np.uint64)).view(np.int64))
-            going = phase[i] > _SEARCH
-            used[i[~going]] = c + 1
-            i = i[going]
-        enter(np.flatnonzero(used))
-        search(w)
-    if failed is not None:
-        t, fa, fq = failed
+    Each step hands every lane (_Lanes) its next _LOOK words, for _select
+    and then _search.  Idle lanes take the next trials (_admit), and once
+    all are admitted the width halves.  A run that spends its budget
+    (basic, uncond_nofallback) raises NonTerminationError naming the least
+    such trial, as a loop over generate would; with retry_nontermination
+    retry r of trial i runs on split_seed(k_i, r), k_i the trial's seed,
+    and the telemetry is that of the run that ends."""
+    if cfg.x >= LANE_X_LIMIT:
+        raise ResourceLimitError(f"the lane engine computes in int32: "
+                                 f"x = {cfg.x} is not below 2^31")
+    s = _Lanes(cfg, table, trials, retry_nontermination, telemetry)
+    while (s.admitted < trials and s.failed is None) or (
+            s.phase != _IDLE).any():
+        idle = s.phase == _IDLE
+        if s.admitted < trials and s.failed is None:
+            _admit(s, np.flatnonzero(idle)[: trials - s.admitted])
+        elif s.width > _MIN_WIDTH and 2 * np.count_nonzero(~idle) <= s.width:
+            s.narrow(np.flatnonzero(~idle))
+        w = word_block(s.key, s.ctr.view(np.uint64), _LOOK)
+        s.ctr += _LOOK
+        _select(s, w)
+        _search(s, w)
+    if s.failed is not None:
+        t, fa, fq = s.failed
         raise NonTerminationError(
-            f"trial {t}: no prime = {fa} (mod {fq}) found in {budget} "
+            f"trial {t}: no prime = {fa} (mod {fq}) found in {s.budget} "
             f"iterations; the class is likely empty")
-    return records
+    return s.records

@@ -398,13 +398,6 @@ def _mr_composite_witness(n: int, a: int, d: int, s: int) -> bool:
     return True
 
 
-def _check_witness_bound(n: int) -> None:
-    if n >= _DETERMINISTIC_MR_BOUND:
-        raise ResourceLimitError(
-            f"no exact primality method for n >= {_DETERMINISTIC_MR_BOUND}"
-        )
-
-
 def _miller_rabin(n: int, bases=None) -> bool:
     """Trial division by the primes to 251 in one gcd, then the strong
     test of n to each base in `bases` (an iterable, consumed only as far
@@ -437,17 +430,7 @@ def is_prime(n: int, policy: PrimalityPolicy = EXACT) -> bool:
     """Primality of n under the given policy.  n may be any integer type
     (numpy integers included); DomainError for anything else."""
     n = _bound_index("is_prime", n, 0)
-    if n < 2:
-        return False
-    if isinstance(policy, Exact):
-        table = covering_table(policy.table, n)
-        if table is not None:
-            return table.is_prime(n)
-        _check_witness_bound(n)
-        return _miller_rabin(n)
-    if isinstance(policy, MillerRabin):
-        return _miller_rabin(n, _random_bases(n, policy))
-    raise DomainError(f"unknown primality policy {policy!r}")
+    return n >= 2 and primality_tester(policy, n)(n)
 
 
 def primality_tester(policy: PrimalityPolicy, x: int):
@@ -456,6 +439,11 @@ def primality_tester(policy: PrimalityPolicy, x: int):
         table = covering_table(policy.table, x)
         if table is not None:
             return table.is_prime
-        _check_witness_bound(x)
+        if x >= _DETERMINISTIC_MR_BOUND:
+            raise ResourceLimitError(
+                f"no exact primality method for n >= {_DETERMINISTIC_MR_BOUND}"
+            )
         return _miller_rabin
-    return lambda p: is_prime(p, policy)
+    if isinstance(policy, MillerRabin):
+        return lambda p: _miller_rabin(p, _random_bases(p, policy))
+    raise DomainError(f"unknown primality policy {policy!r}")

@@ -147,6 +147,11 @@ CASES = {
         (DomainError, lambda: parse_edited("metrics.delta1", "x")),
     "parse_reports(metrics.h2_bits=[1])":
         (DomainError, lambda: parse_edited("metrics.h2_bits", [1])),
+    # each raised a bare OverflowError from math.isfinite
+    "GenConfig(epsilon=10**400)": (ConfigError, lambda: GenConfig(
+        x=1000, algorithm=Algorithm.BASIC, epsilon=10**400)),
+    "GenConfig(A=10**400)": (ConfigError, lambda: GenConfig(
+        x=1000, algorithm=Algorithm.UNCOND, A=10**400)),
     # np.arange(10**9): a MemoryError under a 2 GiB address-space limit
     "error_term_profile(q=10**9)":
         (ResourceLimitError, lambda: error_term_profile(1000, q=10**9)),

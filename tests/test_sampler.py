@@ -4,6 +4,7 @@ by the exact laws of exactdist."""
 
 import dataclasses
 import itertools
+import math
 import time
 import tracemalloc
 from collections import Counter
@@ -21,11 +22,18 @@ from primelab.exactdist import (
     exact_dist_uncond_nofallback,
 )
 from primelab.generators import (
+    _PICK_A,
+    _PICK_Q,
+    _PICK_T,
+    _SEARCH,
+    _UNIT,
     Algorithm,
     GenConfig,
     ModulusMode,
     Telemetry,
     UnitMethod,
+    _Lanes,
+    _select,
     generate,
     trial_records,
 )
@@ -318,3 +326,85 @@ def test_benchmark_memory_does_not_scale_with_the_primes():
             tracemalloc.stop()
         assert report.trials == 10**4
         assert peak < 8 * table.prime_count()
+
+
+# One selection step over every selection state, a lane per draw t below
+# the draw's power of two: the transitions of the chain whose absorbing
+# states are the (q, a) the search starts from.
+
+
+def _step(cfg, table, bound, **regs):
+    """Lanes t = 0 .. 2^k - 1 (k the bits of a draw below `bound`), all in
+    registers `regs` with their next draw below `bound`, after the
+    selection step took word t << (64 - k) each."""
+    shift = 64 - (bound - 1).bit_length()
+    s = _Lanes(cfg, table, 1 << (64 - shift))
+    for name, value in dict(regs, m=bound, shift=shift).items():
+        getattr(s, name)[:] = value
+    words = np.arange(s.width, dtype=np.uint64) << np.uint64(shift)
+    _select(s, words[:, None])
+    assert (s.shift == 64 - np.frexp(s.m - 1)[1]).all()
+    return [(int(s.phase[t]), int(s.m[t]), int(s.q[t]), int(s.a[t]),
+             int(s.u[t])) for t in range(s.width)]
+
+
+@pytest.mark.parametrize("method", UnitMethod)
+def test_unit_step_follows_sample_unit(method):
+    """sample_unit: b = a draw below q, then while b is no unit,
+    u = 1 - b^lambda and b = b + r*u for a draw r (Joye-Paillier), or b
+    is drawn afresh (rejection, the state b = 0, u = 1)."""
+    q, x = 30, 1000
+    cfg = GenConfig(x=x, algorithm=Algorithm.ERH_FALLBACK, q=q,
+                    modulus_mode="explicit", unit_method=method,
+                    primality=Exact(T1000))
+    lam = cfg.modulus.carmichael
+    assert (q, lam) == (cfg.modulus.q, 4)
+
+    def u_of(b):
+        return (1 - pow(b, lam, q)) % q
+    jp = method is UnitMethod.JOYE_PAILLIER
+    # the first draw is the state b = 0, u = 1 = u_of(0)
+    for b, u in ([(b, u_of(b)) for b in range(q)] if jp else [(0, 1)]):
+        after = _step(cfg, T1000, q, phase=_UNIT, q=q, a=b, u=u)
+        assert len(after) == 32
+        for t, regs in enumerate(after):
+            c = (b + t * u) % q
+            if t >= q:  # rejected: the state stays
+                expected = (_UNIT, q, q, b, u)
+            elif math.gcd(c, q) == 1:  # the search for p = c + t'*q
+                expected = (_SEARCH, (x - c) // q + 1, q, c, u)
+            elif jp:
+                expected = (_UNIT, q, q, c, u_of(c))
+            else:
+                expected = (_UNIT, q, q, 0, 1)
+            assert regs == expected, (b, u, t)
+
+
+def test_pick_step_follows_pick_random_modulus():
+    """_pick_random_modulus: q = Q/2 + 1 + a draw below Q/2, a = a draw
+    below q, kept if a unit and a draw below Q is below q, else again."""
+    t200 = sieve(200)
+    cfg = GenConfig(x=200, algorithm=Algorithm.UNCOND_NOFALLBACK, A=1.0,
+                    primality=Exact(t200), max_iterations=500)
+    Q, half = cfg.Q, cfg.Q // 2
+    assert Q == 36
+    states = [(_PICK_Q, half, 0, 0)]
+    for q in range(half + 1, Q + 1):
+        states.append((_PICK_A, q, q, 0))
+        states += [(_PICK_T, Q, q, a) for a in range(q)
+                   if math.gcd(a, q) == 1]
+    for phase, bound, q, a in states:
+        after = _step(cfg, t200, bound, phase=phase, q=q, a=a)
+        for t, (*regs, _) in enumerate(after):
+            if t >= bound:  # rejected: the state stays
+                expected = (phase, bound, q, a)
+            elif phase == _PICK_Q:
+                expected = (_PICK_A, half + 1 + t, half + 1 + t, a)
+            elif phase == _PICK_A:
+                expected = ((_PICK_T, Q) if math.gcd(t, q) == 1
+                            else (_PICK_Q, half)) + (q, t)
+            elif t < q:  # thinned in: the search for p = a + t'*q
+                expected = (_SEARCH, (200 - a) // q + 1, q, a)
+            else:
+                expected = (_PICK_Q, half, q, a)
+            assert tuple(regs) == expected, (phase, q, a, t)

@@ -9,7 +9,9 @@ Subcommands map one-to-one onto the lab's experiments:
 * gap-census      prime-gap census against the 1 - e^(-lambda) model
 * error-profile   residue-class error terms for a modulus or modulus range
 
-Errors are reported as a JSON object on stderr with a nonzero exit code.
+Each subcommand returns one payload, a text or a record dict, and `main`
+writes it once: to stdout, or to the file named by --out.  Errors are
+reported as a JSON object on stderr with a nonzero exit code.
 """
 
 import argparse
@@ -45,26 +47,6 @@ from .exactdist import (
     exact_dist_uncond,
     exact_dist_uncond_nofallback,
 )
-from .rng import CountingBitSource
-
-
-def _add_common_generator_args(p: argparse.ArgumentParser):
-    p.add_argument("--x", type=int, required=True, help="upper bound; primes are <= x")
-    p.add_argument("--algo", required=True,
-                   choices=[a.value for a in Algorithm])
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--A", type=float, default=None, dest="A")
-    p.add_argument("--T", type=int, default=None,
-                   help="residue-search budget before fallback")
-    p.add_argument("--modulus-mode", default="primorial",
-                   choices=[m.value for m in ModulusMode])
-    p.add_argument("--q", type=int, default=None,
-                   help="explicit modulus (sets modulus mode to explicit)")
-    p.add_argument("--unit-method", default="joye_paillier",
-                   choices=[u.value for u in UnitMethod])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mr-rounds", type=int, default=None,
-                   help="use probabilistic primality with this many rounds")
 
 
 def _config_from_args(args) -> GenConfig:
@@ -85,32 +67,18 @@ def _config_from_args(args) -> GenConfig:
     )
 
 
-def _emit(payload: str, out: str | None):
-    if out is None:
-        sys.stdout.write(payload)
-    else:
-        write_text(payload, out)
+def _cmd_generate(args) -> dict:
+    p, tel = generate(_config_from_args(args))
+    return {"prime": p, **asdict(tel)}
 
 
-def _emit_json(record: dict, out: str | None):
-    _emit(json.dumps(record, sort_keys=True, indent=2) + "\n", out)
-
-
-def _cmd_generate(args) -> int:
-    cfg = _config_from_args(args)
-    p, tel = generate(cfg, CountingBitSource(cfg.seed))
-    _emit_json({"prime": p, **asdict(tel)}, args.out)
-    return 0
-
-
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> str:
     cfg = _config_from_args(args)
     report = benchmark(cfg, args.trials, with_metrics=args.with_metrics)
-    _emit(report_emit([report], args.format), args.out)
-    return 0
+    return report_emit([report], args.format)
 
 
-def _cmd_exact_dist(args) -> int:
+def _cmd_exact_dist(args) -> str | dict:
     cfg = _config_from_args(args)
     algo, x = cfg.algorithm, cfg.x
     table = sieve(x)
@@ -127,39 +95,31 @@ def _cmd_exact_dist(args) -> int:
         dist = (exact_dist_basic(x, q, table) if algo is Algorithm.BASIC
                 else exact_dist_erh_fallback(x, q, cfg.budget, table))
     if args.format == "csv":
-        _emit(report_emit([dist], "csv"), args.out)
-    else:
-        record = dist_to_dict(dist)
-        record["metrics"] = {
-            k: float(v) for k, v in asdict(metrics_of(dist)).items()
-        }
-        _emit_json(record, args.out)
-    return 0
+        return report_emit([dist], "csv")
+    record = dist_to_dict(dist)
+    record["metrics"] = {
+        k: float(v) for k, v in asdict(metrics_of(dist)).items()
+    }
+    return record
 
 
-def _cmd_audit_primeinc(args) -> int:
-    audit = primeinc_audit(args.x, args.trials, seed=args.seed)
-    _emit_json(to_jsonable(audit), args.out)
-    return 0
+def _cmd_audit_primeinc(args) -> dict:
+    return to_jsonable(primeinc_audit(args.x, args.trials, seed=args.seed))
 
 
-def _cmd_gap_census(args) -> int:
+def _cmd_gap_census(args) -> str | dict:
     try:
         lambdas = [float(s) for s in args.lambdas.split(",") if s]
     except ValueError as exc:
         raise ConfigError(f"--lambdas: {exc}") from exc
     census = gap_census(args.x, lambdas)
     if args.format == "csv":
-        _emit(report_emit([census], "csv"), args.out)
-    else:
-        _emit_json(to_jsonable(census), args.out)
-    return 0
+        return report_emit([census], "csv")
+    return to_jsonable(census)
 
 
-def _cmd_error_profile(args) -> int:
-    profile = error_term_profile(args.x, q=args.q, A=args.A)
-    _emit_json(to_jsonable(profile), args.out)
-    return 0
+def _cmd_error_profile(args) -> dict:
+    return to_jsonable(error_term_profile(args.x, q=args.q, A=args.A))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,61 +129,83 @@ def build_parser() -> argparse.ArgumentParser:
                     "output distributions, and resource budgets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", default="json", choices=["json", "csv"])
+    gen = argparse.ArgumentParser(add_help=False)
+    gen.add_argument("--x", type=int, required=True,
+                     help="upper bound; primes are <= x")
+    gen.add_argument("--algo", required=True,
+                     choices=[a.value for a in Algorithm])
+    gen.add_argument("--epsilon", type=float, default=None)
+    gen.add_argument("--A", type=float, default=None, dest="A")
+    gen.add_argument("--T", type=int, default=None,
+                     help="residue-search budget before fallback")
+    gen.add_argument("--modulus-mode", default="primorial",
+                     choices=[m.value for m in ModulusMode])
+    gen.add_argument("--q", type=int, default=None,
+                     help="explicit modulus (sets modulus mode to explicit)")
+    gen.add_argument("--unit-method", default="joye_paillier",
+                     choices=[u.value for u in UnitMethod])
+    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--mr-rounds", type=int, default=None,
+                     help="use probabilistic primality with this many rounds")
 
-    p = sub.add_parser("generate", help="produce one prime with telemetry")
-    _add_common_generator_args(p)
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("generate", parents=[gen, out],
+                       help="produce one prime with telemetry")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("bench", help="aggregate telemetry over many trials")
-    _add_common_generator_args(p)
+    p = sub.add_parser("bench", parents=[gen, fmt, out],
+                       help="aggregate telemetry over many trials")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--with-metrics", action="store_true")
-    p.add_argument("--format", default="json", choices=["json", "csv"])
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("exact-dist", help="closed-form output distribution")
-    _add_common_generator_args(p)
-    p.add_argument("--format", default="json", choices=["json", "csv"])
-    p.add_argument("--out", default=None)
+    p = sub.add_parser("exact-dist", parents=[gen, fmt, out],
+                       help="closed-form output distribution")
     p.set_defaults(func=_cmd_exact_dist)
 
-    p = sub.add_parser("audit-primeinc", help="gap-length bias audit")
+    p = sub.add_parser("audit-primeinc", parents=[out],
+                       help="gap-length bias audit")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--trials", type=int, default=10**5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_audit_primeinc)
 
-    p = sub.add_parser("gap-census", help="prime gap census")
+    p = sub.add_parser("gap-census", parents=[fmt, out],
+                       help="prime gap census")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--lambdas", default="0.5,1,2")
-    p.add_argument("--format", default="json", choices=["json", "csv"])
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gap_census)
 
-    p = sub.add_parser("error-profile", help="residue-class error terms")
+    p = sub.add_parser("error-profile", parents=[out],
+                       help="residue-class error terms")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--A", type=float, default=None, dest="A")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_error_profile)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload = args.func(args)
+        if isinstance(payload, dict):
+            payload = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        if args.out is None:
+            sys.stdout.write(payload)
+        else:
+            write_text(payload, args.out)
     except PrimelabError as exc:
         sys.stderr.write(json.dumps({
             "error": type(exc).__name__,
             "message": str(exc),
         }) + "\n")
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -144,9 +144,9 @@ class GenConfig:
     def __post_init__(self):
         # plain locals and unrolled checks: every benchmark set-up and every
         # dataclasses.replace of a config runs this
+        if type(self.x) is not int or self.x < 2:
+            _index_field(self, "x", 2)
         x, eps, A = self.x, self.epsilon, self.A
-        if not isinstance(x, int) or x < 2:
-            raise ConfigError(f"x must be an integer >= 2, got {x!r}")
         try:
             if eps is not None and not math.isfinite(eps):
                 raise ConfigError(f"epsilon must be finite, got {eps}")
@@ -163,6 +163,8 @@ class GenConfig:
             _index_field(self, "T_override", 1)
         if self.max_iterations is not None:
             _index_field(self, "max_iterations", 1)
+        if self.q is not None and type(self.q) is not int:
+            _index_field(self, "q")
         if not isinstance(self.primality, PrimalityPolicy):
             raise ConfigError(f"not a primality policy: {self.primality!r}")
         algo = self.algorithm

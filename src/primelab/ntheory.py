@@ -9,6 +9,7 @@ reads its packed flags.
 """
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -407,6 +408,7 @@ def _miller_rabin(n: int, bases=None) -> bool:
         return n in _SMALL_PRIME_SET
     if math.gcd(n, _SMALL_PRIME_PRODUCT) != 1:
         return False
+    n = operator.index(n)  # a numpy integer has no bit_length
     if bases is None:
         bases = _DETERMINISTIC_WITNESSES[: bisect_right(_PSI, n) + 1]
     d = n - 1
@@ -445,5 +447,6 @@ def primality_tester(policy: PrimalityPolicy, x: int):
             )
         return _miller_rabin
     if isinstance(policy, MillerRabin):
-        return lambda p: _miller_rabin(p, _random_bases(p, policy))
+        return lambda p: _miller_rabin(p := operator.index(p),
+                                       _random_bases(p, policy))
     raise DomainError(f"unknown primality policy {policy!r}")

@@ -183,6 +183,15 @@ def test_numpy_integer_fields_are_stored_as_ints():
               cfgs[2].primality.rounds, cfgs[2].primality.seed]
     assert [type(v) for v in fields] == [int] * 5
     report_emit([benchmark(c, 5) for c in cfgs])
+    # x and an explicit q were refused: "x must be an integer >= 2"
+    explicit = [GenConfig(x=x, algorithm=Algorithm.BASIC, q=q,
+                          modulus_mode="explicit")
+                for x, q in ((1000, 30), (np.int64(1000), np.int64(30)))]
+    assert [type(explicit[1].x), type(explicit[1].q)] == [int, int]
+    plain, numpy_xq = (report_emit([benchmark(c, 20)]) for c in explicit)
+    assert numpy_xq == plain
+    trivial = GenConfig(x=np.int64(1000), algorithm="trivial")
+    assert type(trivial.x) is int
 
 
 # each raised a bare TypeError from math.isfinite or a comparison

@@ -1,7 +1,7 @@
 """Package layout: ntheory owns the prime table, generators does not
 reach up into exactdist (which imports generators), a FiniteDist has
-one exact representation, and no public function takes a parameter that
-only tests would set."""
+one exact representation, no public function takes a parameter that
+only tests would set, and the CLI writes its output in one place."""
 
 import ast
 import importlib
@@ -119,3 +119,19 @@ def test_no_private_imports_across_modules():
                       if a.name.startswith("_")
                       and (source, a.name) not in _SHARED_PRIVATE]
     assert found == []
+
+
+_WRITERS = ("write_text", "sys.stdout.write", "sys.stderr.write")
+
+
+def test_cli_writes_only_in_main():
+    """Each subcommand returns its payload and main writes it: every call
+    that writes output lies inside main, which makes each of them."""
+    tree = _tree(SRC / "cli.py")
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = {id(node) for node in ast.walk(main)}
+    calls = {(ast.unparse(node.func), id(node) in in_main)
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) in _WRITERS}
+    assert calls == {(name, True) for name in _WRITERS}

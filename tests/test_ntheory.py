@@ -395,13 +395,20 @@ def test_is_prime_exact_matches_reference():
 
 
 def test_is_prime_integer_types():
-    for policy in (EXACT, MillerRabin(20, seed=5)):
+    for policy in (EXACT, Exact(sieve(2000)), MillerRabin(20, seed=5)):
         assert is_prime(np.int64(1_000_003), policy) is True
         assert is_prime(np.uint32(97), policy) is True
         assert is_prime(np.int64(1_000_001), policy) is False  # 101 * 9901
         for bad in (8.5, 7.0, "7", None, Fraction(7)):
             with pytest.raises(DomainError):
                 is_prime(bad, policy)
+        # the tester itself takes numpy integers above 251: the witness
+        # test raised AttributeError (bit_length), the random bases a bare
+        # OverflowError from split_seed
+        test = primality_tester(policy, 1000)
+        for n in (np.int64(997), np.uint16(991), np.int64(999),
+                  np.int64(251)):
+            assert test(n) == is_prime(n, policy), (policy, n)
 
 
 def test_is_prime_table_policy(table_1k):

@@ -202,3 +202,20 @@ def test_cli_output_golden(capsys, name):
     captured = capsys.readouterr()
     assert (code, _digest(captured.out), _digest(captured.err)) == (
         CLI_DIGESTS[name])
+
+
+@pytest.mark.parametrize("name", sorted(CLI_INVOCATIONS))
+def test_cli_out_file_golden(tmp_path, capsys, name):
+    """--out moves the output into the file byte for byte: stdout stays
+    empty, the exit code and stderr do not change, and a command that
+    fails writes no file."""
+    out_file = tmp_path / "out"
+    code = main(CLI_INVOCATIONS[name] + ["--out", str(out_file)])
+    captured = capsys.readouterr()
+    expected_code, out_digest, err_digest = CLI_DIGESTS[name]
+    assert (code, captured.out, _digest(captured.err)) == (
+        expected_code, "", err_digest)
+    if code == 0:
+        assert _digest(out_file.read_text(encoding="utf-8")) == out_digest
+    else:
+        assert not out_file.exists()

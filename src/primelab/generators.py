@@ -33,6 +33,7 @@ from .errors import (
     ConfigError,
     NonTerminationError,
     ResourceLimitError,
+    _bound_index,
     _index_field,
 )
 from .ntheory import (
@@ -102,10 +103,13 @@ def _modulus_limit(x: int, epsilon, mode, q) -> float | None:
     """Cheap checks shared by GenConfig and select_modulus: the bound
     x^(1-epsilon) of a derived modulus, or None for an explicit q (a q
     is refused in the other modes, which would ignore it)."""
-    if q is not None and mode is not ModulusMode.EXPLICIT:
-        raise ConfigError(f"q={q!r} needs modulus_mode=explicit")
-    if q is not None and (not isinstance(q, int) or not 2 <= q < x):
-        raise ConfigError(f"explicit q={q!r} is not an integer in [2, x={x})")
+    if q is not None:
+        if mode is not ModulusMode.EXPLICIT:
+            raise ConfigError(f"q={q!r} needs modulus_mode=explicit")
+        q = _bound_index("explicit q", q, error=ConfigError)
+        if not 2 <= q < x:
+            raise ConfigError(
+                f"explicit q={q} is not an integer in [2, x={x})")
     if epsilon is not None and not 0 < epsilon < 1:
         raise ConfigError(f"epsilon must be in (0,1), got {epsilon}")
     if mode is ModulusMode.EXPLICIT:

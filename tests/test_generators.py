@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -53,6 +54,17 @@ def test_select_modulus_explicit_and_errors():
         select_modulus(100, None, ModulusMode.EXPLICIT, 100)
     with pytest.raises(ConfigError):
         select_modulus(4, 0.9, ModulusMode.PRIMORIAL)  # x^(1-eps) < 3
+
+
+def test_select_modulus_takes_a_numpy_explicit_q():
+    # a numpy q was refused as "not an integer"
+    m = select_modulus(1000, None, ModulusMode.EXPLICIT, np.int64(30))
+    assert m == select_modulus(1000, None, ModulusMode.EXPLICIT, 30)
+    assert type(m.q) is int
+    with pytest.raises(ConfigError, match=r"explicit q=1 is not"):
+        select_modulus(1000, None, ModulusMode.EXPLICIT, np.int64(1))
+    with pytest.raises(ConfigError, match="needs an integer"):
+        select_modulus(1000, None, ModulusMode.EXPLICIT, 30.0)
 
 
 def test_config_validation():
@@ -543,3 +555,23 @@ def test_golden_stream_digest():
     assert (errors, fallbacks, digest.hexdigest()) == (
         35, 46,
         "79b2d7690357c85ad42d3f9b656748cdcd1b2c221949d7233d26cce8b48bf900")
+
+
+def test_witness_scale_stream_digest():
+    # 50 seeded runs per algorithm at x = 10^18 under Exact() with no
+    # table, where every candidate is proven by the witness tiers of
+    # ntheory._miller_rabin: a change of tier must leave every prime and
+    # every telemetry field as it was
+    import hashlib
+    import json
+    from dataclasses import asdict, replace
+
+    records = []
+    for algo in Algorithm:
+        cfg = GenConfig(x=10**18, algorithm=algo, epsilon=0.3, A=2.0)
+        for i in range(50):
+            p, tel = generate(replace(cfg, seed=split_seed(18, i)))
+            records.append([p, asdict(tel)])
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "8d8eece1b40cd30b5654a744cee4ecfbec2d571a69e63324afacab16cb3db33f")

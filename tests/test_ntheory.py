@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primelab import ntheory
@@ -392,6 +392,70 @@ def test_is_prime_exact_matches_reference():
         for _ in range(10**4):
             n = rnd.randrange(scale, 2 * scale)
             assert is_prime(n) == _reference_is_prime(n), n
+
+
+_BPSW_LO, _BPSW_HI = ntheory._BPSW_RANGE
+
+
+def test_lucas_stage_refuses_base_2_strong_pseudoprimes():
+    # the Lucas half of BPSW alone refuses what the base-2 half lets by:
+    # every base-2 strong pseudoprime below 10^6 and each psi_k in the
+    # BPSW range, all of which pass base 2
+    primes = set(sieve(10**6).primes.tolist())
+    spsp = [n for n in range(3, 10**6, 2)
+            if n not in primes and _strong_probable_prime(n, 2)]
+    assert len(spsp) == 46 and spsp[:3] == [2047, 3277, 4033]
+    psis = [psi for psi in PSI.values() if _BPSW_LO <= psi < _BPSW_HI]
+    assert psis == [PSI[5], PSI[6], PSI[8], PSI[11]]
+    for n in spsp + psis:
+        assert _strong_probable_prime(n, 2), n
+        assert not ntheory._strong_lucas_probable_prime(n), n
+    # and it passes primes on either side of the range's ends
+    for p in (1_000_003, 2_152_302_898_771, 2**64 - 59):
+        assert _reference_is_prime(p)
+        assert ntheory._strong_lucas_probable_prime(p), p
+
+
+def test_is_prime_refuses_prime_squares():
+    # no Selfridge D exists for a square, so the Lucas stage refuses one
+    # before its D search, which would not end.  Base 2 already refuses
+    # p^2 unless p is a Wieferich prime (1093, 3511 below 6.7e15), whose
+    # squares pass it.
+    rnd = random.Random(21)
+    primes = [2**32 - 5]
+    while len(primes) < 50:
+        p = rnd.randrange(2**21, 2**32)
+        while not _reference_is_prime(p):
+            p += 1
+        primes.append(p)
+    for p in primes:
+        assert is_prime(p) and not is_prime(p * p), p
+        assert not ntheory._strong_lucas_probable_prime(p * p), p
+    for p in (1093, 3511):
+        assert _strong_probable_prime(p * p, 2)
+        assert not ntheory._strong_lucas_probable_prime(p * p), p
+
+
+def _semiprime(p, m):
+    """p(mp - m + 1) for the least p' >= p with p' and mp' - m + 1 prime:
+    the shape of psi_12 = p(2p - 1), which fools strong tests."""
+    while not (_reference_is_prime(p) and _reference_is_prime(m * p - m + 1)):
+        p += 1
+    return p * (m * p - m + 1)
+
+
+@given(st.one_of(
+    st.integers(_BPSW_LO, _BPSW_HI - 1),
+    st.integers(1_037_378, 3_000_000_000).map(lambda p: _semiprime(p, 2)),
+    st.integers(847_016, 2_400_000_000).map(lambda p: _semiprime(p, 3))))
+@example(_semiprime(2**21, 2))
+@example(_semiprime(2**31, 2))
+@example(_semiprime(2**21, 3))
+@example(_semiprime(2**31, 3))
+@settings(max_examples=500, deadline=None)
+def test_bpsw_range_matches_reference(n):
+    assert _BPSW_LO <= n < _BPSW_HI
+    assert is_prime(n) == _reference_is_prime(n), n
 
 
 def test_is_prime_integer_types():

@@ -14,12 +14,13 @@ drawn from the generation source (with the subset spent on modulus/unit
 selection broken out), the accepted (q, a) and whether the fallback was
 entered.  Runs are bit-for-bit reproducible from the seed.
 
-`trial_records` runs many trials of `generate` at once in numpy lanes,
-each on its own counter stream, and returns each trial's output and
-telemetry.
+`trial_records` runs many trials, each on its own counter stream, in
+numpy lanes where a prime table covers x and else through `generate`,
+and returns each trial's output and telemetry.
 """
 
 import dataclasses
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from .errors import (
     BrokenBitSourceError,
     ConfigError,
     NonTerminationError,
+    PrimelabError,
     ResourceLimitError,
     _bound_index,
     _index_field,
@@ -40,6 +42,7 @@ from .ntheory import (
     EXACT,
     Modulus,
     PrimalityPolicy,
+    covering_table,
     primality_tester,
     primes_upto,
     primorial_below,
@@ -73,8 +76,8 @@ class UnitMethod(str, Enum):
 _RESIDUE_ALGOS = (Algorithm.BASIC, Algorithm.ERH_FALLBACK)
 _RANDOM_MODULUS_ALGOS = (Algorithm.UNCOND, Algorithm.UNCOND_NOFALLBACK)
 _FALLBACK_ALGOS = (Algorithm.ERH_FALLBACK, Algorithm.UNCOND)
-# their modulus and its predictions are computed in floats
-_FLOAT_ALGOS = _RESIDUE_ALGOS + _RANDOM_MODULUS_ALGOS
+# they search a class on a budget; modulus and predictions are in floats
+_CLASS_ALGOS = _RESIDUE_ALGOS + _RANDOM_MODULUS_ALGOS
 
 
 def default_T(x: int) -> int:
@@ -178,7 +181,7 @@ class GenConfig:
             self._coerce("modulus_mode", ModulusMode)
         if type(self.unit_method) is not UnitMethod:
             self._coerce("unit_method", UnitMethod)
-        if algo in _FLOAT_ALGOS and x > sys.float_info.max:
+        if algo in _CLASS_ALGOS and x > sys.float_info.max:
             raise ConfigError(
                 f"{algo.value} needs x within float range; x has "
                 f"{x.bit_length()} bits"
@@ -336,6 +339,17 @@ def _pick_random_modulus(cfg: GenConfig, src):
             return q, a
 
 
+def _empty_class(a: int, q: int, budget: int) -> NonTerminationError:
+    """The failure of a run that spent its budget on the class a (mod q)."""
+    return NonTerminationError(f"no prime = {a} (mod {q}) found in {budget} "
+                               f"iterations; the class is likely empty")
+
+
+def _in_trial(i: int, exc: PrimelabError) -> PrimelabError:
+    """exc, naming trial i of a run of many trials."""
+    return type(exc)(f"trial {i}: {exc}")
+
+
 def generate(cfg: GenConfig, src: CountingBitSource | None = None):
     """Run the configured generator once; returns (prime, Telemetry).
 
@@ -367,10 +381,7 @@ def generate(cfg: GenConfig, src: CountingBitSource | None = None):
         p = _residue_search(src, x, q, a, budget, test, tel)
         if p is None:
             if algo not in _FALLBACK_ALGOS:
-                raise NonTerminationError(
-                    f"no prime = {a} (mod {q}) found in {budget} "
-                    f"iterations; the class is likely empty"
-                )
+                raise _empty_class(a, q, budget)
             tel.fallback_entered = True
             p = _residue_search(src, x, 1, 1, _NO_BUDGET, test, tel)
     tel.bits_consumed = src.bits_consumed - start
@@ -392,7 +403,7 @@ _IDLE, _SEARCH, _UNIT, _PICK_Q, _PICK_A, _PICK_T = range(6)
 _ROWS = ("phase", "m", "shift", "q", "a", "left", "u", "used", "ctr",
          "trial", "seed", "key", "retries", "iters", "bits", "sel")
 _REGS, _KEYS, _TEL = 7, slice(10, 13), 13
-LANE_X_LIMIT = 1 << 31  # the engine computes candidates in int32
+_LANE_X_LIMIT = 1 << 31  # the engine computes candidates in int32
 
 
 def _shifts(m):
@@ -430,23 +441,23 @@ def _holds_prime(table, q, a, m):
 
 
 class _Lanes:
-    """Lanes that run trials of cfg (all idle at first) and what the steps
-    read of cfg.  Each name in _ROWS is an attribute, that row of `state`
-    over the first `width` lanes: the registers (`regs`, see _column), the
-    words the selection took this step, the next word, the trial; as
-    uint64 its seed, the run's key and retries; and with `telemetry`
-    `iters`, charged a search segment's draws when it opens less those
-    left when it ends, `bits`, its words times their width (from its first
-    word when it opens, to its end when it ends), and `sel`, the selection
-    bits."""
+    """Lanes that run trials of cfg (all idle at first) into `records`,
+    and what the steps read of cfg.  Each name in _ROWS is an attribute,
+    that row of `state` over the first `width` lanes: the registers
+    (`regs`, see _column), the words the selection took this step, the
+    next word, the trial; as uint64 its seed, the run's key and retries;
+    and with `telemetry` `iters`, charged a search segment's draws when it
+    opens less those left when it ends, `bits`, its words times their
+    width (from its first word when it opens, to its end when it ends),
+    and `sel`, the selection bits."""
 
     def __init__(self, cfg: GenConfig, table, trials: int,
                  retry: bool = False, telemetry: bool = False):
         self.cfg, self.algo, self.budget = cfg, cfg.algorithm, cfg.budget
         self.table, self.primes = table, primes_upto(cfg.x, table)
         self.retry, self.telemetry = retry, telemetry
-        self.capped = self.algo in (Algorithm.BASIC,
-                                    Algorithm.UNCOND_NOFALLBACK)
+        self.capped = (self.algo in _CLASS_ALGOS
+                       and self.algo not in _FALLBACK_ALGOS)
         self.trivial = self.start = _column(_SEARCH, cfg.x, 1, 1, _NO_BUDGET)
         if self.algo in _RESIDUE_ALGOS:
             self.modulus, self.select = cfg.modulus, _unit
@@ -454,11 +465,8 @@ class _Lanes:
         elif self.algo in _RANDOM_MODULUS_ALGOS:
             self.start, self.select = _column(_PICK_Q, cfg.Q // 2), _pick
             self.thin = _column(_PICK_T, cfg.Q)[:3]
-        self.records = {"prime": np.empty(trials, np.min_scalar_type(cfg.x))}
-        if telemetry:
-            self.records.update({f.name: np.full(trials, f.default, f.type)
-                                 for f in dataclasses.fields(Telemetry)})
-        self.admitted, self.failed = 0, None  # failed: (trial, a, q)
+        self.records = _new_records(cfg.x, trials, telemetry)
+        self.admitted, self.failed = 0, None  # failed: (trial, error)
         self.width = min(_LANES, trials)
         self.state = np.zeros((len(_ROWS), self.width), np.int64)  # idle
         self.narrow(np.arange(self.width))  # binds the rows
@@ -507,7 +515,8 @@ def _exhaust(s: _Lanes, i, at=None):
     else:
         j = i[np.argmin(s.trial[i])]
         if s.failed is None or s.trial[j] < s.failed[0]:
-            s.failed = int(s.trial[j]), int(s.a[j]), int(s.q[j])
+            s.failed = int(s.trial[j]), _empty_class(
+                int(s.a[j]), int(s.q[j]), s.budget)
         s.phase[i] = _IDLE
 
 
@@ -653,23 +662,58 @@ def _search(s: _Lanes, w):
     _exhaust(s, i, s.ctr[i])
 
 
-def trial_records(cfg: GenConfig, trials: int, table,
+def _new_records(x: int, trials: int, telemetry: bool) -> dict:
+    """The arrays of trial_records: the primes in the narrowest unsigned
+    dtype that holds x (object from 2^64 on); the Telemetry fields in
+    their own types below 2^63, else in that dtype (q, a may pass int64)."""
+    wide = np.min_scalar_type(x)
+    fields = dataclasses.fields(Telemetry) if telemetry else ()
+    return {"prime": np.empty(trials, wide), **{
+        f.name: np.full(trials, f.default, f.type if x < 2**63 else wide)
+        for f in fields}}
+
+
+def _generate_loop(cfg: GenConfig, trials: int, retry: bool,
+                   telemetry: bool) -> dict:
+    """trial_records by one generate call per run: trial i on the seed
+    k_i = split_seed(cfg.seed, i), its retry r on split_seed(k_i, r)."""
+    records = _new_records(cfg.x, trials, telemetry)
+    names = [name for name in records if name != "prime"]
+    for i in range(trials):
+        key = split_seed(cfg.seed, i)
+        for r in itertools.count():
+            try:
+                p, tel = generate(cfg, CountingBitSource(
+                    split_seed(key, r) if r else key))
+                break
+            except PrimelabError as exc:
+                if not (retry and isinstance(exc, NonTerminationError)):
+                    raise _in_trial(i, exc) from exc
+        records["prime"][i] = p
+        for name in names:
+            records[name][i] = getattr(tel, name)
+    return records
+
+
+def trial_records(cfg: GenConfig, trials: int, table=None,
                   retry_nontermination: bool = False,
                   telemetry: bool = False) -> dict:
     """Generate's trials 0..trials-1 of cfg, trial i on
     CountingBitSource(split_seed(cfg.seed, i)), as numpy arrays in trial
-    order: "prime", the outputs, in the narrowest unsigned dtype that holds
-    x (`table` must cover x, and x must be below 2^31), and with
-    `telemetry` one array per Telemetry field, equal to generate's.
-
-    Each step hands every lane (_Lanes) its next _LOOK words, for _select
-    and then _search.  Idle lanes take the next trials (_admit), and once
-    all are admitted the width halves.  A run that spends its budget
-    (basic, uncond_nofallback) raises NonTerminationError naming the least
-    such trial, as a loop over generate would; with retry_nontermination
-    retry r of trial i runs on split_seed(k_i, r), k_i the trial's seed,
-    and the telemetry is that of the run that ends."""
-    if cfg.x >= LANE_X_LIMIT:
+    order: "prime", the outputs, and with `telemetry` one per Telemetry
+    field.  The error of a failed trial names it, the least such trial
+    for a run that spends its budget (basic, uncond_nofallback); with
+    retry_nontermination its retry r runs on split_seed(k_i, r) instead,
+    k_i the trial's seed.  The one choice of runner: the lane engine
+    where a table covers x (`table`, which must, else the policy's by
+    ntheory.covering_table), reading primality from it, for x < 2^31;
+    else _generate_loop.  Each engine step hands every lane (_Lanes) its
+    next _LOOK words, for _select and then _search; idle lanes take the
+    next trials (_admit), and once all are admitted the width halves."""
+    table = table or covering_table(cfg.primality.table, cfg.x)
+    if table is None:
+        return _generate_loop(cfg, trials, retry_nontermination, telemetry)
+    if cfg.x >= _LANE_X_LIMIT:
         raise ResourceLimitError(f"the lane engine computes in int32: "
                                  f"x = {cfg.x} is not below 2^31")
     s = _Lanes(cfg, table, trials, retry_nontermination, telemetry)
@@ -685,8 +729,5 @@ def trial_records(cfg: GenConfig, trials: int, table,
         _select(s, w)
         _search(s, w)
     if s.failed is not None:
-        t, fa, fq = s.failed
-        raise NonTerminationError(
-            f"trial {t}: no prime = {fa} (mod {fq}) found in {s.budget} "
-            f"iterations; the class is likely empty")
+        raise _in_trial(*s.failed)
     return s.records

@@ -38,8 +38,6 @@ from .exactdist import (
 from .generators import (
     Algorithm,
     GenConfig,
-    LANE_X_LIMIT,
-    generate,
     trial_records,
 )
 from .metrics import DistMetrics, FiniteDist, metrics_of
@@ -50,12 +48,10 @@ from .ntheory import (
     MillerRabin,
     PrimalityPolicy,
     PrimeTable,
-    covering_table,
     primes_upto,
     table_for,
     totient_sieve,
 )
-from .rng import CountingBitSource, split_seed
 
 SCHEMA_VERSION = 1
 
@@ -128,63 +124,24 @@ def predictions_for(cfg: GenConfig):
 
 def benchmark(cfg: GenConfig, trials: int,
               with_metrics: bool = False) -> RunReport:
-    """Run the configured generator `trials` times and aggregate telemetry.
-
-    Trial i uses an independent bit source seeded with
-    split_seed(cfg.seed, i).  Where the policy's table covers x
-    (ntheory.covering_table) and x is below generators.LANE_X_LIMIT, the
-    lane engine runs the trials and their telemetry is summed; otherwise
-    generate runs them one by one, the error of a failed trial naming it.
-    The metrics take pi(x) from that table, else from sieve(x).
-    """
+    """Sum the telemetry of cfg's trials 0..trials-1, which
+    generators.trial_records runs (trial i on split_seed(cfg.seed, i)).
+    The metrics take pi(x) from the policy's table where it covers x,
+    else from sieve(x)."""
     trials = _bound_index("trials", trials, 1)
-    table = covering_table(cfg.primality.table, cfg.x)
     if with_metrics:
-        space = table_for(cfg.x, table).count_leq(cfg.x)
-    if table is not None and cfg.x < LANE_X_LIMIT:
-        records = trial_records(cfg, trials, table, telemetry=True)
-        sum_iter, sum_bits, sum_sel, sum_tests, fallbacks = (
-            int(records[name].sum()) for name in (
-                "loop_iterations", "bits_consumed", "selection_bits",
-                "primality_tests", "fallback_entered"))
-        if with_metrics:
-            outputs = _output_counts(records["prime"])
-    else:
-        sum_iter = sum_bits = sum_sel = sum_tests = fallbacks = 0
-        outputs: Counter = Counter()
-        for i in range(trials):
-            src = CountingBitSource(split_seed(cfg.seed, i))
-            try:
-                p, tel = generate(cfg, src)
-            except PrimelabError as exc:
-                raise type(exc)(f"trial {i}: {exc}") from exc
-            sum_iter += tel.loop_iterations
-            sum_bits += tel.bits_consumed
-            sum_sel += tel.selection_bits
-            sum_tests += tel.primality_tests
-            fallbacks += tel.fallback_entered
-            if with_metrics:
-                outputs[p] += 1
-
-    pred_iter, pred_bits, eps_eff = predictions_for(cfg)
+        space = table_for(cfg.x, None, cfg.primality.table).count_leq(cfg.x)
+    records = trial_records(cfg, trials, telemetry=True)
+    iters, bits, sel, tests, fell = (int(records[name].sum()) for name in (
+        "loop_iterations", "bits_consumed", "selection_bits",
+        "primality_tests", "fallback_entered"))
     dist_metrics = None
     if with_metrics:
-        empirical = FiniteDist.from_counts(outputs, trials, space)
-        dist_metrics = metrics_of(empirical)
-    return RunReport(
-        config=cfg,
-        trials=trials,
-        mean_iterations=sum_iter / trials,
-        mean_bits=sum_bits / trials,
-        mean_loop_bits=(sum_bits - sum_sel) / trials,
-        mean_selection_bits=sum_sel / trials,
-        mean_primality_tests=sum_tests / trials,
-        fallback_rate=fallbacks / trials,
-        predicted_iterations=pred_iter,
-        predicted_bits=pred_bits,
-        epsilon_effective=eps_eff,
-        metrics=dist_metrics,
-    )
+        dist_metrics = metrics_of(FiniteDist.from_counts(
+            _output_counts(records["prime"]), trials, space))
+    return RunReport(cfg, trials, *(total / trials for total in (
+        iters, bits, bits - sel, sel, tests, fell)), *predictions_for(cfg),
+        metrics=dist_metrics)
 
 
 def _output_counts(outputs: np.ndarray) -> Counter:
@@ -327,8 +284,7 @@ def primeinc_audit(
     twins = np.flatnonzero(gaps == 2) + 1  # indices of p with p - 2 prime
     twin_uniform = len(twins) / pi_x
     twin_exact = 2 * len(twins) / int(primes_x[-1])
-    cfg = GenConfig(x=x, algorithm=Algorithm.PRIMEINC, seed=seed,
-                    primality=Exact(table))
+    cfg = GenConfig(x=x, algorithm=Algorithm.PRIMEINC, seed=seed)
     outputs = trial_records(cfg, trials, table)["prime"]
     hits = int(np.count_nonzero(np.isin(outputs, primes_x[twins])))
     twin_empirical = hits / trials

@@ -18,9 +18,9 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError, _bound_index, _index_field
 from .rng import CountingBitSource, split_seed
 
-# Desk-scale caps: sieving beyond 2^31 or totient tables beyond 10^8 are
-# refused rather than attempted.
-DEFAULT_SIEVE_CAP = 2**31
+# Desk-scale caps: sieving from 2^31 (so every table fits the int32 lanes
+# of generators) or totient tables beyond 10^8 are refused, not attempted.
+DEFAULT_SIEVE_CAP = 2**31 - 1
 DEFAULT_TOTIENT_CAP = 10**8
 
 _SEGMENT = 1 << 20  # odd numbers per segment of `sieve`: a multiple of 8

@@ -43,6 +43,17 @@ def test_bench_json(capsys):
     assert record["schema_version"] == 1
 
 
+def test_bench_beyond_a_word(capsys):
+    # x = 2^80: uncond with A = 2 draws moduli q > 2^63
+    code, out, err = run_cli(
+        capsys, "bench", "--x", str(2**80), "--algo", "uncond", "--A", "2",
+        "--trials", "5",
+    )
+    assert code == 0 and err == ""
+    (record,) = json.loads(out)
+    assert record["trials"] == 5 and record["config"]["x"] == 2**80
+
+
 def test_exact_dist_csv(capsys):
     code, out, err = run_cli(
         capsys, "exact-dist", "--x", "30", "--algo", "basic", "--q", "6",

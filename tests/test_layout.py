@@ -1,7 +1,8 @@
 """Package layout: ntheory owns the prime table, generators does not
 reach up into exactdist (which imports generators), a FiniteDist has
 one exact representation, no public function takes a parameter that
-only tests would set, and the CLI writes its output in one place."""
+only tests would set, the CLI writes its output in one place, and only
+generators chooses how trials run."""
 
 import ast
 import importlib
@@ -135,3 +136,16 @@ def test_cli_writes_only_in_main():
              for node in ast.walk(tree) if isinstance(node, ast.Call)
              and ast.unparse(node.func) in _WRITERS}
     assert calls == {(name, True) for name in _WRITERS}
+
+
+def test_harness_leaves_the_runner_to_generators():
+    """generators.trial_records alone chooses between the lane engine and
+    a generate loop: harness calls no generate and names no engine
+    limit, which generators keeps private."""
+    tree = _tree(SRC / "harness.py")
+    calls = [ast.unparse(node.func) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).split(".")[-1] == "generate"]
+    limits = [w for w in _words(tree) if "LANE_X_LIMIT" in w]
+    assert calls == [] and limits == []
+    assert not hasattr(generators, "LANE_X_LIMIT")

@@ -113,6 +113,8 @@ def test_sieve_domain_and_cap():
         sieve(1)
     with pytest.raises(ResourceLimitError):
         sieve(2**31 + 1)
+    with pytest.raises(ResourceLimitError):
+        sieve(2**31)  # every table sieve builds fits the engine's int32
 
 
 def test_count_ap_primes_examples():

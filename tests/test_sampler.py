@@ -11,8 +11,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from primelab.errors import NonTerminationError, ResourceLimitError
+from primelab.errors import (
+    NonTerminationError,
+    PrimelabError,
+    ResourceLimitError,
+)
 from primelab.exactdist import (
     exact_dist_basic,
     exact_dist_erh_fallback,
@@ -275,6 +281,73 @@ def test_benchmark_equals_a_generate_loop(algo, fields):
     assert benchmark(cfg, 2000, with_metrics=True) == expected
 
 
+@pytest.mark.parametrize("algo,fields", [
+    (Algorithm.UNCOND, dict(A=2.0)),  # draws moduli q > 2^63
+    (Algorithm.TRIVIAL, dict(primality=MillerRabin(2))),
+])
+def test_benchmark_beyond_a_word_equals_a_generate_loop(algo, fields):
+    cfg = GenConfig(x=2**80, algorithm=algo, seed=7, **fields)
+    runs = _generate_runs(cfg, 20, False)
+    if algo is Algorithm.UNCOND:
+        assert max(tel.chosen_q for _, tel in runs) > 2**63
+
+    def mean(field):
+        return sum(getattr(tel, field) for _, tel in runs) / 20
+    expected = RunReport(
+        cfg, 20, mean("loop_iterations"), mean("bits_consumed"),
+        mean("loop_bits"), mean("selection_bits"), mean("primality_tests"),
+        mean("fallback_entered"), *predictions_for(cfg))
+    assert benchmark(cfg, 20) == expected
+    records = trial_records(cfg, 20, telemetry=True)
+    assert records["prime"].tolist() == [p for p, _ in runs]
+    assert records["chosen_q"].tolist() == [tel.chosen_q for _, tel in runs]
+
+
+T10K = sieve(10**4)
+
+
+def _records_or_failure(*args, **kwargs):
+    try:
+        return trial_records(*args, **kwargs)
+    except NonTerminationError as exc:
+        return str(exc)
+
+
+# the strategy of test_any_config_is_refused_or_yields_a_prime, narrowed
+# to the configs it mostly accepts, plus the trials and retries
+@settings(max_examples=300, deadline=None)
+@given(x=st.integers(2, 12) | st.integers(2, 10**4),
+       algorithm=st.sampled_from(Algorithm), epsilon=st.floats(0.05, 0.95),
+       A=st.floats(0.25, 4), q=st.integers(2, 10**4),
+       modulus_mode=st.sampled_from(ModulusMode),
+       unit_method=st.sampled_from(UnitMethod),
+       T_override=st.none() | st.integers(1, 20),
+       max_iterations=st.integers(1, 50), seed=st.integers(0, 2**64),
+       trials=st.integers(1, 40), retry=st.booleans())
+@example(x=30, algorithm=Algorithm.BASIC, epsilon=0.5, A=1.0, q=25,
+         modulus_mode=ModulusMode.EXPLICIT,
+         unit_method=UnitMethod.JOYE_PAILLIER, T_override=None,
+         max_iterations=30, seed=6, trials=40, retry=False)
+def test_engine_equals_the_generate_loop(trials, retry, q, **kw):
+    """trial_records on a covering table (the lane engine) and without
+    one (generate once per run) give equal arrays, or fail alike."""
+    if kw["modulus_mode"] is ModulusMode.EXPLICIT:
+        kw["q"] = min(q, kw["x"] - 1)
+    try:
+        cfg = GenConfig(primality=Exact(), **kw)
+    except PrimelabError:
+        return
+    engine = _records_or_failure(cfg, trials, T10K, retry, telemetry=True)
+    loop = _records_or_failure(cfg, trials, None, retry, telemetry=True)
+    if isinstance(engine, str) or isinstance(loop, str):
+        assert engine == loop
+        return
+    assert list(engine) == list(loop)
+    for name in engine:
+        assert engine[name].dtype == loop[name].dtype, name
+        assert np.array_equal(engine[name], loop[name]), name
+
+
 def test_engine_failure_names_the_trial_a_generate_loop_names():
     # x = 30, q = 25 has empty classes: the engine must report the same
     # first failing trial (3 here), class and budget as a generate loop
@@ -291,12 +364,11 @@ def test_engine_failure_names_the_trial_a_generate_loop_names():
 
 
 def test_only_a_covering_exact_table_skips_generate(monkeypatch):
-    from primelab import generators, harness
+    from primelab import generators
 
     def refuse(*args):
         raise AssertionError("generate ran")
-    for module in (generators, harness):
-        monkeypatch.setattr(module, "generate", refuse)
+    monkeypatch.setattr(generators, "generate", refuse)
     cfg = GenConfig(x=1000, algorithm=Algorithm.BASIC, epsilon=0.3, seed=6,
                     primality=Exact(T1000))
     assert benchmark(cfg, 50).trials == 50

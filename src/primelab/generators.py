@@ -15,8 +15,9 @@ selection broken out), the accepted (q, a) and whether the fallback was
 entered.  Runs are bit-for-bit reproducible from the seed.
 
 `trial_records` runs many trials, each on its own counter stream, in
-numpy lanes where a prime table covers x and else through `generate`,
-and returns each trial's output and telemetry.
+numpy lanes below 2^63 (primality from a covering prime table, else from
+trial division and the policy's tester) and through `generate` from 2^63
+on, and returns each trial's output and telemetry.
 """
 
 import dataclasses
@@ -46,6 +47,7 @@ from .ntheory import (
     primality_tester,
     primes_upto,
     primorial_below,
+    trial_division,
 )
 from .rng import CountingBitSource, split_seed, word_block
 
@@ -396,19 +398,26 @@ def generate(cfg: GenConfig, src: CountingBitSource | None = None):
 # uint64 (see _search).
 _LANES, _LOOK, _MIN_WIDTH = 4096, 8, 32
 _ONES = np.uint64(0x0101010101010101)
-_SCAN = 16  # class members tested at a time for a prime
+_SCAN = 16  # class members (primeinc: integers) tested at a time for a prime
+# Without a table, the most class members proven to settle that a class
+# holds no prime; a larger class spends its budget, as in generate.
+_SETTLE = 64
 # A lane's next draw: none, the search for p = a + t*q (trivial and
 # primeinc: q = 1, a = 1), a unit, or a draw of _pick_random_modulus.
 _IDLE, _SEARCH, _UNIT, _PICK_Q, _PICK_A, _PICK_T = range(6)
 _ROWS = ("phase", "m", "shift", "q", "a", "left", "u", "used", "ctr",
          "trial", "seed", "key", "retries", "iters", "bits", "sel")
 _REGS, _KEYS, _TEL = 7, slice(10, 13), 13
-_LANE_X_LIMIT = 1 << 31  # the engine computes candidates in int32
+_LANE_X_LIMIT = 1 << 31  # a table's candidates are int32
+_WORD_X_LIMIT = 1 << 63  # else uint64: each draw is one word
+_POWERS = 1 << np.arange(63)  # 2^0, ..., 2^62
 
 
 def _shifts(m):
-    """64 - ceil(log2 m): a draw below m takes a word shifted this far."""
-    return 64 - np.frexp(m - 1)[1]
+    """64 - ceil(log2 m) for each m in [1, 2^63): a draw below m takes a
+    word shifted this far.  m - 1 has as many bits as there are powers
+    of two up to it, exactly, where a float may round it up to one."""
+    return 64 - _POWERS.searchsorted(m - 1, side="right")
 
 
 def _column(phase, bound, q=0, a=0, left=0, u=0):
@@ -418,7 +427,10 @@ def _column(phase, bound, q=0, a=0, left=0, u=0):
 
 
 def _pow_mod(b, e: int, q: int):
-    """b^e mod q for each entry of the int64 array b, for q < 2^31."""
+    """b^e mod q for each entry of the int64 array b: in int64 for
+    q < 2^31, else in Python ints, as b*b may pass int64."""
+    if q >= _LANE_X_LIMIT:
+        return np.array([pow(v, e, q) for v in b.tolist()], np.int64)
     r = np.ones_like(b)
     while e:
         if e & 1:
@@ -428,16 +440,69 @@ def _pow_mod(b, e: int, q: int):
     return r
 
 
-def _holds_prime(table, q, a, m):
-    """Whether the class a + t*q, t < m, holds a prime, for each entry."""
-    alive = np.zeros(len(q), dtype=bool)
+def _first_prime(s, n):
+    """The first column of each row of n (integers in [0, x]) that holds
+    a prime, or the width of n: read from the table, or else proven in
+    column order by the tester, past ntheory.trial_division, up to the
+    row's first prime, as a generate loop proves its draws."""
+    if s.table is not None:
+        hit = s.table.prime_mask(n)
+        return np.where(hit.any(axis=1), hit.argmax(axis=1), n.shape[1])
+    prime, open_ = trial_division(n)
+    first = np.where(prime.any(axis=1), prime.argmax(axis=1),
+                     n.shape[1]).tolist()
+    rows, cols = np.nonzero(open_)
+    for r, c, v in zip(rows.tolist(), cols.tolist(), n[open_].tolist()):
+        if c < first[r] and s.test(v):
+            first[r] = c
+    return np.array(first)
+
+
+def _holds_prime(s, q, a, m):
+    """Whether the class a + t*q, t < m, holds a prime, for each entry.
+    Without a table, a class of more than _SETTLE members is taken to
+    hold one."""
+    alive = m > _SETTLE if s.table is None else np.zeros(len(q), bool)
     t = np.arange(_SCAN)
     while not (alive | (m <= t[0])).all():
         # 0 stands for the members past the class end; it is not prime
-        members = np.where(t < m[:, None], a[:, None] + t * q[:, None], 0)
-        alive |= table.prime_mask(members).any(axis=1)
+        members = np.where((t < m[:, None]) & ~alive[:, None],
+                           a[:, None] + t * q[:, None], 0)
+        alive |= _first_prime(s, members) < _SCAN
         t = t + _SCAN
     return alive
+
+
+def _next_primes(s, y):
+    """The first prime from each start y up to x, 0 if none: primeinc's
+    scan without a table, by blocks of _SCAN integers."""
+    found, rows = np.zeros_like(y), np.arange(len(y))
+    while len(rows):
+        n = y[:, None] + np.arange(_SCAN, dtype=np.uint64)
+        n[n > s.cfg.x] = 0
+        first = _first_prime(s, n)
+        hit = first < _SCAN
+        found[rows[hit]] = n[hit, first[hit]]
+        more = ~hit & (y + _SCAN <= s.cfg.x)
+        rows, y = rows[more], y[more] + _SCAN
+    return found
+
+
+def _scan(s, p, ok):
+    """primeinc without a table: each lane's starts p (where ok) scanned
+    in word order, until the first that has a prime up to x.  hit marks
+    that start, and `found` holds its prime there."""
+    hit, found = np.zeros_like(ok), np.zeros_like(p)
+    r, c = np.nonzero(ok)
+    j = np.flatnonzero(np.diff(r, prepend=-1))  # each lane's first start
+    while len(j):
+        prime = _next_primes(s, p[r[j], c[j]].astype(np.uint64))
+        k = j[prime > 0]
+        hit[r[k], c[k]], found[r[k], c[k]] = True, prime[prime > 0]
+        j = j[prime == 0] + 1  # that lane's next start, if any
+        j = j[j < len(r)]
+        j = j[r[j] == r[j - 1]]
+    return hit, found
 
 
 class _Lanes:
@@ -449,12 +514,18 @@ class _Lanes:
     and with `telemetry` `iters`, charged a search segment's draws when it
     opens less those left when it ends, `bits`, its words times their
     width (from its first word when it opens, to its end when it ends),
-    and `sel`, the selection bits."""
+    and `sel`, the selection bits.  Primality comes from `table`, and for
+    primeinc the table's `primes` up to x; or with no table, from the
+    policy's tester `test`, past trial division (see _first_prime)."""
 
     def __init__(self, cfg: GenConfig, table, trials: int,
                  retry: bool = False, telemetry: bool = False):
         self.cfg, self.algo, self.budget = cfg, cfg.algorithm, cfg.budget
-        self.table, self.primes = table, primes_upto(cfg.x, table)
+        self.table = table
+        if table is None:
+            self.test = primality_tester(cfg.primality, cfg.x)
+        elif self.algo is Algorithm.PRIMEINC:
+            self.primes = primes_upto(cfg.x, table)
         self.retry, self.telemetry = retry, telemetry
         self.capped = (self.algo in _CLASS_ALGOS
                        and self.algo not in _FALLBACK_ALGOS)
@@ -523,8 +594,13 @@ def _exhaust(s: _Lanes, i, at=None):
 def _unit(s: _Lanes, i, t):
     """Lanes i drew t < q: sample_unit's b (in a) moves to b + t*u, taken
     if a unit, else u = 1 - b^lambda (Joye-Paillier) or b = 0 (rejection)."""
-    q = s.modulus.q
-    b = s.a[i] = (s.a[i] + t * s.u[i]) % q
+    q, b, u = s.modulus.q, s.a[i], s.u[i]
+    if q < _LANE_X_LIMIT:  # t*u < 2q^2 fits int64
+        b = (b + t * u) % q
+    else:
+        b = np.array([(c + r * v) % q for c, r, v in zip(
+            b.tolist(), t.tolist(), u.tolist())], np.int64)
+    s.a[i] = b
     unit = np.gcd(b, q) == 1
     s.phase[i[unit]] = _SEARCH
     if s.cfg.unit_method is UnitMethod.REJECTION:
@@ -571,6 +647,8 @@ def _select(s: _Lanes, w):
         s.used[i[~going]] = c + 1
         i = i[going]
     i = np.flatnonzero(s.used)
+    if not len(i):
+        return
     s.m[i] = (s.cfg.x - s.a[i]) // s.q[i] + 1
     s.shift[i] = _shifts(s.m[i])
     s.left[i] = s.budget
@@ -583,28 +661,24 @@ def _select(s: _Lanes, w):
     # a class of one member draws t = 0 from no word, at no cost: if a is
     # prime the search's first word (shifted out to 0) ends the trial alike
     empty = s.m[i] == 1
-    empty[empty] = ~s.table.prime_mask(s.a[i[empty]])
+    if empty.any():
+        empty[empty] = _first_prime(s, s.a[i[empty], None]) > 0
     _exhaust(s, i[empty], at[empty])
 
 
-def _finish(s: _Lanes, i, h, found, tries):
-    """Lanes i ended on their word h of this step: found is the prime, or
-    for primeinc the start y below it."""
+def _finish(s: _Lanes, i, h, found, tries, y):
+    """Lanes i ended on their word h of this step: found is the prime, y
+    the draw (for primeinc the start below it)."""
+    if not len(i):
+        return
     done, records = s.trial[i], s.records
-    if s.algo is Algorithm.PRIMEINC:
-        # searchsorted is several times faster on sorted keys
-        order = np.argsort(found)
-        y, found = found, np.empty_like(found)
-        found[order] = s.primes[np.searchsorted(s.primes, y[order])]
     records["prime"][done] = found
     s.phase[i] = _IDLE
     if not s.telemetry:
         return
     n = s.iters[i] - s.left[i] + tries[i, h]
     records["loop_iterations"][done] = n
-    if s.algo is Algorithm.PRIMEINC:
-        n += found - y  # y, y + 1, ..., the prime
-    records["primality_tests"][done] += n
+    records["primality_tests"][done] += n + (found - y)  # y, y + 1, ...
     words = s.ctr[i] - (_LOOK - 1) + h  # up to the last draw's word
     records["bits_consumed"][done] = (s.bits[i] + s.sel[i]
                                       + words * (64 - s.shift[i]))
@@ -615,28 +689,39 @@ def _search(s: _Lanes, w):
     """Searching lanes draw p = a + t*q from the rest of their words of
     the block w, up to a prime or the end of their budget."""
     lanes, left = s.phase == _SEARCH, s.left
-    # int32 halves the memory traffic: every bound is below 2^31
     t = np.right_shift(w, s.shift.view(np.uint64)[:, None], out=w)
-    t = t.astype(np.int32)
-    # other lanes accept no word, not even one that reads negative
-    ok = t < np.where(lanes, s.m, -1 << 31).astype(np.int32)[:, None]
+    # other lanes accept no word: not even one that reads negative in
+    # int32, which halves the memory traffic where a table bounds x by 2^31
+    if s.table is not None:
+        t = t.astype(np.int32)
+        ok = t < np.where(lanes, s.m, -1 << 31).astype(np.int32)[:, None]
+    else:
+        ok = t < np.where(lanes, s.m, 0).astype(np.uint64)[:, None]
     # drop the words the selection took, and make tries[:, j] the draws
     # accepted up to word j: running byte sums, times 0x0101...01
     rows = ok.view(np.uint64)[:, 0]
     rows &= ~np.uint64(0) << (8 * s.used).view(np.uint64)
     tries = (rows * _ONES).view(np.uint8).reshape(s.width, _LOOK)
-    p = t  # a + t*q in place; a rejected draw's p may wrap, then is 0
-    p *= s.q.astype(np.int32)[:, None]
-    p += s.a.astype(np.int32)[:, None]
+    within = np.minimum(left, _LOOK)[:, None]
+    if (within < _LOOK).any():  # the draws past the budget are not made
+        ok &= tries <= within
+    # a + t*q in place; a rejected draw's p may wrap in int32, and in
+    # uint64 stays below 2x (t < 2^k <= 2m), then is 0
+    p = t
+    p *= s.q.astype(p.dtype)[:, None]
+    p += s.a.astype(p.dtype)[:, None]
     p *= ok
-    if s.algo is Algorithm.PRIMEINC:
+    if s.table is None:
+        p = p.view(np.int64)  # each p <= x < 2^63
+        if s.algo is Algorithm.PRIMEINC:
+            hit, found = _scan(s, p, ok)
+        else:
+            hit = _first_prime(s, p)[:, None] == np.arange(_LOOK)
+    elif s.algo is Algorithm.PRIMEINC:
         # a start y <= the largest prime ends at the first prime >= y
         hit = ok & (p <= s.primes[-1])
     else:
         hit = s.table.prime_mask(p)
-    within = np.minimum(left, _LOOK)[:, None]
-    if (within < _LOOK).any():
-        hit &= tries <= within
     ended = hit.view(np.uint64)[:, 0] != 0
     if s.telemetry and s.algo is Algorithm.PRIMEINC:
         # a start y above the largest prime is tested up to x, redrawn: its
@@ -647,14 +732,23 @@ def _search(s: _Lanes, w):
                   s.cfg.x - p[r[keep], c[keep]])
     i = np.flatnonzero(ended)
     h = hit[i].argmax(axis=1)
-    _finish(s, i, h, p[i, h], tries)
+    y = prime = p[i, h]
+    if s.algo is Algorithm.PRIMEINC and s.table is None:
+        prime = found[i, h]
+    elif s.algo is Algorithm.PRIMEINC:  # the first prime >= y in the table
+        # searchsorted is several times faster on sorted keys
+        order = np.argsort(y)
+        prime = np.empty_like(y)
+        prime[order] = s.primes[np.searchsorted(s.primes, y[order])]
+    _finish(s, i, h, prime, tries, y)
     drawn = tries[:, -1]
     spent = lanes & ~ended & (drawn >= left)
     if s.capped:
         # a class without primes can only spend its budget: test the class
         # once, when its lane misses its first block
         i = np.flatnonzero(lanes & ~ended & ~spent & (left == s.budget))
-        _exhaust(s, i[~_holds_prime(s.table, s.q[i], s.a[i], s.m[i])])
+        if len(i):
+            _exhaust(s, i[~_holds_prime(s, s.q[i], s.a[i], s.m[i])])
     np.subtract(left, drawn, out=left, where=lanes)
     i = np.flatnonzero(spent)
     # give back the words after the budget's last draw
@@ -704,18 +798,25 @@ def trial_records(cfg: GenConfig, trials: int, table=None,
     field.  The error of a failed trial names it, the least such trial
     for a run that spends its budget (basic, uncond_nofallback); with
     retry_nontermination its retry r runs on split_seed(k_i, r) instead,
-    k_i the trial's seed.  The one choice of runner: the lane engine
-    where a table covers x (`table`, which must, else the policy's by
-    ntheory.covering_table), reading primality from it, for x < 2^31;
-    else _generate_loop.  Each engine step hands every lane (_Lanes) its
-    next _LOOK words, for _select and then _search; idle lanes take the
-    next trials (_admit), and once all are admitted the width halves."""
+    k_i the trial's seed.  The one choice of runner: below 2^63 the lane
+    engine, from 2^63 on (where a draw may take more than a word)
+    _generate_loop.  Where a table covers x (`table`, which must, else
+    the policy's by ntheory.covering_table; then x < 2^31) the engine
+    computes candidates in int32 and reads primality from the table.
+    Otherwise its candidates are uint64, and its verdicts come in two
+    stages: ntheory.trial_division filters a step's draws at once, and
+    the policy's tester proves each lane's survivors in word order, up
+    to the lane's first prime and the end of its budget, so the engine
+    proves exactly the candidates a generate loop proves.  Each engine
+    step hands every lane (_Lanes) its next _LOOK words, for _select and
+    then _search; idle lanes take the next trials (_admit), and once all
+    are admitted the width halves."""
     table = table or covering_table(cfg.primality.table, cfg.x)
-    if table is None:
-        return _generate_loop(cfg, trials, retry_nontermination, telemetry)
-    if cfg.x >= _LANE_X_LIMIT:
-        raise ResourceLimitError(f"the lane engine computes in int32: "
+    if table is not None and cfg.x >= _LANE_X_LIMIT:
+        raise ResourceLimitError(f"the lane engine reads a table in int32: "
                                  f"x = {cfg.x} is not below 2^31")
+    if cfg.x >= _WORD_X_LIMIT:
+        return _generate_loop(cfg, trials, retry_nontermination, telemetry)
     s = _Lanes(cfg, table, trials, retry_nontermination, telemetry)
     while (s.admitted < trials and s.failed is None) or (
             s.phase != _IDLE).any():

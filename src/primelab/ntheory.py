@@ -18,8 +18,10 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError, _bound_index, _index_field
 from .rng import CountingBitSource, split_seed
 
-# Desk-scale caps: sieving from 2^31 (so every table fits the int32 lanes
-# of generators) or totient tables beyond 10^8 are refused, not attempted.
+# Desk-scale caps: sieving from 2^31 or totient tables beyond 10^8 are
+# refused, not attempted.  Every table fits the int32 lanes of the
+# generators' engine; past a table, its uint64 lanes take their verdicts
+# from `trial_division` and then the policy's tester.
 DEFAULT_SIEVE_CAP = 2**31 - 1
 DEFAULT_TOTIENT_CAP = 10**8
 
@@ -86,6 +88,19 @@ _SMALL_PRIMES = tuple(n for n in range(2, 252)
 _DETERMINISTIC_WITNESSES = _SMALL_PRIMES[: len(_PSI)]  # 2, 3, ..., 41
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
 _SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIMES)
+# The same two steps over numpy arrays (`trial_division`): the flags of
+# 0..252, the residues mod 2 * _WHEEL prime to 2..13 (the wheel's
+# _PERIOD at the odd ones), and for each prime p from 17 its inverse mod
+# 2^64 and floor((2^64 - 1)/p), in columns: p divides n iff
+# n * inverse mod 2^64 <= that quotient (Granlund & Montgomery, "Division
+# by invariant integers using multiplication", PLDI 1994, section 9).
+_SMALL_PRIME_FLAGS = np.zeros(253, dtype=bool)
+_SMALL_PRIME_FLAGS[list(_SMALL_PRIMES)] = True
+_WHEEL_UNITS = np.zeros(2 * _WHEEL, dtype=bool)
+_WHEEL_UNITS[1::2] = _PERIOD
+_PAST_WHEEL = _SMALL_PRIMES[len(_WHEEL_PRIMES) + 1:]
+_INVERSES = np.array([[pow(p, -1, 2**64)] for p in _PAST_WHEEL], np.uint64)
+_QUOTIENTS = np.array([[(2**64 - 1) // p] for p in _PAST_WHEEL], np.uint64)
 
 
 class PrimeTable:
@@ -494,6 +509,25 @@ def _miller_rabin(n: int, bases=None) -> bool:
         if _mr_composite_witness(n, a, d, s):
             return False
     return True
+
+
+def trial_division(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_miller_rabin's first stage for each entry of n, an array of
+    integers in [0, 2^64): (prime, open), where `prime` marks the primes
+    <= 251 and `open` the entries above 251 with no prime factor to 251,
+    which only a test settles.  Every other entry is composite (0 and 1
+    included).  Under either policy a verdict is a function of n, so an
+    array of candidates may be filtered at once."""
+    n = n.astype(np.uint64)
+    prime = _SMALL_PRIME_FLAGS[np.minimum(n, 252)]
+    index = np.flatnonzero(_WHEEL_UNITS[n % (2 * _WHEEL)]
+                           & (n > _SMALL_PRIMES[-1]))
+    open_ = np.zeros(n.size, dtype=bool)
+    for k in range(0, len(index), 512):  # 48 x 512 products at a time
+        i = index[k:k + 512]
+        open_[i] = ~np.logical_or.reduce(n.ravel()[i] * _INVERSES
+                                         <= _QUOTIENTS)
+    return prime, open_.reshape(n.shape)
 
 
 def _random_bases(n: int, policy: MillerRabin):

@@ -25,6 +25,7 @@ from primelab.ntheory import (
     table_for,
     totient_partial_sum,
     totient_sieve,
+    trial_division,
 )
 
 from primelab.rng import CountingBitSource, split_seed
@@ -530,6 +531,36 @@ def test_table_for_covers_x_or_refuses(table_1k):
     with pytest.raises(ResourceLimitError):
         table_for(2**40)
     assert primes_upto(100, table_1k).tolist() == small.primes.tolist()
+
+
+def _first_stage(n):
+    """_miller_rabin's first stage for n: "prime" for the primes <= 251,
+    "open" past 251 and prime to 251#, else "composite"."""
+    if n <= 251:
+        return "prime" if n in ntheory._SMALL_PRIME_SET else "composite"
+    coprime = math.gcd(n, ntheory._SMALL_PRIME_PRODUCT) == 1
+    return "open" if coprime else "composite"
+
+
+def test_trial_division_is_the_first_stage_of_the_tester():
+    rnd = random.Random(5)
+    small = [p for p in range(2, 400) if _reference_is_prime(p)]
+    values = list(range(70_000))
+    values += [rnd.randrange(2**64) for _ in range(50_000)]
+    values += [p * q for p in small for q in small]  # 251 * 257 among them
+    values += [2**63 - 1, 2**63, 2**64 - 59, 2**64 - 1]
+    for dtype in (np.uint64, np.int64):
+        n = np.array([v for v in values if v <= np.iinfo(dtype).max], dtype)
+        n = n[: len(n) // 2 * 2].reshape(-1, 2)[:, ::-1]  # not contiguous
+        prime, open_ = trial_division(n)
+        assert prime.shape == open_.shape == n.shape
+        verdicts = np.where(prime, "prime", np.where(open_, "open",
+                                                     "composite"))
+        assert verdicts.tolist() == [[_first_stage(v) for v in row]
+                                     for row in n.tolist()]
+    for v in values[:5000] + values[-4:]:
+        if _first_stage(v) != "open":
+            assert ntheory._miller_rabin(v) == (_first_stage(v) == "prime")
 
 
 def test_prime_mask_matches_is_prime(table_1k):

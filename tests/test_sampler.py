@@ -38,8 +38,10 @@ from primelab.generators import (
     ModulusMode,
     Telemetry,
     UnitMethod,
+    _generate_loop,
     _Lanes,
     _select,
+    _shifts,
     generate,
     trial_records,
 )
@@ -306,9 +308,9 @@ def test_benchmark_beyond_a_word_equals_a_generate_loop(algo, fields):
 T10K = sieve(10**4)
 
 
-def _records_or_failure(*args, **kwargs):
+def _records_or_failure(runner, *args):
     try:
-        return trial_records(*args, **kwargs)
+        return runner(*args)
     except NonTerminationError as exc:
         return str(exc)
 
@@ -329,23 +331,27 @@ def _records_or_failure(*args, **kwargs):
          unit_method=UnitMethod.JOYE_PAILLIER, T_override=None,
          max_iterations=30, seed=6, trials=40, retry=False)
 def test_engine_equals_the_generate_loop(trials, retry, q, **kw):
-    """trial_records on a covering table (the lane engine) and without
-    one (generate once per run) give equal arrays, or fail alike."""
+    """The three runners give equal arrays, or fail alike: the lane engine
+    reading a covering table, the lane engine proving by the policy (no
+    table), and _generate_loop (generate once per run)."""
     if kw["modulus_mode"] is ModulusMode.EXPLICIT:
         kw["q"] = min(q, kw["x"] - 1)
     try:
         cfg = GenConfig(primality=Exact(), **kw)
     except PrimelabError:
         return
-    engine = _records_or_failure(cfg, trials, T10K, retry, telemetry=True)
-    loop = _records_or_failure(cfg, trials, None, retry, telemetry=True)
-    if isinstance(engine, str) or isinstance(loop, str):
-        assert engine == loop
+    table, proved, loop = (
+        _records_or_failure(trial_records, cfg, trials, T10K, retry, True),
+        _records_or_failure(trial_records, cfg, trials, None, retry, True),
+        _records_or_failure(_generate_loop, cfg, trials, retry, True))
+    if any(isinstance(r, str) for r in (table, proved, loop)):
+        assert table == proved == loop
         return
-    assert list(engine) == list(loop)
-    for name in engine:
-        assert engine[name].dtype == loop[name].dtype, name
-        assert np.array_equal(engine[name], loop[name]), name
+    for engine in (table, proved):
+        assert list(engine) == list(loop)
+        for name in engine:
+            assert engine[name].dtype == loop[name].dtype, name
+            assert np.array_equal(engine[name], loop[name]), name
 
 
 def test_engine_failure_names_the_trial_a_generate_loop_names():
@@ -363,7 +369,10 @@ def test_engine_failure_names_the_trial_a_generate_loop_names():
     assert messages[0].startswith("trial ")
 
 
-def test_only_a_covering_exact_table_skips_generate(monkeypatch):
+def test_only_x_from_2_to_the_63_runs_generate(monkeypatch):
+    """Below 2^63 the lane engine runs every policy, with a covering
+    table or without one; from 2^63 on, draws may be wider than a word
+    and trial_records calls generate."""
     from primelab import generators
 
     def refuse(*args):
@@ -371,10 +380,75 @@ def test_only_a_covering_exact_table_skips_generate(monkeypatch):
     monkeypatch.setattr(generators, "generate", refuse)
     cfg = GenConfig(x=1000, algorithm=Algorithm.BASIC, epsilon=0.3, seed=6,
                     primality=Exact(T1000))
-    assert benchmark(cfg, 50).trials == 50
-    for policy in (Exact(), Exact(sieve(999)), MillerRabin()):
-        with pytest.raises(AssertionError, match="generate ran"):
-            benchmark(dataclasses.replace(cfg, primality=policy), 5)
+    for policy in (Exact(T1000), Exact(), Exact(sieve(999)), MillerRabin()):
+        assert benchmark(dataclasses.replace(cfg, primality=policy),
+                         50).trials == 50
+    top = GenConfig(x=2**63 - 1, algorithm=Algorithm.TRIVIAL)
+    assert benchmark(top, 5).trials == 5
+    with pytest.raises(AssertionError, match="generate ran"):
+        benchmark(dataclasses.replace(top, x=2**63), 5)
+
+
+def test_shifts_are_exact_for_every_word_bound():
+    # through float64, 2^60 - 1 rounds up to 2^60 and takes a shift of 3
+    bounds = [m for k in range(1, 63) for m in (2**k - 1, 2**k, 2**k + 1)]
+    bounds.append(2**63 - 1)
+    expected = [64 - (m - 1).bit_length() for m in bounds]
+    assert _shifts(np.array(bounds)).tolist() == expected
+    assert [int(_shifts(m)) for m in bounds] == expected
+    assert _shifts(2**60) == 4
+
+
+def _witness_scale_configs(x, policy):
+    """Every algorithm at x under the policy, with no table, and both unit
+    methods for the fixed modulus (at 10^18 q = 2*3*...*31, past 2^31)."""
+    for algo in Algorithm:
+        methods = UnitMethod if algo in (Algorithm.BASIC,
+                                         Algorithm.ERH_FALLBACK) else [None]
+        for method in methods:
+            yield GenConfig(x=x, algorithm=algo, epsilon=0.3, A=2.0, seed=x,
+                            primality=policy,
+                            unit_method=method or UnitMethod.JOYE_PAILLIER)
+
+
+# 2^63 - 1: the widest draws and candidates the engine takes
+@pytest.mark.parametrize("x", [10**12, 10**18, 2**63 - 1])
+@pytest.mark.parametrize("policy", [Exact(), MillerRabin(2)],
+                         ids=["exact", "miller_rabin"])
+def test_engine_equals_generate_at_the_witness_scale(x, policy):
+    for cfg in _witness_scale_configs(x, policy):
+        assert (_engine_runs(cfg, 50, None, False)
+                == _generate_runs(cfg, 50, False)), cfg
+
+
+def test_the_engine_proves_what_generate_proves(monkeypatch):
+    """Without a table the engine hands the tester only candidates past
+    trial division, and exactly those a generate loop proves: none of
+    its lookahead words past a lane's prime or budget, and no class
+    member to settle a large class."""
+    from primelab import generators
+
+    small = math.prod(sieve(251).primes.tolist())
+    tested = []
+    tester = generators.primality_tester
+
+    def counting(policy, x):
+        test = tester(policy, x)
+
+        def counted(n):
+            tested.append((int(n), n > 251 and math.gcd(n, small) == 1))
+            return test(n)
+        return counted
+    monkeypatch.setattr(generators, "primality_tester", counting)
+    for cfg in _witness_scale_configs(10**18, Exact()):
+        tested.clear()
+        trial_records(cfg, 50)
+        engine = Counter(tested)
+        tested.clear()
+        _generate_loop(cfg, 50, False, False)
+        survivors = Counter(t for t in tested if t[1])
+        assert engine == survivors, cfg
+        assert sum(survivors.values()) > 150
 
 
 def test_benchmark_memory_does_not_scale_with_the_primes():

@@ -47,6 +47,7 @@ from .ntheory import (
     primality_tester,
     primes_upto,
     primorial_below,
+    table_for,
     trial_division,
 )
 from .rng import CountingBitSource, split_seed, word_block
@@ -427,16 +428,15 @@ def _column(phase, bound, q=0, a=0, left=0, u=0):
 
 
 def _pow_mod(b, e: int, q: int):
-    """b^e mod q for each entry of the int64 array b: in int64 for
-    q < 2^31, else in Python ints, as b*b may pass int64."""
+    """b^e mod q (e >= 1) for each entry of the int64 array b of residues:
+    in int64 for q < 2^31, else in Python ints, as b*b may pass int64."""
     if q >= _LANE_X_LIMIT:
         return np.array([pow(v, e, q) for v in b.tolist()], np.int64)
-    r = np.ones_like(b)
-    while e:
-        if e & 1:
+    r = b
+    for bit in bin(e)[3:]:  # e's bits after its first, from the top
+        r = r * r % q
+        if bit == "1":
             r = r * b % q
-        b = b * b % q
-        e >>= 1
     return r
 
 
@@ -535,7 +535,8 @@ class _Lanes:
             self.start = _column(_UNIT, cfg.modulus.q, cfg.modulus.q, 0, 0, 1)
         elif self.algo in _RANDOM_MODULUS_ALGOS:
             self.start, self.select = _column(_PICK_Q, cfg.Q // 2), _pick
-            self.thin = _column(_PICK_T, cfg.Q)[:3]
+            bound = np.array([0, 0, 0, cfg.Q // 2, 0, cfg.Q, 0])  # by phase
+            self.draws = np.array([bound, _shifts(bound)])
         self.records = _new_records(cfg.x, trials, telemetry)
         self.admitted, self.failed = 0, None  # failed: (trial, error)
         self.width = min(_LANES, trials)
@@ -591,79 +592,78 @@ def _exhaust(s: _Lanes, i, at=None):
         s.phase[i] = _IDLE
 
 
-def _unit(s: _Lanes, i, t):
-    """Lanes i drew t < q: sample_unit's b (in a) moves to b + t*u, taken
-    if a unit, else u = 1 - b^lambda (Joye-Paillier) or b = 0 (rejection)."""
-    q, b, u = s.modulus.q, s.a[i], s.u[i]
-    if q < _LANE_X_LIMIT:  # t*u < 2q^2 fits int64
-        b = (b + t * u) % q
-    else:
-        b = np.array([(c + r * v) % q for c, r, v in zip(
-            b.tolist(), t.tolist(), u.tolist())], np.int64)
-    s.a[i] = b
-    unit = np.gcd(b, q) == 1
-    s.phase[i[unit]] = _SEARCH
+def _unit(s: _Lanes, r, k, t):
+    """Lanes k drew t < q: sample_unit's b (in a) moves to b + t*u, and a
+    non-unit sets b = 0 (rejection) or u = 1 - b^lambda (Joye-Paillier,
+    where u = 0 just for a unit).  Returns the lanes with a unit."""
+    q, a, u = s.modulus.q, r[4], r[6]
+    wide = np.int64 if q < _LANE_X_LIMIT else object  # t*u < 2q^2 < 2^63
+    b = ((a[k] + t.astype(wide) * u[k]) % q).astype(np.int64)
     if s.cfg.unit_method is UnitMethod.REJECTION:
-        s.a[i[~unit]] = 0
+        unit = np.gcd(b, q) == 1
+        a[k] = b * unit
     else:
-        s.u[i[~unit]] = (1 - _pow_mod(b[~unit], s.modulus.carmichael, q)) % q
+        v = (1 - _pow_mod(b, s.modulus.carmichael, q)) % q
+        unit = v == 0
+        a[k], u[k] = b, np.where(unit, u[k], v)
+    return k[unit.nonzero()[0]]
 
 
-def _pick(s: _Lanes, i, t):
-    """Lanes i drew t below their bound in _pick_random_modulus: q, then
-    a below it, then (for a unit) keep (q, a) if t < q; or start over."""
-    phases = s.phase[i]
-    k = phases == _PICK_Q
-    j, drawn = i[k], t[k] + s.start[1, 0] + 1
-    s.q[j] = s.m[j] = drawn
-    s.shift[j] = _shifts(drawn)
-    s.phase[j] = _PICK_A
-    k = phases == _PICK_A
-    j, drawn = i[k], t[k]
-    s.a[j] = drawn
-    unit = np.gcd(drawn, s.q[j]) == 1
-    s.regs[:3, j[unit]] = s.thin
-    k = phases == _PICK_T
-    j2, keep = i[k], t[k] < s.q[i[k]]
-    s.phase[j2[keep]] = _SEARCH
-    s.regs[:3, np.concatenate((j[~unit], j2[~keep]))] = s.start[:3]
+def _pick(s: _Lanes, r, k, t):
+    """Lanes k drew t in _pick_random_modulus: q, a (kept for a unit) and
+    a thinning t < q move a lane a phase on, past _PICK_T to its class
+    (returned); a non-unit a or t >= q, back to _PICK_Q."""
+    phase, m, shift, q, a = r[:5]
+    p, held = phase[k], t < q[k]
+    jq, ja = (p == _PICK_Q).nonzero()[0], (p == _PICK_A).nonzero()[0]
+    held[jq], held[ja] = True, np.gcd(t[ja], q[k[ja]]) == 1
+    a[k[ja]] = t[ja]
+    phase[k] = p = np.where(held, p + 1, _PICK_Q)
+    m[k], shift[k] = s.draws[0][p], s.draws[1][p]
+    j, drawn = k[jq], t[jq] + (s.cfg.Q // 2 + 1)
+    q[j] = m[j] = drawn
+    shift[j] = _shifts(drawn)
+    return k[(p > _PICK_T).nonzero()[0]]
 
 
 def _select(s: _Lanes, w):
-    """Selecting lanes draw from w's columns in turn, dropping a t not below
-    the bound, until they pick their class; its search opens there."""
+    """Selecting lanes, their registers r gathered once, draw from w's
+    columns in turn (s.select), dropping a t not below the bound, until
+    they pick their class: its bound becomes 0 and its shift 64 (no more
+    draws or bits), and its search opens on the next word."""
     s.used[:] = 0
     i = np.flatnonzero(s.phase > _SEARCH)
-    for c in range(w.shape[1]):
-        if not len(i):
-            break
-        drop = s.shift[i]
-        if s.telemetry:
-            s.sel[i] += 64 - drop
-        t = (w[i, c] >> drop.view(np.uint64)).view(np.int64)
-        ok = t < s.m[i]
-        s.select(s, i[ok], t[ok])
-        going = s.phase[i] > _SEARCH
-        s.used[i[~going]] = c + 1
-        i = i[going]
-    i = np.flatnonzero(s.used)
     if not len(i):
         return
-    s.m[i] = (s.cfg.x - s.a[i]) // s.q[i] + 1
-    s.shift[i] = _shifts(s.m[i])
-    s.left[i] = s.budget
-    at = s.ctr[i] - _LOOK + s.used[i]
+    r, w, used = s.regs.take(i, axis=1), w.take(i, axis=0), np.zeros_like(i)
+    phase, m, shift, q, a, left, _ = r
+    spent = np.zeros_like(i)
+    for c in range(w.shape[1]):
+        t = (w[:, c] >> shift.view(np.uint64)).view(np.int64)
+        if s.telemetry:
+            spent += shift
+        k = (t < m).nonzero()[0]
+        done = s.select(s, r, k, t[k])
+        used[done], m[done], shift[done] = c + 1, 0, 64
+    d = np.flatnonzero(used)
+    phase[d], left[d] = _SEARCH, s.budget
+    m[d] = (s.cfg.x - a[d]) // q[d] + 1
+    shift[d] = _shifts(m[d])
+    s.state[:_REGS, i], s.used[i] = r, used
+    j, q, a, m = i[d], q[d], a[d], m[d]
+    at = s.ctr[j] - _LOOK + used[d]
     if s.telemetry:
-        s.iters[i] += s.budget
-        s.bits[i] -= at * (64 - s.shift[i])
-        s.records["chosen_q"][s.trial[i]] = s.q[i]
-        s.records["chosen_a"][s.trial[i]] = s.a[i]
+        s.sel[i] += 64 * w.shape[1] - spent
+        s.iters[j] += s.budget
+        s.bits[j] -= at * (64 - shift[d])
+        s.records["chosen_q"][s.trial[j]] = q
+        s.records["chosen_a"][s.trial[j]] = a
     # a class of one member draws t = 0 from no word, at no cost: if a is
     # prime the search's first word (shifted out to 0) ends the trial alike
-    empty = s.m[i] == 1
+    empty = m == 1
     if empty.any():
-        empty[empty] = _first_prime(s, s.a[i[empty], None]) > 0
-    _exhaust(s, i[empty], at[empty])
+        empty[empty] = _first_prime(s, a[empty, None]) > 0
+    _exhaust(s, j[empty], at[empty])
 
 
 def _finish(s: _Lanes, i, h, found, tries, y):
@@ -759,12 +759,17 @@ def _search(s: _Lanes, w):
 def _new_records(x: int, trials: int, telemetry: bool) -> dict:
     """The arrays of trial_records: the primes in the narrowest unsigned
     dtype that holds x (object from 2^64 on); the Telemetry fields in
-    their own types below 2^63, else in that dtype (q, a may pass int64)."""
+    their own types below 2^63, else in that dtype (q, a may pass int64).
+    ResourceLimitError where numpy refuses to allocate them."""
     wide = np.min_scalar_type(x)
     fields = dataclasses.fields(Telemetry) if telemetry else ()
-    return {"prime": np.empty(trials, wide), **{
-        f.name: np.full(trials, f.default, f.type if x < 2**63 else wide)
-        for f in fields}}
+    try:
+        return {"prime": np.empty(trials, wide), **{
+            f.name: np.full(trials, f.default, f.type if x < 2**63 else wide)
+            for f in fields}}
+    except MemoryError as exc:
+        raise ResourceLimitError(
+            f"the records of {trials} trials do not fit in memory") from exc
 
 
 def _generate_loop(cfg: GenConfig, trials: int, retry: bool,
@@ -800,9 +805,10 @@ def trial_records(cfg: GenConfig, trials: int, table=None,
     retry_nontermination its retry r runs on split_seed(k_i, r) instead,
     k_i the trial's seed.  The one choice of runner: below 2^63 the lane
     engine, from 2^63 on (where a draw may take more than a word)
-    _generate_loop.  Where a table covers x (`table`, which must, else
-    the policy's by ntheory.covering_table; then x < 2^31) the engine
-    computes candidates in int32 and reads primality from the table.
+    _generate_loop.  Where a table covers x (`table`, which must, by
+    ntheory.table_for; else the policy's by ntheory.covering_table; then
+    x < 2^31) the engine computes candidates in int32 and reads
+    primality from the table.
     Otherwise its candidates are uint64, and its verdicts come in two
     stages: ntheory.trial_division filters a step's draws at once, and
     the policy's tester proves each lane's survivors in word order, up
@@ -811,7 +817,8 @@ def trial_records(cfg: GenConfig, trials: int, table=None,
     step hands every lane (_Lanes) its next _LOOK words, for _select and
     then _search; idle lanes take the next trials (_admit), and once all
     are admitted the width halves."""
-    table = table or covering_table(cfg.primality.table, cfg.x)
+    table = (covering_table(cfg.primality.table, cfg.x) if table is None
+             else table_for(cfg.x, table))
     if table is not None and cfg.x >= _LANE_X_LIMIT:
         raise ResourceLimitError(f"the lane engine reads a table in int32: "
                                  f"x = {cfg.x} is not below 2^31")

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError, _bound_index, _index_field
+from .errors import (
+    ConfigError,
+    DomainError,
+    ResourceLimitError,
+    _bound_index,
+    _index_field,
+)
 from .rng import CountingBitSource, split_seed
 
 # Desk-scale caps: sieving from 2^31 or totient tables beyond 10^8 are
@@ -227,7 +233,7 @@ def table_for(x: int, table: PrimeTable | None = None,
     covers x, else sieve(x) (ResourceLimitError above the sieve cap)."""
     x = _bound_index("x", x, 2)
     if table is not None:
-        if table.bound < x:
+        if covering_table(table, x) is None:
             raise DomainError(f"table bound {table.bound} below x = {x}")
         return table
     return covering_table(fallback, x) or sieve(x)
@@ -235,8 +241,13 @@ def table_for(x: int, table: PrimeTable | None = None,
 
 def covering_table(table: PrimeTable | None, x: int) -> PrimeTable | None:
     """table if it answers for all of [0, x], else None: the one rule for
-    when a prime table, a policy's among them, stands in for a test."""
-    return table if table is not None and table.bound >= x else None
+    when a prime table, a policy's among them, stands in for a test.
+    DomainError for a table that is not a PrimeTable."""
+    if table is None:
+        return None
+    if not isinstance(table, PrimeTable):
+        raise DomainError(f"not a PrimeTable: {table!r}")
+    return table if table.bound >= x else None
 
 
 def primes_upto(x: int, table: PrimeTable | None = None) -> np.ndarray:
@@ -398,6 +409,11 @@ class Exact(PrimalityPolicy):
     2017)."""
 
     table: PrimeTable | None = None
+
+    def __post_init__(self):
+        if self.table is not None and not isinstance(self.table, PrimeTable):
+            raise ConfigError(f"Exact table is not a PrimeTable: "
+                              f"{self.table!r}")
 
 
 @dataclass(frozen=True)

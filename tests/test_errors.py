@@ -30,6 +30,7 @@ from primelab.harness import (
     sample_distribution,
 )
 from primelab.ntheory import (
+    Exact,
     MillerRabin,
     Modulus,
     factorize,
@@ -155,6 +156,20 @@ CASES = {
     # np.arange(10**9): a MemoryError under a 2 GiB address-space limit
     "error_term_profile(q=10**9)":
         (ResourceLimitError, lambda: error_term_profile(1000, q=10**9)),
+    # each raised a bare AttributeError: no attribute 'bound'
+    'sample_distribution(table="x")':
+        (DomainError, lambda: sample_distribution(CFG, 10, "x")),
+    'exact_dist_trivial(table="x")':
+        (DomainError, lambda: exact_dist_trivial(100, table="x")),
+    "error_term_profile(table=5)":
+        (DomainError, lambda: error_term_profile(1000, 30, table=5)),
+    'gap_census(table="x")':
+        (DomainError, lambda: gap_census(1000, [1.0], "x")),
+    # was accepted
+    'Exact(table="x")': (ConfigError, lambda: Exact(table="x")),
+    # numpy's bare MemoryError: 10**15 records, which numpy refuses at once
+    "benchmark(trials=10**15)":
+        (ResourceLimitError, lambda: benchmark(CFG, 10**15)),
 }
 
 

@@ -192,27 +192,51 @@ def test_config_derives_search_parameters():
 
 _EPSILON = st.none() | st.floats(0, 1) | st.floats()
 _A = st.none() | st.floats(0, 8) | st.floats()
+# any fields, most of them refused by GenConfig; tiny bounds are drawn on
+# their own: most degenerate configs live there
+_ANY_FIELDS = st.fixed_dictionaries(dict(
+    x=st.integers(-2, 12) | st.integers(2, 10**4),
+    algorithm=st.sampled_from(Algorithm), epsilon=_EPSILON, A=_A,
+    q=st.none() | st.integers(-2, 10**4 + 2),
+    modulus_mode=st.sampled_from(ModulusMode),
+    unit_method=st.sampled_from(UnitMethod),
+    T_override=st.none() | st.integers(-1, 20),
+    max_iterations=st.integers(-1, 50), seed=st.integers(0, 2**64)))
 
 
-# tiny bounds are drawn on their own: most degenerate configs live there
+def _q_below_x(kw):
+    """The fields with q in [2, x) in the explicit mode, else none."""
+    explicit = kw["modulus_mode"] is ModulusMode.EXPLICIT
+    return dict(kw, q=min(kw["q"], kw["x"] - 1) if explicit else None)
+
+
+# fields GenConfig mostly accepts: those of
+# test_engine_equals_the_generate_loop, without its tiny bounds, which
+# _ANY_FIELDS draws
+_VALID_FIELDS = st.fixed_dictionaries(dict(
+    x=st.integers(2, 10**4),
+    algorithm=st.sampled_from(Algorithm), epsilon=st.floats(0.05, 0.95),
+    A=st.floats(0.25, 4), q=st.integers(2, 10**4),
+    modulus_mode=st.sampled_from(ModulusMode),
+    unit_method=st.sampled_from(UnitMethod),
+    T_override=st.none() | st.integers(1, 20),
+    max_iterations=st.integers(1, 50),
+    seed=st.integers(0, 2**64))).map(_q_below_x)
+
+
+# three examples in four from the fields GenConfig mostly accepts
 @settings(max_examples=500, deadline=None)
-@given(x=st.integers(-2, 12) | st.integers(2, 10**4),
-       algorithm=st.sampled_from(Algorithm), epsilon=_EPSILON, A=_A,
-       q=st.none() | st.integers(-2, 10**4 + 2),
-       modulus_mode=st.sampled_from(ModulusMode),
-       unit_method=st.sampled_from(UnitMethod),
-       T_override=st.none() | st.integers(-1, 20),
-       max_iterations=st.integers(-1, 50),
-       seed=st.integers(0, 2**64))
-@example(x=4, algorithm=Algorithm.BASIC, epsilon=0.9, A=None, q=None,
-         modulus_mode=ModulusMode.PRIMORIAL,
-         unit_method=UnitMethod.JOYE_PAILLIER, T_override=None,
-         max_iterations=10, seed=0)
-@example(x=2, algorithm=Algorithm.UNCOND, epsilon=None, A=3.0, q=None,
-         modulus_mode=ModulusMode.PRIMORIAL,
-         unit_method=UnitMethod.JOYE_PAILLIER, T_override=None,
-         max_iterations=10, seed=0)
-def test_any_config_is_refused_or_yields_a_prime(**kw):
+@given(kw=st.integers(0, 3).flatmap(
+    lambda branch: _VALID_FIELDS if branch else _ANY_FIELDS))
+@example(kw=dict(x=4, algorithm=Algorithm.BASIC, epsilon=0.9, A=None, q=None,
+                 modulus_mode=ModulusMode.PRIMORIAL,
+                 unit_method=UnitMethod.JOYE_PAILLIER, T_override=None,
+                 max_iterations=10, seed=0))
+@example(kw=dict(x=2, algorithm=Algorithm.UNCOND, epsilon=None, A=3.0,
+                 q=None, modulus_mode=ModulusMode.PRIMORIAL,
+                 unit_method=UnitMethod.JOYE_PAILLIER, T_override=None,
+                 max_iterations=10, seed=0))
+def test_any_config_is_refused_or_yields_a_prime(kw):
     # small T_override/max_iterations end runs in empty classes quickly
     try:
         cfg = GenConfig(primality=Exact(), **kw)

@@ -39,10 +39,14 @@ from primelab.generators import (
     Telemetry,
     UnitMethod,
     _generate_loop,
+    _admit,
     _Lanes,
+    _LOOK,
+    _pick_random_modulus,
     _select,
     _shifts,
     generate,
+    sample_unit,
     trial_records,
 )
 from primelab.harness import (
@@ -554,3 +558,110 @@ def test_pick_step_follows_pick_random_modulus():
             else:
                 expected = (_PICK_Q, half, q, a)
             assert tuple(regs) == expected, (phase, q, a, t)
+
+
+
+# One selection step over hand-built rows of _LOOK words, each lane
+# changing phase several times within the step, against the selection of
+# generate fed the same words.
+
+
+class _WordSource:
+    """uniform_below as CountingBitSource draws it, from given words: a
+    draw below m takes the top ceil(log2 m) bits of the next word, again
+    until it is below m; past the last word, IndexError."""
+
+    def __init__(self, words):
+        self.words, self.used, self.bits_consumed = words, 0, 0
+
+    def uniform_below(self, m):
+        k = (m - 1).bit_length()
+        while True:
+            t = self.words[self.used] >> (64 - k)
+            self.used += 1
+            self.bits_consumed += k
+            if t < m:
+                return t
+
+
+def _rows_follow_generate(cfg, table, rows, select):
+    """Lanes on the rows of (t, k) draws, each the word with t in its top
+    k bits and ones below, select as select(source) does from the same
+    words: the same (q, a), words and bits, and the search opened after
+    them; or, where the row ends first, no class and the row's bits."""
+    words = np.array([[t << (64 - k) | (1 << (64 - k)) - 1 for t, k in row]
+                      for row in rows], np.uint64)
+    assert words.shape[1] == _LOOK
+    s = _Lanes(cfg, table, len(rows), telemetry=True)
+    _admit(s, np.arange(len(rows)))
+    s.ctr += _LOOK
+    _select(s, words)
+    for lane, row in enumerate(words.tolist()):
+        src = _WordSource(row)
+        regs = (int(s.phase[lane]), int(s.used[lane]), int(s.sel[lane]))
+        try:
+            q, a = select(src)
+        except IndexError:  # still selecting
+            assert regs[0] > _SEARCH and regs[1:] == (0, src.bits_consumed)
+            continue
+        assert src.used > 2, lane  # several draws in one step
+        assert regs == (_SEARCH, src.used, src.bits_consumed), lane
+        assert (int(s.q[lane]), int(s.a[lane])) == (q, a), lane
+        assert int(s.m[lane]) == (cfg.x - a) // q + 1
+        assert int(s.left[lane]) == cfg.budget
+        assert s.records["chosen_q"][lane] == q
+        assert s.records["chosen_a"][lane] == a
+
+
+def test_pick_rows_follow_pick_random_modulus():
+    # Q = 36: q = 19 + a 5-bit draw below 18, a a draw below q (5 bits up
+    # to q = 32, else 6), then a 6-bit draw below 36 thins
+    t200 = sieve(200)
+    cfg = GenConfig(x=200, algorithm=Algorithm.UNCOND, A=1.0,
+                    primality=Exact(t200))
+    assert cfg.Q == 36
+    rows = [
+        # (20 dropped) q = 30; a = 6, no unit: again; q = 23; a = 5;
+        # thinned in by 10 < 23: the search from word 6
+        [(20, 5), (11, 5), (6, 5), (4, 5), (5, 5), (10, 6), (0, 64),
+         (7, 64)],
+        # q = 33; a = 32; thinned out by 34: again; q = 19; (25 dropped)
+        # a = 18; (63 dropped) thinned in by 18 < 19 on the last word
+        [(14, 5), (32, 6), (34, 6), (0, 5), (25, 5), (18, 5), (63, 6),
+         (18, 6)],
+        # q = 30; a = 7; (40 dropped) thinned out by 35; q = 19; a = 3;
+        # (63, 62 dropped): no class yet
+        [(11, 5), (7, 5), (40, 6), (35, 6), (0, 5), (3, 5), (63, 6),
+         (62, 6)],
+    ]
+    _rows_follow_generate(cfg, t200, rows,
+                          lambda src: _pick_random_modulus(cfg, src))
+
+
+@pytest.mark.parametrize("method", UnitMethod)
+def test_unit_rows_follow_sample_unit(method):
+    q30 = GenConfig(x=1000, algorithm=Algorithm.ERH_FALLBACK, q=30,
+                    modulus_mode="explicit", unit_method=method,
+                    primality=Exact(T1000))
+    rows = [
+        # Joye-Paillier: (31 dropped) b = 6, + 3*25 = 21, (30 dropped)
+        # + 2*10 = 11, a unit; rejection: 6, 3, 2 no units, 7 is one
+        [(31, 5), (6, 5), (3, 5), (30, 5), (2, 5), (31, 5), (7, 5), (1, 5)],
+        # Joye-Paillier: b = 10, + 12*21 = 22, + 1*15 = 7; rejection: 1
+        [(10, 5), (12, 5), (1, 5), (5, 5), (9, 5), (0, 64), (0, 64),
+         (0, 64)],
+        # even draws: b = 0, then 2 on every draw; no unit yet
+        [(t, 5) for t in range(0, 16, 2)],
+    ]
+    _rows_follow_generate(q30, T1000, rows, lambda src: (
+        30, sample_unit(src, q30.modulus, method)))
+    # q = 2*3*...*31 >= 2^31 at 10^18, in 38-bit draws: b = 6, + 1*u, a
+    # unit (u = 1 mod 2, 3, else 0); rejection: 1
+    wide = GenConfig(x=10**18, algorithm=Algorithm.BASIC, epsilon=0.3,
+                     unit_method=method)
+    q, top = wide.modulus.q, 2**38 - 1
+    assert 2**31 <= q < top
+    rows = [[(top, 38), (6, 38), (top - 1, 38), (1, 38), (5, 38),
+             (0, 64), (0, 64), (0, 64)]]
+    _rows_follow_generate(wide, None, rows, lambda src: (
+        q, sample_unit(src, wide.modulus, method)))

@@ -29,6 +29,9 @@ from .ntheory import (
 
 # Refuse random-modulus sweeps needing more than this many class lookups.
 DEFAULT_WORK_CAP = 10**10
+# Refuse fixed-modulus error profiles above this modulus: the profile
+# holds one float per unit class in a dict, about 160 bytes each.
+DEFAULT_PROFILE_CAP = 10**7
 
 
 def exact_dist_trivial(x: int, table: PrimeTable | None = None) -> FiniteDist:
@@ -152,8 +155,9 @@ def exact_dist_uncond(
 # ---------------------------------------------------------------------------
 # the class census, the error terms and the two laws built on it
 
-# Raw prime hits buffered before they are merged into distinct pairs.
-_HIT_CHUNK = 1 << 18
+# Entries per census chunk: flat classes plus residue rows of its moduli,
+# and raw prime hits buffered before they are merged into distinct pairs.
+_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -184,72 +188,118 @@ def class_census(
     x: int, qs, primes_x: np.ndarray, with_hits: bool = True,
     with_empty: bool = False,
 ) -> ClassCensus:
-    """Census of the moduli in the sequence qs, one numpy pass per q.
+    """Census of the moduli in the sequence qs, in chunks of moduli.
 
-    Raw hits are merged into distinct (prime, key) pairs every _HIT_CHUNK,
-    which bounds memory; with_hits=False skips them for callers that need
-    only the class counts.  with_empty lists the classes without a prime,
-    from the same pass.  Weighted bincounts are float64, which is exact
-    for counts below 2^53.
+    A chunk holds at most _CHUNK entries of classes plus residue rows (a
+    larger modulus is a chunk of its own), which bounds memory; each is
+    one `_census_chunk` pass over the flat index of its classes.  Raw
+    hits are merged into distinct (prime, key) pairs every _CHUNK;
+    with_hits=False skips them for callers that need only the class
+    counts.  with_empty lists the classes without a prime, from the same
+    pass.  Weighted bincounts are float64, which is exact for counts below
+    2^53.
     """
     x = _bound_index("x", x)
     qs = [_bound_index("modulus", q, 1) for q in qs]
     if not qs:
         raise DomainError("class_census needs at least one modulus")
-    least = min(qs)
     pi_x = len(primes_x)
-    base = x // least + 2  # key (c, m) is coded c * base + m
+    base = x // min(qs) + 2  # key (c, m) is coded c * base + m
     key_index: dict[int, int] = {}
-    class_keys, class_counts, units, unit_primes, raw = [], [], [], [], []
-    empty = [np.zeros((0, 2), dtype=np.int64)]
+    parts, raw = [], []
     pairs = hits = np.zeros(0, dtype=np.int64)  # key * pi_x + prime
-    for q in qs:
-        residues, unit, in_class = _unit_counts(primes_x, q)
-        codes = in_class * base + (x - np.arange(q)) // q + 1
-        local, counts = np.unique(codes[unit], return_counts=True)
-        keys = np.array([key_index.setdefault(k, len(key_index))
-                         for k in local.tolist()])
-        class_keys.append(keys)
-        class_counts.append(counts)
-        units.append(counts.sum())
-        unit_primes.append((local // base * counts).sum())
-        if with_empty:
-            a = np.flatnonzero(unit & (in_class == 0))
-            empty.append(np.stack((np.full_like(a, q), a), axis=1))
-        if with_hits:
-            in_unit = np.flatnonzero(unit[residues])
-            where = np.searchsorted(local, codes[residues[in_unit]])
-            raw.append(keys[where] * pi_x + in_unit)
-        if raw and (q == qs[-1] or sum(map(len, raw)) >= _HIT_CHUNK):
-            new, n = np.unique(np.concatenate(raw), return_counts=True)
-            pairs, inverse = np.unique(np.concatenate([pairs, new]),
-                                       return_inverse=True)
-            hits = np.bincount(inverse, np.concatenate([hits, n]))
+    chunks = _chunks(qs, pi_x)
+    for i, run in enumerate(chunks):
+        *part, new = _census_chunk(x, run, primes_x, base, key_index,
+                                   with_hits, with_empty)
+        parts.append(part)
+        raw.append(new)
+        if i == len(chunks) - 1 or sum(map(len, raw)) >= _CHUNK:
+            pairs, hits = _merge_hits(pairs, hits, raw)
             raw = []
+    keys, counts, units, unit_primes, empty = map(np.concatenate, zip(*parts))
     key_codes = np.array(list(key_index))
-    classes = np.bincount(np.concatenate(class_keys),
-                          np.concatenate(class_counts))
     return ClassCensus(
         c=key_codes // base, m=key_codes % base,
-        classes=classes.astype(np.int64),
-        hit_prime=pairs % pi_x, hit_key=pairs // pi_x,
-        hits=hits.astype(np.int64),
-        units=np.array(units), unit_primes=np.array(unit_primes),
-        empty=np.concatenate(empty),
+        classes=np.bincount(keys, counts, len(key_index)).astype(np.int64),
+        hit_prime=pairs % pi_x, hit_key=pairs // pi_x, hits=hits,
+        units=units, unit_primes=unit_primes, empty=empty,
     )
 
 
-def _unit_counts(primes_x: np.ndarray, q: int):
-    """(residues, unit, counts) for q >= 1: residues = primes_x mod q, unit
-    the mask of the a in [0, q) coprime to q, counts[a] = pi(x; q, a).
-    ResourceLimitError for q above DEFAULT_TOTIENT_CAP: unit and counts
-    hold q entries each, as a totient table to q does."""
-    if q > DEFAULT_TOTIENT_CAP:
+def _census_chunk(x, qs, primes_x, base, key_index, with_hits, with_empty):
+    """(keys, classes, units, unit_primes, empty, raw hits) of the moduli
+    qs: classes[k] unit classes have key keys[k], numbered in key_index;
+    raw hits are key * pi(x) + prime, one per prime coprime to a q."""
+    q_of, a, residues, unit, counts = _unit_counts(primes_x, qs)
+    starts = np.flatnonzero(a == 0)
+    local, inverse, classes = np.unique(
+        (counts * base + (x - a) // q_of + 1)[unit],
+        return_inverse=True, return_counts=True)
+    keys = np.array([key_index.setdefault(k, len(key_index))
+                     for k in local.tolist()])
+    empty = np.zeros((0, 2), dtype=np.int64)
+    raw = np.zeros(0, dtype=np.int64)
+    if with_empty:
+        f = np.flatnonzero(unit & (counts == 0))
+        empty = np.stack((q_of[f], a[f]), axis=1)
+    if with_hits:
+        key_of = np.full(len(a), -1)
+        key_of[unit] = keys[inverse]
+        raw = key_of[residues]
+        held = raw >= 0
+        raw *= len(primes_x)
+        raw += np.arange(len(primes_x))
+        raw = raw[held]
+    return (keys, classes, np.add.reduceat(unit, starts, dtype=np.int64),
+            np.add.reduceat(counts * unit, starts), empty, raw)
+
+
+def _merge_hits(pairs, hits, raw):
+    """The sorted distinct pairs and their hit counts, with the raw hits
+    added: a pair already held is counted in place, a new one inserted."""
+    new, n = np.unique(np.concatenate(raw), return_counts=True)
+    at = np.searchsorted(pairs, new)
+    held = at < len(pairs)
+    held[held] = pairs[at[held]] == new[held]
+    hits[at[held]] += n[held]
+    return (np.insert(pairs, at[~held], new[~held]),
+            np.insert(hits, at[~held], n[~held]))
+
+
+def _chunks(qs: list[int], row: int) -> list[list[int]]:
+    """qs cut in order into runs whose classes plus one row of `row`
+    residues per modulus total at most _CHUNK entries; a larger modulus
+    is a run of its own."""
+    runs, size = [[]], 0
+    for q in qs:
+        if runs[-1] and size + q + row > _CHUNK:
+            runs.append([])
+            size = 0
+        runs[-1].append(q)
+        size += q + row
+    return runs
+
+
+def _unit_counts(primes_x: np.ndarray, qs: list[int]):
+    """(q_of, a, residues, unit, counts) of the moduli qs >= 1, over the
+    flat index f of their classes (q_of[f], a[f]), a in [0, q), modulus by
+    modulus: residues[i, j] is the f of primes_x[j] mod qs[i], unit[f]
+    whether gcd(a, q) = 1, and counts[f] = pi(x; q, a).
+    ResourceLimitError for a q above DEFAULT_TOTIENT_CAP: unit and counts
+    hold q entries for it, as a totient table to q does."""
+    if max(qs) > DEFAULT_TOTIENT_CAP:
         raise ResourceLimitError(
-            f"modulus {q} above the class-table cap {DEFAULT_TOTIENT_CAP}")
-    residues = primes_x % q
-    unit = np.gcd(np.arange(q), q) == 1
-    return residues, unit, np.bincount(residues, minlength=q)
+            f"modulus {max(qs)} above the class-table cap "
+            f"{DEFAULT_TOTIENT_CAP}")
+    qs = np.array(qs, dtype=np.int64)
+    starts = np.cumsum(qs) - qs
+    q_of = np.repeat(qs, qs)
+    a = np.arange(len(q_of)) - np.repeat(starts, qs)
+    residues = primes_x % qs[:, None] + starts[:, None]
+    unit = np.gcd(a, q_of) == 1
+    return q_of, a, residues, unit, np.bincount(residues.ravel(),
+                                                minlength=len(a))
 
 
 @dataclass
@@ -286,7 +336,8 @@ def error_term_profile(
     """Error-term census for a fixed modulus (q) or a modulus range (A).
 
     Fixed q: the multiset {E(x;q,a)}, its extremes, and the fraction of
-    units exceeding the default threshold sqrt(pi(x)/phi(q)).  Range mode:
+    units exceeding the default threshold sqrt(pi(x)/phi(q)); a q above
+    DEFAULT_PROFILE_CAP raises ResourceLimitError.  Range mode:
     the exact double sum of E^2 over (Q/2, Q], reported against the
     dimensionless scale x*Q/ln Q; a range needing more than
     DEFAULT_WORK_CAP class lookups raises ResourceLimitError.
@@ -294,14 +345,19 @@ def error_term_profile(
     if (q is None) == (A is None):
         raise ConfigError("provide exactly one of q or A")
     x = _bound_index("x", x, 2)
+    if q is not None:
+        q = _bound_index("modulus", q, 2)
+        if q > DEFAULT_PROFILE_CAP:
+            raise ResourceLimitError(
+                f"error profile of modulus {q} holds phi(q) terms; q above "
+                f"the profile cap {DEFAULT_PROFILE_CAP}")
     table = table_for(x, table)
     primes_x = primes_upto(x, table)
     pi_x = len(primes_x)
 
     if q is not None:
-        modulus = Modulus.from_int(q)
-        q, phi = modulus.q, modulus.phi
-        _, unit, counts = _unit_counts(primes_x, q)
+        phi = Modulus.from_int(q).phi
+        unit, counts = _unit_counts(primes_x, [q])[3:]
         # |c - pi_x / phi|, rounded once from integers
         terms = np.abs(counts[unit] * phi - pi_x) / phi
         errors = dict(zip(np.flatnonzero(unit).tolist(), terms.tolist()))

@@ -156,6 +156,9 @@ CASES = {
     # np.arange(10**9): a MemoryError under a 2 GiB address-space limit
     "error_term_profile(q=10**9)":
         (ResourceLimitError, lambda: error_term_profile(1000, q=10**9)),
+    # a dict of phi(q) floats: killed for memory at q = 99,999,999
+    "error_term_profile(q=10**7 + 1)":
+        (ResourceLimitError, lambda: error_term_profile(1000, q=10**7 + 1)),
     # each raised a bare AttributeError: no attribute 'bound'
     'sample_distribution(table="x")':
         (DomainError, lambda: sample_distribution(CFG, 10, "x")),

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from primelab import exactdist
 from primelab.errors import ConfigError, DomainError, ResourceLimitError
@@ -20,7 +22,13 @@ from primelab.exactdist import (
     exact_dist_uncond_nofallback,
     primes_upto,
 )
-from primelab.generators import Algorithm, GenConfig, ModulusMode, derived_Q
+from primelab.generators import (
+    Algorithm,
+    GenConfig,
+    ModulusMode,
+    default_T,
+    derived_Q,
+)
 from primelab.harness import dist_to_dict, sample_distribution
 from primelab.metrics import metrics_of, tv_between
 from primelab.ntheory import Exact, residue_class_primes, sieve
@@ -368,21 +376,112 @@ def test_class_census_lists_the_empty_classes():
 
 def test_basic_counts_its_classes_in_one_pass(monkeypatch):
     # x = 30, q = 25: 20 unit classes, 11 of them without a prime
-    calls = []
-    unit_counts = exactdist._unit_counts
-
-    def counting(primes_x, q):
-        calls.append(q)
-        return unit_counts(primes_x, q)
-    monkeypatch.setattr(exactdist, "_unit_counts", counting)
+    calls = count_unit_counts(monkeypatch)
     meta = exact_dist_basic(30, 25).meta
-    assert calls == [25]
+    assert calls == [[25]]
     primes = [p for p in range(2, 31) if all(p % d for d in range(2, p))]
     empty = [a for a in range(25) if math.gcd(a, 25) == 1
              and all(p % 25 != a for p in primes)]
     assert len(empty) == 11
     assert meta["empty_classes"] == empty
     assert meta["phi_star"] == 20 - 11
+
+
+def test_range_census_counts_its_classes_in_one_pass(monkeypatch):
+    # x = 2000, A = 1: the 131 moduli of (Q/2, Q] fit one chunk
+    calls = count_unit_counts(monkeypatch)
+    Q = derived_Q(2000, 1.0)
+    exact_dist_uncond_nofallback(2000, 1.0)
+    assert calls == [list(range(Q // 2 + 1, Q + 1))]
+    assert len(calls[0]) == 131
+
+
+def count_unit_counts(monkeypatch):
+    """The moduli of each exactdist._unit_counts call, recorded from now."""
+    calls = []
+    unit_counts = exactdist._unit_counts
+
+    def counting(primes_x, qs):
+        calls.append(list(qs))
+        return unit_counts(primes_x, qs)
+    monkeypatch.setattr(exactdist, "_unit_counts", counting)
+    return calls
+
+
+def reference_census(x, qs, primes_x):
+    """The census one modulus at a time, as ({(c, m): classes},
+    {(prime, (c, m)): hits}, units, unit_primes, empty rows)."""
+    classes, hits, units, unit_primes, empty = Counter(), Counter(), [], [], []
+    for q in qs:
+        residues = primes_x % q
+        unit = np.gcd(np.arange(q), q) == 1
+        in_class = np.bincount(residues, minlength=q).tolist()
+        key = [(in_class[a], (x - a) // q + 1) for a in range(q)]
+        for a in np.flatnonzero(unit).tolist():
+            classes[key[a]] += 1
+            if not in_class[a]:
+                empty.append([q, a])
+        for p, r in zip(primes_x.tolist(), residues.tolist()):
+            if unit[r]:
+                hits[p, key[r]] += 1
+        units.append(int(unit.sum()))
+        unit_primes.append(sum(in_class[a] for a in np.flatnonzero(unit)))
+    return dict(classes), dict(hits), units, unit_primes, empty
+
+
+def census_view(census, primes_x):
+    """class_census's output in reference_census's form."""
+    keys = list(zip(census.c.tolist(), census.m.tolist()))
+    assert len(set(keys)) == len(keys)
+    primes = primes_x.tolist()
+    hits = {(primes[i], keys[k]): h for i, k, h in zip(
+        census.hit_prime.tolist(), census.hit_key.tolist(),
+        census.hits.tolist())}
+    assert len(hits) == len(census.hits)
+    return (dict(zip(keys, census.classes.tolist())), hits,
+            census.units.tolist(), census.unit_primes.tolist(),
+            census.empty.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.integers(2, 2000),
+       qs=st.lists(st.integers(1, 2600) | st.sampled_from([1, 2, 6, 30]),
+                   min_size=1, max_size=12))
+@example(x=30, qs=[25, 1, 40, 25, 6, 2, 31, 1])
+@example(x=2000, qs=[2001, 262, 132, 262, 1, 2600])
+def test_class_census_equals_a_per_modulus_census(x, qs):
+    # unsorted moduli with repeats, q = 1 and q > x
+    primes_x = primes_upto(x)
+    census = class_census(x, qs, primes_x, with_hits=True, with_empty=True)
+    assert census_view(census, primes_x) == reference_census(x, qs, primes_x)
+
+
+# x = 2000, A = 1: each modulus q of (131, 262] adds q + 303 entries
+@pytest.mark.parametrize("chunk", [1, 7, 1000, 4099])
+def test_chunk_boundaries_change_nothing(chunk, monkeypatch):
+    x = 2000
+    primes_x = primes_upto(x)
+    Q = derived_Q(x, 1.0)
+    qs = range(Q // 2 + 1, Q + 1)
+    laws = [(exact_dist_uncond, (x, 1.0, default_T(x))),
+            (exact_dist_uncond_nofallback, (x, 1.0)),
+            (exact_dist_uncond_nofallback, (x, 3.0))]
+
+    def run():
+        census = class_census(x, qs, primes_x, with_empty=True)
+        return census_view(census, primes_x), [
+            (d.num, d.den, d.meta) for d in (f(*a) for f, a in laws)]
+    calls = count_unit_counts(monkeypatch)
+    whole = run()
+    assert len(calls) == 1 + len(laws)  # one chunk each
+    monkeypatch.setattr(exactdist, "_CHUNK", chunk)
+    calls.clear()
+    assert run() == whole
+    assert len(calls) > 1 + len(laws)
+    # a chunk holds one modulus, or classes plus residues within the bound
+    assert all(len(moduli) == 1
+               or sum(moduli) + len(moduli) * len(primes_x) <= chunk
+               for moduli in calls)
 
 
 @pytest.mark.parametrize("A", [math.nan, math.inf, 0.0, -1.0])

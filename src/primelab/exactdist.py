@@ -287,7 +287,9 @@ def _unit_counts(primes_x: np.ndarray, qs: list[int]):
     modulus: residues[i, j] is the f of primes_x[j] mod qs[i], unit[f]
     whether gcd(a, q) = 1, and counts[f] = pi(x; q, a).
     ResourceLimitError for a q above DEFAULT_TOTIENT_CAP: unit and counts
-    hold q entries for it, as a totient table to q does."""
+    hold q entries for it, as a totient table to q does.  primes_x is
+    read in int64, cast once here: numpy runs uint32 % int64 per element
+    through a slower mixed-type loop."""
     if max(qs) > DEFAULT_TOTIENT_CAP:
         raise ResourceLimitError(
             f"modulus {max(qs)} above the class-table cap "
@@ -296,7 +298,7 @@ def _unit_counts(primes_x: np.ndarray, qs: list[int]):
     starts = np.cumsum(qs) - qs
     q_of = np.repeat(qs, qs)
     a = np.arange(len(q_of)) - np.repeat(starts, qs)
-    residues = primes_x % qs[:, None] + starts[:, None]
+    residues = primes_x.astype(np.int64) % qs[:, None] + starts[:, None]
     unit = np.gcd(a, q_of) == 1
     return q_of, a, residues, unit, np.bincount(residues.ravel(),
                                                 minlength=len(a))

@@ -515,8 +515,9 @@ class _Lanes:
     opens less those left when it ends, `bits`, its words times their
     width (from its first word when it opens, to its end when it ends),
     and `sel`, the selection bits.  Primality comes from `table`, and for
-    primeinc the table's `primes` up to x; or with no table, from the
-    policy's tester `test`, past trial division (see _first_prime)."""
+    primeinc the table's `primes` up to x and the largest, `top`; or with
+    no table, from the policy's tester `test`, past trial division (see
+    _first_prime)."""
 
     def __init__(self, cfg: GenConfig, table, trials: int,
                  retry: bool = False, telemetry: bool = False):
@@ -526,6 +527,7 @@ class _Lanes:
             self.test = primality_tester(cfg.primality, cfg.x)
         elif self.algo is Algorithm.PRIMEINC:
             self.primes = primes_upto(cfg.x, table)
+            self.top = int(self.primes[-1])  # a Python int keeps p int32
         self.retry, self.telemetry = retry, telemetry
         self.capped = (self.algo in _CLASS_ALGOS
                        and self.algo not in _FALLBACK_ALGOS)
@@ -549,11 +551,18 @@ class _Lanes:
         while self.width > _MIN_WIDTH and 2 * len(live) <= self.width:
             self.width //= 2
         rows = len(_ROWS) if self.telemetry else _TEL
-        self.state[:rows, :len(live)] = self.state[:rows, live]
+        self.state[:rows, :len(live)] = self.state[:rows].take(live, axis=1)
         self.state[0, len(live):self.width] = _IDLE
         lanes = self.state[:, :self.width]
         vars(self).update(zip(_ROWS, lanes), regs=lanes[:_REGS])
         self.seed, self.key, self.retries = lanes[_KEYS].view(np.uint64)
+
+
+def _set_lanes(rows, i, values):
+    """rows[:, i] = values, row by row: numpy runs a 2-D fancy index
+    about half as fast as 1-D ones on the rows' views."""
+    for row, v in zip(rows, values):
+        row[i] = v
 
 
 def _admit(s: _Lanes, i, key=None):
@@ -564,9 +573,9 @@ def _admit(s: _Lanes, i, key=None):
         s.trial[i], s.retries[i] = new, 0
         key = s.seed[i] = split_seed(s.cfg.seed, new.view(np.uint64))
     s.key[i], s.ctr[i] = key, 0
-    s.regs[:, i] = s.start
+    _set_lanes(s.regs, i, s.start)
     if s.telemetry:
-        s.state[_TEL:, i] = 0
+        _set_lanes(s.state[_TEL:], i, itertools.repeat(0))
         s.iters[i] = s.left[i]  # a selecting start has no draws left
 
 
@@ -580,7 +589,7 @@ def _exhaust(s: _Lanes, i, at=None):
             s.bits[i] += at * (64 - s.shift[i]) - at * (64 - s.trivial[2, 0])
             s.iters[i] += _NO_BUDGET
             s.records["fallback_entered"][s.trial[i]] = True
-        s.regs[:, i] = s.trivial
+        _set_lanes(s.regs, i, s.trivial)
     elif s.retry:
         s.retries[i] += np.uint64(1)
         _admit(s, i, split_seed(s.seed[i], s.retries[i]))
@@ -649,7 +658,8 @@ def _select(s: _Lanes, w):
     phase[d], left[d] = _SEARCH, s.budget
     m[d] = (s.cfg.x - a[d]) // q[d] + 1
     shift[d] = _shifts(m[d])
-    s.state[:_REGS, i], s.used[i] = r, used
+    _set_lanes(s.regs, i, r)
+    s.used[i] = used
     j, q, a, m = i[d], q[d], a[d], m[d]
     at = s.ctr[j] - _LOOK + used[d]
     if s.telemetry:
@@ -719,7 +729,7 @@ def _search(s: _Lanes, w):
             hit = _first_prime(s, p)[:, None] == np.arange(_LOOK)
     elif s.algo is Algorithm.PRIMEINC:
         # a start y <= the largest prime ends at the first prime >= y
-        hit = ok & (p <= s.primes[-1])
+        hit = ok & (p <= s.top)
     else:
         hit = s.table.prime_mask(p)
     ended = hit.view(np.uint64)[:, 0] != 0
@@ -739,7 +749,9 @@ def _search(s: _Lanes, w):
         # searchsorted is several times faster on sorted keys
         order = np.argsort(y)
         prime = np.empty_like(y)
-        prime[order] = s.primes[np.searchsorted(s.primes, y[order])]
+        # and on needles of the list's dtype: others would widen the list
+        needles = y[order].astype(s.primes.dtype)
+        prime[order] = s.primes[s.primes.searchsorted(needles)]
     _finish(s, i, h, prime, tries, y)
     drawn = tries[:, -1]
     spent = lanes & ~ended & (drawn >= left)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -75,7 +76,7 @@ def test_segmented_sieve_matches_flat_oracle():
 
 def _assert_matches_flat(t, flat):
     bound = len(flat) - 1
-    assert t.primes.dtype == np.int64
+    assert t.primes.dtype == np.uint32
     assert np.array_equal(t.primes, np.flatnonzero(flat))
     # packed flags: bit n & 7 of byte n >> 3, nothing past bound
     assert t._flags.tobytes() == np.packbits(flat, bitorder="little").tobytes()
@@ -102,6 +103,48 @@ def test_sieve_segment_and_wheel_edges(monkeypatch):
     edges += [ntheory._SEGMENT + d for d in (-1, 0, 1)]
     for bound in edges + wheel_edges:
         _assert_matches_flat(sieve(bound), flat[: bound + 1])
+
+
+def test_table_is_read_only():
+    # a write into the list or the flags changed every later verdict
+    t = sieve(100)
+    for write in (lambda: t.primes.__setitem__(0, 4),
+                  lambda: t._flags.__setitem__(0, 255)):
+        with pytest.raises(ValueError):
+            write()
+    with pytest.raises(TypeError):
+        t._flags_view[0] = 255
+    assert t.primes[0] == 2 and not t.is_prime(4)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, 4, 996, 997, 998, 1000,
+                               np.int64(-5), np.int64(997), np.int64(1000),
+                               np.uint32(500), np.uint64(1000)])
+def test_count_leq_edges(table_1k, n):
+    assert table_1k.count_leq(n) == sum(
+        1 for p in table_1k.primes.tolist() if p <= n)
+
+
+@pytest.mark.parametrize("n", [1001, np.int64(1001), 2**32, 2**64])
+def test_count_leq_past_the_bound(table_1k, n):
+    with pytest.raises(DomainError):
+        table_1k.count_leq(n)
+
+
+def test_table_readers_make_no_copy_of_the_list():
+    # a needle of another dtype than the list's widened the whole list to
+    # an int64 copy (2.7 MB here) on every call
+    t = sieve(10**7)
+    primes_upto(10**7, t), t.count_leq(10**6)
+    tracemalloc.start()
+    try:
+        assert len(primes_upto(10**7, t)) == 664_579
+        assert t.count_leq(10**6) == 78_498
+        assert t.count_leq(np.int64(10**7)) == 664_579
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_sieve_prime_counts():

@@ -456,7 +456,8 @@ def test_the_engine_proves_what_generate_proves(monkeypatch):
 
 
 def test_benchmark_memory_does_not_scale_with_the_primes():
-    # a count per prime <= x would take 8 pi(x) bytes: 5.3 MB here
+    # a count per prime <= x would take 8 pi(x) bytes, and any copy of the
+    # uint32 prime list 4 pi(x) bytes: 2.7 MB here
     table = sieve(10**7)
     policy = Exact(table)
     for cfg in (
@@ -475,7 +476,7 @@ def test_benchmark_memory_does_not_scale_with_the_primes():
         finally:
             tracemalloc.stop()
         assert report.trials == 10**4
-        assert peak < 8 * table.prime_count()
+        assert peak < 4 * table.prime_count()
 
 
 # One selection step over every selection state, a lane per draw t below

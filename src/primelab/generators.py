@@ -15,9 +15,8 @@ selection broken out), the accepted (q, a) and whether the fallback was
 entered.  Runs are bit-for-bit reproducible from the seed.
 
 `trial_records` runs many trials, each on its own counter stream, in
-numpy lanes below 2^63 (primality from a covering prime table, else from
-trial division and the policy's tester) and through `generate` from 2^63
-on, and returns each trial's output and telemetry.
+numpy lanes below 2^63 (primality from ntheory.verdicts) and through
+`generate` from 2^63 on, and returns each trial's output and telemetry.
 """
 
 import dataclasses
@@ -43,12 +42,9 @@ from .ntheory import (
     EXACT,
     Modulus,
     PrimalityPolicy,
-    covering_table,
     primality_tester,
-    primes_upto,
     primorial_below,
-    table_for,
-    trial_division,
+    verdicts,
 )
 from .rng import CountingBitSource, split_seed, word_block
 
@@ -89,8 +85,10 @@ def default_T(x: int) -> int:
 
 
 def derived_Q(x: int, A: float) -> int:
-    """Even modulus-range top for the random-modulus variants:
-    2 * floor(x / (2 (ln x)^A)) for a finite A > 0, in [4, x]."""
+    """Even modulus-range top for the random-modulus variants, in [4, x]
+    for a finite A > 0: 2 * int(x / (2 (ln x)^A)) in doubles.  That is the
+    exact floor for x <= 10^15 (A = 1, 2, 3); past it rounding can exceed
+    the floor (by 2 at x = 10^18, A = 1, and 57,866 at x = 2^80, A = 2)."""
     try:
         if not 0 < A < math.inf:
             raise ConfigError(f"A must be finite and > 0, got {A}")
@@ -399,18 +397,13 @@ def generate(cfg: GenConfig, src: CountingBitSource | None = None):
 # uint64 (see _search).
 _LANES, _LOOK, _MIN_WIDTH = 4096, 8, 32
 _ONES = np.uint64(0x0101010101010101)
-_SCAN = 16  # class members (primeinc: integers) tested at a time for a prime
-# Without a table, the most class members proven to settle that a class
-# holds no prime; a larger class spends its budget, as in generate.
-_SETTLE = 64
 # A lane's next draw: none, the search for p = a + t*q (trivial and
 # primeinc: q = 1, a = 1), a unit, or a draw of _pick_random_modulus.
 _IDLE, _SEARCH, _UNIT, _PICK_Q, _PICK_A, _PICK_T = range(6)
 _ROWS = ("phase", "m", "shift", "q", "a", "left", "u", "used", "ctr",
          "trial", "seed", "key", "retries", "iters", "bits", "sel")
 _REGS, _KEYS, _TEL = 7, slice(10, 13), 13
-_LANE_X_LIMIT = 1 << 31  # a table's candidates are int32
-_WORD_X_LIMIT = 1 << 63  # else uint64: each draw is one word
+_INT64_PRODUCTS = 1 << 31  # a q below it keeps products of residues in int64
 _POWERS = 1 << np.arange(63)  # 2^0, ..., 2^62
 
 
@@ -430,7 +423,7 @@ def _column(phase, bound, q=0, a=0, left=0, u=0):
 def _pow_mod(b, e: int, q: int):
     """b^e mod q (e >= 1) for each entry of the int64 array b of residues:
     in int64 for q < 2^31, else in Python ints, as b*b may pass int64."""
-    if q >= _LANE_X_LIMIT:
+    if q >= _INT64_PRODUCTS:
         return np.array([pow(v, e, q) for v in b.tolist()], np.int64)
     r = b
     for bit in bin(e)[3:]:  # e's bits after its first, from the top
@@ -438,71 +431,6 @@ def _pow_mod(b, e: int, q: int):
         if bit == "1":
             r = r * b % q
     return r
-
-
-def _first_prime(s, n):
-    """The first column of each row of n (integers in [0, x]) that holds
-    a prime, or the width of n: read from the table, or else proven in
-    column order by the tester, past ntheory.trial_division, up to the
-    row's first prime, as a generate loop proves its draws."""
-    if s.table is not None:
-        hit = s.table.prime_mask(n)
-        return np.where(hit.any(axis=1), hit.argmax(axis=1), n.shape[1])
-    prime, open_ = trial_division(n)
-    first = np.where(prime.any(axis=1), prime.argmax(axis=1),
-                     n.shape[1]).tolist()
-    rows, cols = np.nonzero(open_)
-    for r, c, v in zip(rows.tolist(), cols.tolist(), n[open_].tolist()):
-        if c < first[r] and s.test(v):
-            first[r] = c
-    return np.array(first)
-
-
-def _holds_prime(s, q, a, m):
-    """Whether the class a + t*q, t < m, holds a prime, for each entry.
-    Without a table, a class of more than _SETTLE members is taken to
-    hold one."""
-    alive = m > _SETTLE if s.table is None else np.zeros(len(q), bool)
-    t = np.arange(_SCAN)
-    while not (alive | (m <= t[0])).all():
-        # 0 stands for the members past the class end; it is not prime
-        members = np.where((t < m[:, None]) & ~alive[:, None],
-                           a[:, None] + t * q[:, None], 0)
-        alive |= _first_prime(s, members) < _SCAN
-        t = t + _SCAN
-    return alive
-
-
-def _next_primes(s, y):
-    """The first prime from each start y up to x, 0 if none: primeinc's
-    scan without a table, by blocks of _SCAN integers."""
-    found, rows = np.zeros_like(y), np.arange(len(y))
-    while len(rows):
-        n = y[:, None] + np.arange(_SCAN, dtype=np.uint64)
-        n[n > s.cfg.x] = 0
-        first = _first_prime(s, n)
-        hit = first < _SCAN
-        found[rows[hit]] = n[hit, first[hit]]
-        more = ~hit & (y + _SCAN <= s.cfg.x)
-        rows, y = rows[more], y[more] + _SCAN
-    return found
-
-
-def _scan(s, p, ok):
-    """primeinc without a table: each lane's starts p (where ok) scanned
-    in word order, until the first that has a prime up to x.  hit marks
-    that start, and `found` holds its prime there."""
-    hit, found = np.zeros_like(ok), np.zeros_like(p)
-    r, c = np.nonzero(ok)
-    j = np.flatnonzero(np.diff(r, prepend=-1))  # each lane's first start
-    while len(j):
-        prime = _next_primes(s, p[r[j], c[j]].astype(np.uint64))
-        k = j[prime > 0]
-        hit[r[k], c[k]], found[r[k], c[k]] = True, prime[prime > 0]
-        j = j[prime == 0] + 1  # that lane's next start, if any
-        j = j[j < len(r)]
-        j = j[r[j] == r[j - 1]]
-    return hit, found
 
 
 class _Lanes:
@@ -514,20 +442,14 @@ class _Lanes:
     and with `telemetry` `iters`, charged a search segment's draws when it
     opens less those left when it ends, `bits`, its words times their
     width (from its first word when it opens, to its end when it ends),
-    and `sel`, the selection bits.  Primality comes from `table`, and for
-    primeinc the table's `primes` up to x and the largest, `top`; or with
-    no table, from the policy's tester `test`, past trial division (see
-    _first_prime)."""
+    and `sel`, the selection bits; ntheory.verdicts gives `verdicts`."""
 
     def __init__(self, cfg: GenConfig, table, trials: int,
                  retry: bool = False, telemetry: bool = False):
         self.cfg, self.algo, self.budget = cfg, cfg.algorithm, cfg.budget
-        self.table = table
-        if table is None:
-            self.test = primality_tester(cfg.primality, cfg.x)
-        elif self.algo is Algorithm.PRIMEINC:
-            self.primes = primes_upto(cfg.x, table)
-            self.top = int(self.primes[-1])  # a Python int keeps p int32
+        # the engine's own name of the tester, which tracing patches
+        self.verdicts = verdicts(cfg.primality, cfg.x, table,
+                                 primality_tester)
         self.retry, self.telemetry = retry, telemetry
         self.capped = (self.algo in _CLASS_ALGOS
                        and self.algo not in _FALLBACK_ALGOS)
@@ -606,7 +528,7 @@ def _unit(s: _Lanes, r, k, t):
     non-unit sets b = 0 (rejection) or u = 1 - b^lambda (Joye-Paillier,
     where u = 0 just for a unit).  Returns the lanes with a unit."""
     q, a, u = s.modulus.q, r[4], r[6]
-    wide = np.int64 if q < _LANE_X_LIMIT else object  # t*u < 2q^2 < 2^63
+    wide = np.int64 if q < _INT64_PRODUCTS else object  # t*u < 2q^2 < 2^63
     b = ((a[k] + t.astype(wide) * u[k]) % q).astype(np.int64)
     if s.cfg.unit_method is UnitMethod.REJECTION:
         unit = np.gcd(b, q) == 1
@@ -672,7 +594,7 @@ def _select(s: _Lanes, w):
     # prime the search's first word (shifted out to 0) ends the trial alike
     empty = m == 1
     if empty.any():
-        empty[empty] = _first_prime(s, a[empty, None]) > 0
+        empty[empty] = s.verdicts.first(a[empty, None]) > 0
     _exhaust(s, j[empty], at[empty])
 
 
@@ -698,15 +620,12 @@ def _finish(s: _Lanes, i, h, found, tries, y):
 def _search(s: _Lanes, w):
     """Searching lanes draw p = a + t*q from the rest of their words of
     the block w, up to a prime or the end of their budget."""
-    lanes, left = s.phase == _SEARCH, s.left
-    t = np.right_shift(w, s.shift.view(np.uint64)[:, None], out=w)
+    lanes, left, dtype = s.phase == _SEARCH, s.left, s.verdicts.dtype
     # other lanes accept no word: not even one that reads negative in
-    # int32, which halves the memory traffic where a table bounds x by 2^31
-    if s.table is not None:
-        t = t.astype(np.int32)
-        ok = t < np.where(lanes, s.m, -1 << 31).astype(np.int32)[:, None]
-    else:
-        ok = t < np.where(lanes, s.m, 0).astype(np.uint64)[:, None]
+    # int32, a table's candidates' dtype, which halves the memory traffic
+    t = np.right_shift(w, s.shift.view(np.uint64)[:, None], out=w)
+    t = t.astype(dtype)
+    ok = t < np.where(lanes, s.m, -1 << 31).astype(dtype)[:, None]
     # drop the words the selection took, and make tries[:, j] the draws
     # accepted up to word j: running byte sums, times 0x0101...01
     rows = ok.view(np.uint64)[:, 0]
@@ -715,52 +634,32 @@ def _search(s: _Lanes, w):
     within = np.minimum(left, _LOOK)[:, None]
     if (within < _LOOK).any():  # the draws past the budget are not made
         ok &= tries <= within
-    # a + t*q in place; a rejected draw's p may wrap in int32, and in
-    # uint64 stays below 2x (t < 2^k <= 2m), then is 0
+    # a + t*q in place; a rejected draw's p may wrap, then is 0
     p = t
-    p *= s.q.astype(p.dtype)[:, None]
-    p += s.a.astype(p.dtype)[:, None]
+    p *= s.q.astype(dtype)[:, None]
+    p += s.a.astype(dtype)[:, None]
     p *= ok
-    if s.table is None:
-        p = p.view(np.int64)  # each p <= x < 2^63
-        if s.algo is Algorithm.PRIMEINC:
-            hit, found = _scan(s, p, ok)
-        else:
-            hit = _first_prime(s, p)[:, None] == np.arange(_LOOK)
-    elif s.algo is Algorithm.PRIMEINC:
-        # a start y <= the largest prime ends at the first prime >= y
-        hit = ok & (p <= s.top)
+    if s.algo is Algorithm.PRIMEINC:
+        first, found = s.verdicts.ends(p, ok)
+        if s.telemetry:
+            # a start y above the largest prime is tested up to x, redrawn:
+            # its x - y tests past the first count as they happen
+            r, c = np.nonzero(ok & (np.arange(_LOOK) < first[:, None]))
+            np.add.at(s.records["primality_tests"], s.trial[r],
+                      s.cfg.x - p[r, c])
     else:
-        hit = s.table.prime_mask(p)
-    ended = hit.view(np.uint64)[:, 0] != 0
-    if s.telemetry and s.algo is Algorithm.PRIMEINC:
-        # a start y above the largest prime is tested up to x, redrawn: its
-        # x - y tests past the first count as they happen
-        r, c = np.nonzero(ok ^ hit)
-        keep = ~ended[r] | (c < hit[r].argmax(axis=1))
-        np.add.at(s.records["primality_tests"], s.trial[r[keep]],
-                  s.cfg.x - p[r[keep], c[keep]])
+        first, found = s.verdicts.first(p), None
+    ended = first < _LOOK
     i = np.flatnonzero(ended)
-    h = hit[i].argmax(axis=1)
-    y = prime = p[i, h]
-    if s.algo is Algorithm.PRIMEINC and s.table is None:
-        prime = found[i, h]
-    elif s.algo is Algorithm.PRIMEINC:  # the first prime >= y in the table
-        # searchsorted is several times faster on sorted keys
-        order = np.argsort(y)
-        prime = np.empty_like(y)
-        # and on needles of the list's dtype: others would widen the list
-        needles = y[order].astype(s.primes.dtype)
-        prime[order] = s.primes[s.primes.searchsorted(needles)]
-    _finish(s, i, h, prime, tries, y)
+    y = p[i, first[i]]
+    _finish(s, i, first[i], y if found is None else found, tries, y)
     drawn = tries[:, -1]
     spent = lanes & ~ended & (drawn >= left)
     if s.capped:
         # a class without primes can only spend its budget: test the class
         # once, when its lane misses its first block
         i = np.flatnonzero(lanes & ~ended & ~spent & (left == s.budget))
-        if len(i):
-            _exhaust(s, i[~_holds_prime(s, s.q[i], s.a[i], s.m[i])])
+        _exhaust(s, i[~s.verdicts.holds_prime(s.q[i], s.a[i], s.m[i])])
     np.subtract(left, drawn, out=left, where=lanes)
     i = np.flatnonzero(spent)
     # give back the words after the budget's last draw
@@ -775,11 +674,11 @@ def _new_records(x: int, trials: int, telemetry: bool) -> dict:
     ResourceLimitError where numpy refuses to allocate them."""
     wide = np.min_scalar_type(x)
     fields = dataclasses.fields(Telemetry) if telemetry else ()
-    try:
+    try:  # numpy raises ValueError for a size past what it can index
         return {"prime": np.empty(trials, wide), **{
             f.name: np.full(trials, f.default, f.type if x < 2**63 else wide)
             for f in fields}}
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
         raise ResourceLimitError(
             f"the records of {trials} trials do not fit in memory") from exc
 
@@ -816,25 +715,13 @@ def trial_records(cfg: GenConfig, trials: int, table=None,
     for a run that spends its budget (basic, uncond_nofallback); with
     retry_nontermination its retry r runs on split_seed(k_i, r) instead,
     k_i the trial's seed.  The one choice of runner: below 2^63 the lane
-    engine, from 2^63 on (where a draw may take more than a word)
-    _generate_loop.  Where a table covers x (`table`, which must, by
-    ntheory.table_for; else the policy's by ntheory.covering_table; then
-    x < 2^31) the engine computes candidates in int32 and reads
-    primality from the table.
-    Otherwise its candidates are uint64, and its verdicts come in two
-    stages: ntheory.trial_division filters a step's draws at once, and
-    the policy's tester proves each lane's survivors in word order, up
-    to the lane's first prime and the end of its budget, so the engine
-    proves exactly the candidates a generate loop proves.  Each engine
-    step hands every lane (_Lanes) its next _LOOK words, for _select and
-    then _search; idle lanes take the next trials (_admit), and once all
-    are admitted the width halves."""
-    table = (covering_table(cfg.primality.table, cfg.x) if table is None
-             else table_for(cfg.x, table))
-    if table is not None and cfg.x >= _LANE_X_LIMIT:
-        raise ResourceLimitError(f"the lane engine reads a table in int32: "
-                                 f"x = {cfg.x} is not below 2^31")
-    if cfg.x >= _WORD_X_LIMIT:
+    engine, from 2^63 on _generate_loop.  The engine takes every verdict from
+    ntheory.verdicts(cfg.primality, cfg.x, table), so a `table` must cover x.
+    Each engine step hands every lane (_Lanes) its next _LOOK words, for
+    _select and then _search; idle lanes take the next trials (_admit),
+    and once all are admitted the width halves."""
+    trials = _bound_index("trials", trials, 1)
+    if cfg.x >= 2**63:  # where a draw may take more than a word
         return _generate_loop(cfg, trials, retry_nontermination, telemetry)
     s = _Lanes(cfg, table, trials, retry_nontermination, telemetry)
     while (s.admitted < trials and s.failed is None) or (

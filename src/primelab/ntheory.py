@@ -3,9 +3,10 @@
 Sieving, prime counting in residue classes, totients, primorials and
 primality testing.  Everything here is exact integer arithmetic; these
 routines are the oracle substrate for the distribution computations.
-This module owns the prime table: `covering_table` decides whether a
-table answers for x, `table_for` which one does, and only `PrimeTable`
-reads its packed flags.
+This module owns the prime table and every verdict: `covering_table`
+decides whether a table answers for x, `table_for` which one does, only
+`PrimeTable` reads its packed flags, and `verdicts` gives the generators'
+lane engine its verdicts, from a table or from the policy's tester.
 """
 
 import math
@@ -25,10 +26,8 @@ from .errors import (
 from .rng import CountingBitSource, split_seed
 
 # Desk-scale caps: sieving from 2^31 or totient tables beyond 10^8 are
-# refused, not attempted.  Every table fits the int32 lanes of the
-# generators' engine, and its primes fit the uint32 list of `sieve`; past
-# a table, the engine's uint64 lanes take their verdicts from
-# `trial_division` and then the policy's tester.
+# refused, not attempted.  Every table fits the int32 candidates of
+# `verdicts`, and its primes the uint32 list of `sieve`.
 DEFAULT_SIEVE_CAP = 2**31 - 1
 DEFAULT_TOTIENT_CAP = 10**8
 
@@ -588,3 +587,116 @@ def primality_tester(policy: PrimalityPolicy, x: int):
         return lambda p: _miller_rabin(p := operator.index(p),
                                        _random_bases(p, policy))
     raise DomainError(f"unknown primality policy {policy!r}")
+
+
+# `verdicts`: every primality verdict of the generators' lane engine
+_SCAN = 16  # members of a progression tested at a time for a prime
+_BITS = 2 ** np.arange(23, -1, -1, dtype=np.float32)  # rows cast to 4 bytes
+
+
+def _first_column(hit: np.ndarray) -> np.ndarray:
+    """The first True column of each row of the bool array hit, or its
+    width: the top bit of the row read in binary (exact to 24 columns)."""
+    return hit.shape[1] - np.frexp(hit @ _BITS[-hit.shape[1]:])[1]
+
+
+class _Verdicts:
+    """The scans of arithmetic progressions that both backends share."""
+
+    def holds_prime(self, q, a, m):
+        """Whether each class a + t*q, t < m, holds a prime; one of more
+        than `settle` members is taken to hold one."""
+        holds = m > self.settle
+        i = np.flatnonzero(~holds)
+        holds[i] = self._first_member(q[i], a[i], m[i]) < m[i]
+        return holds
+
+    def _first_member(self, q, a, m):
+        """The least t < m with a + t*q prime, for each entry, or m: by
+        blocks of _SCAN members, proving only up to it."""
+        found, rows, t = m.copy(), np.arange(len(m)), np.arange(_SCAN)
+        while len(rows):
+            # 0 stands for the members past the class end; it is not prime
+            n = np.where(t < m[rows, None],
+                         a[rows, None] + t * q[rows, None], 0)
+            first = self.first(n)
+            hit = first < _SCAN
+            found[rows[hit]] = t[0] + first[hit]
+            rows = rows[~hit & (m[rows] > t[-1] + 1)]
+            t = t + _SCAN
+        return found
+
+
+class _TableVerdicts(_Verdicts):
+    """verdicts from a table's flags, on int32 candidates."""
+
+    dtype, settle = np.int32, math.inf
+
+    def __init__(self, table: PrimeTable, x: int):
+        if x > np.iinfo(self.dtype).max:
+            raise ResourceLimitError(f"a table's candidates are int32: "
+                                     f"x = {x} is not below 2^31")
+        self.mask, self.primes = table.prime_mask, primes_upto(x, table)
+        self.top = int(self.primes[-1])  # a Python int keeps starts int32
+
+    def first(self, rows):
+        return _first_column(self.mask(rows))
+
+    def ends(self, starts, ok):
+        # a start y <= the largest prime ends at the first prime >= y
+        first = _first_column(ok & (starts <= self.top))
+        i = np.flatnonzero(first < starts.shape[1])
+        y = starts[i, first[i]]
+        # sorted needles of the list's dtype: several times faster, no copy
+        order, prime = np.argsort(y), np.empty_like(y)
+        needles = y[order].astype(self.primes.dtype)
+        prime[order] = self.primes[self.primes.searchsorted(needles)]
+        return first, prime
+
+
+class _TesterVerdicts(_Verdicts):
+    """verdicts of a scalar test past trial_division, on int64 candidates
+    (each <= x < 2^63), proven in column order as a generate loop does."""
+
+    dtype, settle = np.int64, 64  # a larger class spends its budget
+
+    def __init__(self, test, x: int):
+        self.test, self.x = test, x
+
+    def first(self, rows):
+        prime, open_ = trial_division(rows)
+        first = _first_column(prime).tolist()
+        r, c = np.nonzero(open_)
+        for r, c, n in zip(r.tolist(), c.tolist(), rows[open_].tolist()):
+            if c < first[r] and self.test(n):
+                first[r] = c
+        return np.array(first)
+
+    def ends(self, starts, ok):
+        # each row's starts scanned in column order, up to one that ends
+        width = starts.shape[1]
+        first = np.full(len(starts), width)
+        found = np.zeros(len(starts), starts.dtype)
+        for c in range(width):
+            rows = np.flatnonzero(ok[:, c] & (first == width))
+            y = starts[rows, c]
+            t = self._first_member(np.ones_like(y), y, self.x - y + 1)
+            hit = t <= self.x - y
+            first[rows[hit]], found[rows[hit]] = c, y[hit] + t[hit]
+        return first, found[first < width]
+
+
+def verdicts(policy: PrimalityPolicy, x: int, table: PrimeTable | None = None,
+             tester=primality_tester):
+    """The lane engine's verdicts on candidates in [0, x]: from `table`
+    (which must cover x), else the policy's table where it covers x, else
+    tester(policy, x), alike either way.  The object has the candidates'
+    `dtype`; first(rows), each row's first column holding a prime (0
+    stands for no candidate), or the width, proving only up to it;
+    holds_prime(q, a, m), which settles a class empty by enumeration up
+    to `settle` members; and primeinc's end rule ends(starts, ok): each
+    row's first start (where ok) with a prime <= x, or the width, and
+    that start's first prime for each row that has one, in row order."""
+    if table is None and covering_table(policy.table, x) is None:
+        return _TesterVerdicts(tester(policy, x), x)
+    return _TableVerdicts(table_for(x, table, policy.table), x)

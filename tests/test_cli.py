@@ -54,6 +54,16 @@ def test_bench_beyond_a_word(capsys):
     assert record["trials"] == 5 and record["config"]["x"] == 2**80
 
 
+def test_bench_cli_too_many_trials(capsys):
+    # numpy's bare ValueError escaped as a traceback
+    code, out, err = run_cli(
+        capsys, "bench", "--x", "1000", "--algo", "trivial",
+        "--trials", str(10**30),
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ResourceLimitError"
+
+
 def test_exact_dist_csv(capsys):
     code, out, err = run_cli(
         capsys, "exact-dist", "--x", "30", "--algo", "basic", "--q", "6",

@@ -20,7 +20,7 @@ from primelab.exactdist import (
     exact_dist_uncond,
     exact_dist_uncond_nofallback,
 )
-from primelab.generators import Algorithm, GenConfig
+from primelab.generators import Algorithm, GenConfig, trial_records
 from primelab.harness import (
     benchmark,
     gap_census,
@@ -173,6 +173,15 @@ CASES = {
     # numpy's bare MemoryError: 10**15 records, which numpy refuses at once
     "benchmark(trials=10**15)":
         (ResourceLimitError, lambda: benchmark(CFG, 10**15)),
+    # a bare ValueError from numpy, which cannot ask for 2^62 records
+    "benchmark(trials=2**62)":
+        (ResourceLimitError, lambda: benchmark(CFG, 2**62)),
+    # trials was not checked: a bare ValueError, TypeError and ValueError
+    "trial_records(trials=-1)": (DomainError, lambda: trial_records(CFG, -1)),
+    "trial_records(trials=2.5)":
+        (DomainError, lambda: trial_records(CFG, 2.5)),
+    "trial_records(trials=10**30)":
+        (ResourceLimitError, lambda: trial_records(CFG, 10**30)),
 }
 
 

@@ -1,5 +1,8 @@
+import decimal
 import math
+import random
 from collections import Counter
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -259,6 +262,21 @@ def test_default_T_and_Q():
     for A in (math.nan, math.inf, -math.inf, 0.0, -1.0):
         with pytest.raises(ConfigError):
             derived_Q(1000, A)
+
+
+def test_derived_Q_is_the_exact_floor_up_to_10_to_the_15():
+    """derived_Q computes in doubles; on this grid it equals
+    2 * floor(x / (2 (ln x)^A)) computed to 80 digits."""
+    rng = random.Random(5)
+    grid = ({10**k + d for k in range(4, 16) for d in (-1, 0, 1)}
+            | {2**k for k in range(14, 50)}
+            | {rng.randrange(10**4, 10**15 + 1) for _ in range(200)})
+    with decimal.localcontext() as digits:
+        digits.prec = 80
+        for A in (1, 2, 3):
+            for x in sorted(grid):
+                exact = Decimal(x) / (2 * Decimal(x).ln() ** A)
+                assert derived_Q(x, A) == 2 * math.floor(exact), (x, A)
 
 
 @pytest.mark.parametrize("method", list(UnitMethod))

@@ -1,8 +1,9 @@
 """Package layout: ntheory owns the prime table, generators does not
 reach up into exactdist (which imports generators), a FiniteDist has
 one exact representation, no public function takes a parameter that
-only tests would set, the CLI writes its output in one place, and only
-generators chooses how trials run."""
+only tests would set, the CLI writes its output in one place, only
+generators chooses how trials run, and its lane engine takes every
+verdict from ntheory.verdicts."""
 
 import ast
 import importlib
@@ -149,3 +150,18 @@ def test_harness_leaves_the_runner_to_generators():
     limits = [w for w in _words(tree) if "LANE_X_LIMIT" in w]
     assert calls == [] and limits == []
     assert not hasattr(generators, "LANE_X_LIMIT")
+
+
+def test_generators_leaves_the_table_to_ntheory():
+    """The lane engine takes its verdicts from ntheory.verdicts:
+    generators reads no `table` attribute and no PrimeTable member, and
+    imports none of ntheory's table and trial-division helpers."""
+    tree = _tree(SRC / "generators.py")
+    members = {"table", "prime_mask", "primes", "count_leq", "is_prime"}
+    helpers = {"covering_table", "table_for", "primes_upto", "trial_division"}
+    read = [node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in members]
+    imported = [a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names
+                if a.name in helpers]
+    assert read == [] and imported == []

@@ -15,6 +15,7 @@ from primelab.ntheory import (
     Exact,
     MillerRabin,
     Modulus,
+    PrimeTable,
     count_ap_primes,
     factorize,
     is_prime,
@@ -27,6 +28,7 @@ from primelab.ntheory import (
     totient_partial_sum,
     totient_sieve,
     trial_division,
+    verdicts,
 )
 
 from primelab.rng import CountingBitSource, split_seed
@@ -619,3 +621,65 @@ def test_primality_tester_reads_a_covering_table(table_1k):
         primality_tester(EXACT, ntheory._DETERMINISTIC_MR_BOUND)
     test = primality_tester(MillerRabin(rounds=3), 10**6)
     assert [n for n in range(100) if test(n)] == sieve(100).primes.tolist()
+
+
+_NARROW = sieve(3000)
+# the same table with an int64 list, as tests/test_table_dtype.py builds it
+_WIDE = PrimeTable(3000, _NARROW._flags, _NARROW.primes.astype(np.int64))
+
+
+@pytest.mark.parametrize("x", [2971, 2995], ids=["prime_x", "composite_x"])
+@pytest.mark.parametrize("table", [_NARROW, _WIDE], ids=["uint32", "int64"])
+def test_table_and_tester_verdicts_agree(table, x):
+    """verdicts' two backends under Exact below 2^31, on random rows with
+    0, 1, the members past x (written as 0) and the starts above the
+    largest prime (2971 <= x): the same first columns, the same settled
+    classes, and primeinc's same end rule, each as is_prime scans give
+    them."""
+    read, tested = verdicts(EXACT, x, table), verdicts(EXACT, x)
+    assert (read.dtype, tested.dtype) == (np.int32, np.int64)
+    assert read.settle >= tested.settle == 64
+    rng = np.random.default_rng(7)
+    top = 2971
+    assert primes_upto(x, table)[-1] == top
+
+    def first_prime(row):
+        return next((c for c, n in enumerate(row) if is_prime(n)), len(row))
+
+    for width in (1, 8, 16):
+        rows = rng.integers(0, x + 1, (300, width))
+        rows[rng.random(rows.shape) < 0.2] = 0
+        rows[rng.random(rows.shape) < 0.1] = 1
+        expected = [first_prime(row) for row in rows.tolist()]
+        for v in (read, tested):
+            assert v.first(rows.astype(v.dtype)).tolist() == expected
+
+    q = rng.integers(1, 200, 300)
+    a = rng.integers(0, q)
+    m = np.minimum((x - a) // q + 1, rng.integers(1, 65, 300))
+    # 1328..1360 hold no prime: classes of q = 1 whose (f+1)-th member,
+    # 1361, is the first prime, at the edges of the blocks of 16 members
+    edges = [(1, 1361 - f, f + d) for f in (15, 16, 17, 31, 32, 33)
+             for d in (0, 1)]
+    q, a, m = (np.concatenate([v, w]) for v, w in zip((q, a, m),
+                                                      zip(*edges)))
+    holds = [any(is_prime(int(a_ + t * q_)) for t in range(m_))
+             for q_, a_, m_ in zip(q.tolist(), a.tolist(), m.tolist())]
+    assert not all(holds)
+    for v in (read, tested):
+        assert v.holds_prime(q, a, m).tolist() == holds
+
+    starts = rng.integers(1, x + 1, (300, 8))
+    # the starts above the largest prime, and those that end at x
+    near = rng.random(starts.shape) < 0.7
+    starts[near] = rng.integers(top - 10, x + 1, np.count_nonzero(near))
+    ok = rng.random(starts.shape) < 0.8
+    starts *= ok
+    ends = [next((c for c, y in enumerate(row) if k[c] and y <= top), 8)
+            for row, k in zip(starts.tolist(), ok.tolist())]
+    primes = [next(p for p in range(row[c], x + 1) if is_prime(p))
+              for row, c in zip(starts.tolist(), ends) if c < 8]
+    assert (8 in ends) == (x > top) and primes.count(top) > 10
+    for v in (read, tested):
+        first, found = v.ends(starts.astype(v.dtype), ok)
+        assert first.tolist() == ends and found.tolist() == primes

@@ -48,9 +48,39 @@ _HEAD = np.array([False, True, True, True, False, True, True])
 _WIDEN = np.array([sum((v >> b & 1) << (2 * b + 1) for b in range(8))
                    for v in range(256)], dtype="<u2")
 
-# Exact primality below psi_13, in three tiers by the size of n.  After
-# n <= 251 is looked up in _SMALL_PRIME_SET and one gcd against the
-# product of the primes to 251 (trial division):
+# Trial division, the first stage of every tester: the primes to
+# _TRIAL_BOUND = 2^12, from `_small_sieve` at import.  A tester looks up
+# n <= 2^12 in _TRIAL_FLAGS and refuses every larger n with a prime factor
+# to 2^12, in two passes: the primes to 251, which refuse most composites,
+# then the rest on that pass's survivors, each pass one gcd with the
+# product of its primes (one gcd with all of them, 5,811 bits, costs
+# about 5 us against 0.7 us for the primes to 251).  What is left is
+# above 2^12 with no prime factor to it, and `_prove` settles it: the
+# proof-only entry, which primality_tester(policy, x, screened=True)
+# hands to the lane engine for the candidates trial_division leaves
+# open.  The witnesses are the first 13 primes, 2 to 41.
+_TRIAL_BOUND = 2**12
+
+
+def _small_sieve(bound: int) -> np.ndarray:
+    """The primality flags of 0..bound, read-only, by a plain sieve: the
+    trial table at import, from which `sieve` takes its base primes."""
+    flags = np.ones(bound + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(bound) + 1):
+        flags[p * p :: p] = False
+    flags.setflags(write=False)
+    return flags
+
+
+_TRIAL_FLAGS = _small_sieve(_TRIAL_BOUND)
+_TRIAL_PRIMES = tuple(np.flatnonzero(_TRIAL_FLAGS).tolist())
+_FIRST_PASS = bisect_right(_TRIAL_PRIMES, 251)  # the primes to 251
+_TRIAL_PRODUCTS = (math.prod(_TRIAL_PRIMES[:_FIRST_PASS]),
+                   math.prod(_TRIAL_PRIMES[_FIRST_PASS:]))
+
+# Exact primality below psi_13, in three tiers by the size of n, past
+# trial division:
 #   - n < psi_5: the strong test to the first k primes, k the least index
 #     with n < psi_k (2 to 5 bases, cheaper than the tier above).  psi_k is
 #     the least strong pseudoprime to the first k prime bases (Jaeschke,
@@ -87,26 +117,34 @@ _PSI = (
 )
 _DETERMINISTIC_MR_BOUND = _PSI[-1]
 _BPSW_RANGE = (_PSI[4], 2**64)
-# The primes to 251: trial division in one gcd, the witnesses, and the
-# base primes of every sieve up to 252^2.
-_SMALL_PRIMES = tuple(n for n in range(2, 252)
-                      if all(n % d for d in range(2, math.isqrt(n) + 1)))
-_DETERMINISTIC_WITNESSES = _SMALL_PRIMES[: len(_PSI)]  # 2, 3, ..., 41
-_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
-_SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIMES)
-# The same two steps over numpy arrays (`trial_division`): the flags of
-# 0..252, the residues mod 2 * _WHEEL prime to 2..13 (the wheel's
-# _PERIOD at the odd ones), and for each prime p from 17 its inverse mod
-# 2^64 and floor((2^64 - 1)/p), in columns: p divides n iff
-# n * inverse mod 2^64 <= that quotient (Granlund & Montgomery, "Division
-# by invariant integers using multiplication", PLDI 1994, section 9).
-_SMALL_PRIME_FLAGS = np.zeros(253, dtype=bool)
-_SMALL_PRIME_FLAGS[list(_SMALL_PRIMES)] = True
+_DETERMINISTIC_WITNESSES = _TRIAL_PRIMES[: len(_PSI)]  # 2, 3, ..., 41
+# The same two passes over numpy arrays (`trial_division`), past the
+# residues mod 2 * _WHEEL prime to 2..13 (the wheel's _PERIOD at the odd
+# ones): for each prime p from 17 its inverse mod 2^64 and
+# floor((2^64 - 1)/p), and p divides n iff n * inverse mod 2^64 <= that
+# quotient (Granlund & Montgomery, "Division by invariant integers using
+# multiplication", PLDI 1994, section 9).  Each pass multiplies chunks of
+# candidates by its inverses, at most _PRODUCTS products (256 KiB) at a
+# time, along the longer axis: the 48 primes to 251 as rows over a chunk
+# of 682 candidates, the 510 primes above as columns over 64.
 _WHEEL_UNITS = np.zeros(2 * _WHEEL, dtype=bool)
 _WHEEL_UNITS[1::2] = _PERIOD
-_PAST_WHEEL = _SMALL_PRIMES[len(_WHEEL_PRIMES) + 1:]
-_INVERSES = np.array([[pow(p, -1, 2**64)] for p in _PAST_WHEEL], np.uint64)
-_QUOTIENTS = np.array([[(2**64 - 1) // p] for p in _PAST_WHEEL], np.uint64)
+_PRODUCTS = 2**15
+
+
+def _trial_pass(primes: tuple, axis: int):
+    """(inverses, quotients, axis) of one pass of `trial_division`, the
+    primes along `axis` of the products (0: rows, 1: columns)."""
+    inverses = [pow(p, -1, 2**64) for p in primes]
+    quotients = [(2**64 - 1) // p for p in primes]
+    return (np.expand_dims(np.array(inverses, np.uint64), 1 - axis),
+            np.expand_dims(np.array(quotients, np.uint64), 1 - axis), axis)
+
+
+_TRIAL_PASSES = (
+    _trial_pass(_TRIAL_PRIMES[len(_WHEEL_PRIMES) + 1 : _FIRST_PASS], 0),
+    _trial_pass(_TRIAL_PRIMES[_FIRST_PASS:], 1),
+)
 
 
 class PrimeTable:
@@ -156,10 +194,10 @@ class PrimeTable:
 
 
 def _base_primes(root: int) -> list[int]:
-    """The primes <= root: a prefix of _SMALL_PRIMES when root is within
-    it, else sieve(root)'s (whose own roots, below 252, take the prefix)."""
-    if root <= _SMALL_PRIMES[-1]:
-        return list(_SMALL_PRIMES[: bisect_right(_SMALL_PRIMES, root)])
+    """The primes <= root: a prefix of _TRIAL_PRIMES for root <= 2^12, so
+    for every sieve bound below 4097^2, else sieve(root)'s."""
+    if root <= _TRIAL_BOUND:
+        return list(_TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, root)])
     return sieve(root).primes.tolist()
 
 
@@ -406,9 +444,12 @@ class PrimalityPolicy:
 @dataclass(frozen=True)
 class Exact(PrimalityPolicy):
     """Always-correct answers: table lookup when covered, else trial
-    division by the primes to 251 in one gcd and a proof in three tiers.
-    Below psi_5 (about 2.2e12), the strong test to the first k primes, k
-    the least index with n < psi_k (2 to 5 bases).  From psi_5 to 2^64,
+    division by the primes to 2^12 (a lookup up to 2^12, then two gcds)
+    and a proof in three tiers; the lane engine divides whole steps at
+    once with `trial_division` and calls the proof alone (the tester of
+    `primality_tester(policy, x, screened=True)`).  Below psi_5 (about
+    2.2e12), the strong test to the first k primes, k the least index
+    with n < psi_k (2 to 5 bases).  From psi_5 to 2^64,
     BPSW: the strong test to base 2 and the strong Lucas test (Baillie &
     Wagstaff, Math. Comp. 1980; Pomerance, Selfridge & Wagstaff, Math.
     Comp. 1980), which has no counterexample there (Feitsma and Galway's
@@ -514,16 +555,23 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 
 def _miller_rabin(n: int, bases=None) -> bool:
-    """Trial division by the primes to 251 in one gcd, then the strong
-    test of n to each base in `bases` (an iterable, consumed only as far
-    as needed).  With no bases, n is proven for n < psi_13: by BPSW in
-    _BPSW_RANGE, else by the first k witness primes, k the least index
-    with n < psi_k."""
-    if n <= 251:
-        return n in _SMALL_PRIME_SET
-    if math.gcd(n, _SMALL_PRIME_PRODUCT) != 1:
+    """Trial division by the primes to 2^12 (a lookup to 2^12, then two
+    gcds), then `_prove`."""
+    if n <= _TRIAL_BOUND:
+        return bool(_TRIAL_FLAGS[n])
+    if (math.gcd(n, _TRIAL_PRODUCTS[0]) != 1
+            or math.gcd(n, _TRIAL_PRODUCTS[1]) != 1):
         return False
-    n = operator.index(n)  # a numpy integer has no bit_length
+    # a numpy integer has no bit_length
+    return _prove(operator.index(n), bases)
+
+
+def _prove(n: int, bases=None) -> bool:
+    """The proof stage of `_miller_rabin` for an int n above 2^12 with no
+    prime factor to 2^12: the strong test of n to each base in `bases`
+    (an iterable, consumed only as far as needed).  With no bases, n is
+    proven for n < psi_13: by BPSW in _BPSW_RANGE, else by the first k
+    witness primes, k the least index with n < psi_k."""
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -541,19 +589,27 @@ def _miller_rabin(n: int, bases=None) -> bool:
 def trial_division(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_miller_rabin's first stage for each entry of n, an array of
     integers in [0, 2^64): (prime, open), where `prime` marks the primes
-    <= 251 and `open` the entries above 251 with no prime factor to 251,
-    which only a test settles.  Every other entry is composite (0 and 1
-    included).  Under either policy a verdict is a function of n, so an
-    array of candidates may be filtered at once."""
+    <= 2^12 and `open` the entries above 2^12 with no prime factor to
+    2^12, which only `_prove` settles.  Every other entry is composite (0
+    and 1 included).  Under either policy a verdict is a function of n,
+    so an array of candidates may be filtered at once."""
     n = n.astype(np.uint64)
-    prime = _SMALL_PRIME_FLAGS[np.minimum(n, 252)]
-    index = np.flatnonzero(_WHEEL_UNITS[n % (2 * _WHEEL)]
-                           & (n > _SMALL_PRIMES[-1]))
+    prime = _TRIAL_FLAGS[np.minimum(n, _TRIAL_BOUND)]  # 2^12 is composite
+    flat = n.ravel()
+    index = np.flatnonzero(_WHEEL_UNITS[flat % (2 * _WHEEL)]
+                           & (flat > _TRIAL_BOUND))
+    for inverses, quotients, axis in _TRIAL_PASSES:
+        chunk = _PRODUCTS // inverses.size
+        keep = np.empty(len(index), dtype=bool)
+        for k in range(0, len(index), chunk):
+            m = flat[index[k : k + chunk]]
+            if axis:  # a column of candidates against a row of primes
+                m = m[:, None]
+            keep[k : k + chunk] = ~np.logical_or.reduce(
+                m * inverses <= quotients, axis=axis)
+        index = index[keep]
     open_ = np.zeros(n.size, dtype=bool)
-    for k in range(0, len(index), 512):  # 48 x 512 products at a time
-        i = index[k:k + 512]
-        open_[i] = ~np.logical_or.reduce(n.ravel()[i] * _INVERSES
-                                         <= _QUOTIENTS)
+    open_[index] = True
     return prime, open_.reshape(n.shape)
 
 
@@ -572,8 +628,13 @@ def is_prime(n: int, policy: PrimalityPolicy = EXACT) -> bool:
     return n >= 2 and primality_tester(policy, n)(n)
 
 
-def primality_tester(policy: PrimalityPolicy, x: int):
-    """Fastest correct primality callable for candidates in [0, x]."""
+def primality_tester(policy: PrimalityPolicy, x: int,
+                     screened: bool = False):
+    """Fastest correct primality callable for candidates in [0, x].  With
+    `screened`, the testers skip trial division: each candidate must be
+    one that trial_division leaves open, above 2^12 with no prime factor
+    to 2^12."""
+    test = _prove if screened else _miller_rabin
     if isinstance(policy, Exact):
         table = covering_table(policy.table, x)
         if table is not None:
@@ -582,10 +643,10 @@ def primality_tester(policy: PrimalityPolicy, x: int):
             raise ResourceLimitError(
                 f"no exact primality method for n >= {_DETERMINISTIC_MR_BOUND}"
             )
-        return _miller_rabin
+        return test
     if isinstance(policy, MillerRabin):
-        return lambda p: _miller_rabin(p := operator.index(p),
-                                       _random_bases(p, policy))
+        return lambda p: test(p := operator.index(p),
+                              _random_bases(p, policy))
     raise DomainError(f"unknown primality policy {policy!r}")
 
 
@@ -655,8 +716,9 @@ class _TableVerdicts(_Verdicts):
 
 
 class _TesterVerdicts(_Verdicts):
-    """verdicts of a scalar test past trial_division, on int64 candidates
-    (each <= x < 2^63), proven in column order as a generate loop does."""
+    """verdicts of a screened test past trial_division, on int64
+    candidates (each <= x < 2^63), proven in column order as a generate
+    loop does."""
 
     dtype, settle = np.int64, 64  # a larger class spends its budget
 
@@ -690,13 +752,14 @@ def verdicts(policy: PrimalityPolicy, x: int, table: PrimeTable | None = None,
              tester=primality_tester):
     """The lane engine's verdicts on candidates in [0, x]: from `table`
     (which must cover x), else the policy's table where it covers x, else
-    tester(policy, x), alike either way.  The object has the candidates'
-    `dtype`; first(rows), each row's first column holding a prime (0
-    stands for no candidate), or the width, proving only up to it;
-    holds_prime(q, a, m), which settles a class empty by enumeration up
-    to `settle` members; and primeinc's end rule ends(starts, ok): each
-    row's first start (where ok) with a prime <= x, or the width, and
-    that start's first prime for each row that has one, in row order."""
+    tester(policy, x, screened=True) past trial_division, alike either
+    way.  The object has the candidates' `dtype`; first(rows), each
+    row's first column holding a prime (0 stands for no candidate), or
+    the width, proving only up to it; holds_prime(q, a, m), which
+    settles a class empty by enumeration up to `settle` members; and
+    primeinc's end rule ends(starts, ok): each row's first start (where
+    ok) with a prime <= x, or the width, and that start's first prime
+    for each row that has one, in row order."""
     if table is None and covering_table(policy.table, x) is None:
-        return _TesterVerdicts(tester(policy, x), x)
+        return _TesterVerdicts(tester(policy, x, screened=True), x)
     return _TableVerdicts(table_for(x, table, policy.table), x)

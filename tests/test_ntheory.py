@@ -578,22 +578,41 @@ def test_table_for_covers_x_or_refuses(table_1k):
     assert primes_upto(100, table_1k).tolist() == small.primes.tolist()
 
 
+_TRIAL_BOUND = ntheory._TRIAL_BOUND
+_TRIAL_PRODUCT = math.prod(ntheory._TRIAL_PRODUCTS)
+
+
 def _first_stage(n):
-    """_miller_rabin's first stage for n: "prime" for the primes <= 251,
-    "open" past 251 and prime to 251#, else "composite"."""
-    if n <= 251:
-        return "prime" if n in ntheory._SMALL_PRIME_SET else "composite"
-    coprime = math.gcd(n, ntheory._SMALL_PRIME_PRODUCT) == 1
+    """_miller_rabin's first stage for n: "prime" for the primes to
+    ntheory's trial bound, "open" past it and prime to every prime up to
+    it, else "composite"."""
+    if n <= _TRIAL_BOUND:
+        return "prime" if _reference_is_prime(n) else "composite"
+    coprime = math.gcd(n, _TRIAL_PRODUCT) == 1
     return "open" if coprime else "composite"
 
 
 def test_trial_division_is_the_first_stage_of_the_tester():
+    assert _TRIAL_PRODUCT == math.prod(
+        p for p in range(_TRIAL_BOUND + 1) if _reference_is_prime(p))
     rnd = random.Random(5)
     small = [p for p in range(2, 400) if _reference_is_prime(p)]
     values = list(range(70_000))
     values += [rnd.randrange(2**64) for _ in range(50_000)]
     values += [p * q for p in small for q in small]  # 251 * 257 among them
-    values += [2**63 - 1, 2**63, 2**64 - 59, 2**64 - 1]
+    # across the trial bound: the products of primes on either side of it,
+    # and the squares of the first primes past it, the least composites
+    # that only a proof refuses
+    near = [p for p in range(_TRIAL_BOUND - 199, _TRIAL_BOUND + 200)
+            if _reference_is_prime(p)]
+    above = [p for p in range(_TRIAL_BOUND, _TRIAL_BOUND + 200)
+             if _reference_is_prime(p)][:8]
+    straddle = [p * q for p in near for q in near]
+    straddle += [_TRIAL_BOUND - 1, _TRIAL_BOUND, _TRIAL_BOUND + 1]
+    straddle += [p * p for p in above] + above
+    values += straddle + [2**63 - 1, 2**63, 2**64 - 59, 2**64 - 1]
+    stage = {v: _first_stage(v) for v in values}
+    assert {stage[p * p] for p in above} == {"open"}
     for dtype in (np.uint64, np.int64):
         n = np.array([v for v in values if v <= np.iinfo(dtype).max], dtype)
         n = n[: len(n) // 2 * 2].reshape(-1, 2)[:, ::-1]  # not contiguous
@@ -601,11 +620,30 @@ def test_trial_division_is_the_first_stage_of_the_tester():
         assert prime.shape == open_.shape == n.shape
         verdicts = np.where(prime, "prime", np.where(open_, "open",
                                                      "composite"))
-        assert verdicts.tolist() == [[_first_stage(v) for v in row]
+        assert verdicts.tolist() == [[stage[v] for v in row]
                                      for row in n.tolist()]
-    for v in values[:5000] + values[-4:]:
-        if _first_stage(v) != "open":
-            assert ntheory._miller_rabin(v) == (_first_stage(v) == "prime")
+    for v in values[:5000] + straddle + values[-4:]:
+        if stage[v] != "open":
+            assert ntheory._miller_rabin(v) == (stage[v] == "prime")
+        else:  # the proof alone, past trial division
+            assert ntheory._prove(v) == _reference_is_prime(v)
+
+
+def test_trial_division_memory_does_not_scale_with_the_primes():
+    # a full-width step of the lane engine, 4,096 lanes x 8 words near
+    # 10^18: the uint64 copy and its residues take 256 KiB each, and each
+    # pass at most 256 KiB of products at a time, however many primes it
+    # divides by (all 510 above 251 at once would take 2 MB per 512 rows)
+    n = np.random.default_rng(3).integers(10**18 - 10**15, 10**18,
+                                          (4096, 8), dtype=np.int64)
+    trial_division(n)
+    tracemalloc.start()
+    try:
+        trial_division(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_prime_mask_matches_is_prime(table_1k):
@@ -617,6 +655,8 @@ def test_prime_mask_matches_is_prime(table_1k):
 def test_primality_tester_reads_a_covering_table(table_1k):
     assert primality_tester(Exact(table_1k), 1000) == table_1k.is_prime
     assert primality_tester(Exact(table_1k), 1001) is ntheory._miller_rabin
+    # the lane engine's entry, past trial_division: the proof alone
+    assert primality_tester(EXACT, 10**18, screened=True) is ntheory._prove
     with pytest.raises(ResourceLimitError):
         primality_tester(EXACT, ntheory._DETERMINISTIC_MR_BOUND)
     test = primality_tester(MillerRabin(rounds=3), 10**6)

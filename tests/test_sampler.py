@@ -56,6 +56,7 @@ from primelab.harness import (
     sample_distribution,
 )
 from primelab.metrics import FiniteDist, metrics_of, tv_between
+from primelab import ntheory
 from primelab.ntheory import Exact, MillerRabin, PrimeTable, sieve
 from primelab.rng import CountingBitSource, split_seed
 
@@ -425,32 +426,38 @@ def test_engine_equals_generate_at_the_witness_scale(x, policy):
                 == _generate_runs(cfg, 50, False)), cfg
 
 
-def test_the_engine_proves_what_generate_proves(monkeypatch):
-    """Without a table the engine hands the tester only candidates past
-    trial division, and exactly those a generate loop proves: none of
-    its lookahead words past a lane's prime or budget, and no class
-    member to settle a large class."""
+@pytest.mark.parametrize("policy", [Exact(), MillerRabin(2)],
+                         ids=["exact", "miller_rabin"])
+def test_the_engine_proves_what_generate_proves(monkeypatch, policy):
+    """Without a table the engine proves at the tester's screened entry,
+    and there only, exactly the candidates a generate loop tests that
+    pass trial division to the trial bound: none of its lookahead words
+    past a lane's prime or budget, and no class member to settle a large
+    class."""
     from primelab import generators
 
-    small = math.prod(sieve(251).primes.tolist())
+    bound = ntheory._TRIAL_BOUND
+    small = math.prod(sieve(bound).primes.tolist())
     tested = []
     tester = generators.primality_tester
 
-    def counting(policy, x):
-        test = tester(policy, x)
+    def counting(policy, x, screened=False):
+        test = tester(policy, x, screened=screened)
 
         def counted(n):
-            tested.append((int(n), n > 251 and math.gcd(n, small) == 1))
+            tested.append((int(n), screened))
             return test(n)
         return counted
     monkeypatch.setattr(generators, "primality_tester", counting)
-    for cfg in _witness_scale_configs(10**18, Exact()):
+    for cfg in _witness_scale_configs(10**18, policy):
         tested.clear()
-        trial_records(cfg, 50)
+        trial_records(cfg, 75)
         engine = Counter(tested)
         tested.clear()
-        _generate_loop(cfg, 50, False, False)
-        survivors = Counter(t for t in tested if t[1])
+        _generate_loop(cfg, 75, False, False)
+        assert not any(screened for _, screened in tested)
+        survivors = Counter((n, True) for n, _ in tested
+                            if n > bound and math.gcd(n, small) == 1)
         assert engine == survivors, cfg
         assert sum(survivors.values()) > 150
 

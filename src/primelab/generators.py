@@ -444,12 +444,11 @@ class _Lanes:
     width (from its first word when it opens, to its end when it ends),
     and `sel`, the selection bits; ntheory.verdicts gives `verdicts`."""
 
-    def __init__(self, cfg: GenConfig, table, trials: int,
-                 retry: bool = False, telemetry: bool = False):
+    def __init__(self, cfg: GenConfig, trials: int, retry: bool = False,
+                 telemetry: bool = False):
         self.cfg, self.algo, self.budget = cfg, cfg.algorithm, cfg.budget
         # the engine's own name of the tester, which tracing patches
-        self.verdicts = verdicts(cfg.primality, cfg.x, table,
-                                 primality_tester)
+        self.verdicts = verdicts(cfg.primality, cfg.x, primality_tester)
         self.retry, self.telemetry = retry, telemetry
         self.capped = (self.algo in _CLASS_ALGOS
                        and self.algo not in _FALLBACK_ALGOS)
@@ -620,12 +619,12 @@ def _finish(s: _Lanes, i, h, found, tries, y):
 def _search(s: _Lanes, w):
     """Searching lanes draw p = a + t*q from the rest of their words of
     the block w, up to a prime or the end of their budget."""
-    lanes, left, dtype = s.phase == _SEARCH, s.left, s.verdicts.dtype
-    # other lanes accept no word: not even one that reads negative in
-    # int32, a table's candidates' dtype, which halves the memory traffic
+    lanes, left = s.phase == _SEARCH, s.left
+    # the shifted words read as int64 in place, the draws t and then p;
+    # other lanes accept none
     t = np.right_shift(w, s.shift.view(np.uint64)[:, None], out=w)
-    t = t.astype(dtype)
-    ok = t < np.where(lanes, s.m, -1 << 31).astype(dtype)[:, None]
+    p = t = t.view(np.int64)
+    ok = (t < s.m[:, None]) & lanes[:, None]
     # drop the words the selection took, and make tries[:, j] the draws
     # accepted up to word j: running byte sums, times 0x0101...01
     rows = ok.view(np.uint64)[:, 0]
@@ -634,10 +633,9 @@ def _search(s: _Lanes, w):
     within = np.minimum(left, _LOOK)[:, None]
     if (within < _LOOK).any():  # the draws past the budget are not made
         ok &= tries <= within
-    # a + t*q in place; a rejected draw's p may wrap, then is 0
-    p = t
-    p *= s.q.astype(dtype)[:, None]
-    p += s.a.astype(dtype)[:, None]
+    # p = a + t*q in place; a rejected draw's p may wrap, then is 0
+    p *= s.q[:, None]
+    p += s.a[:, None]
     p *= ok
     if s.algo is Algorithm.PRIMEINC:
         first, found = s.verdicts.ends(p, ok)
@@ -705,7 +703,7 @@ def _generate_loop(cfg: GenConfig, trials: int, retry: bool,
     return records
 
 
-def trial_records(cfg: GenConfig, trials: int, table=None,
+def trial_records(cfg: GenConfig, trials: int,
                   retry_nontermination: bool = False,
                   telemetry: bool = False) -> dict:
     """Generate's trials 0..trials-1 of cfg, trial i on
@@ -716,14 +714,14 @@ def trial_records(cfg: GenConfig, trials: int, table=None,
     retry_nontermination its retry r runs on split_seed(k_i, r) instead,
     k_i the trial's seed.  The one choice of runner: below 2^63 the lane
     engine, from 2^63 on _generate_loop.  The engine takes every verdict from
-    ntheory.verdicts(cfg.primality, cfg.x, table), so a `table` must cover x.
+    ntheory.verdicts(cfg.primality, cfg.x): a table only as Exact(table).
     Each engine step hands every lane (_Lanes) its next _LOOK words, for
     _select and then _search; idle lanes take the next trials (_admit),
     and once all are admitted the width halves."""
     trials = _bound_index("trials", trials, 1)
     if cfg.x >= 2**63:  # where a draw may take more than a word
         return _generate_loop(cfg, trials, retry_nontermination, telemetry)
-    s = _Lanes(cfg, table, trials, retry_nontermination, telemetry)
+    s = _Lanes(cfg, trials, retry_nontermination, telemetry)
     while (s.admitted < trials and s.failed is None) or (
             s.phase != _IDLE).any():
         idle = s.phase == _IDLE

@@ -18,7 +18,7 @@ import re
 import sys
 import types
 from collections import Counter
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -170,9 +170,9 @@ def sample_distribution(
     """Empirical output distribution of `benchmark`'s trials 0..runs-1 of
     cfg under Exact: (FiniteDist, counts), counts mapping each observed
     prime to its runs.  generators.trial_records runs them, draw for draw,
-    and the counts come from its array of their outputs.  Primality
-    is read from the table (the argument, which must cover x, else the
-    policy's table, else sieve(x)), never from cfg.primality.
+    and the counts come from its array of their outputs.  The runs are
+    cfg's under Exact(table), the table the argument (which must cover x),
+    else the policy's table where it covers x, else sieve(x).
 
     With retry_nontermination, retry r of a trial i that spends its budget
     (basic, uncond_nofallback) runs on split_seed(k_i, r), k_i the trial's
@@ -181,7 +181,8 @@ def sample_distribution(
     """
     runs = _bound_index("runs", runs, 1)
     table = table_for(cfg.x, table, cfg.primality.table)
-    outputs = trial_records(cfg, runs, table, retry_nontermination)["prime"]
+    outputs = trial_records(replace(cfg, primality=Exact(table)), runs,
+                            retry_nontermination)["prime"]
     counts = _output_counts(outputs)
     return (FiniteDist.from_counts(counts, runs, table.count_leq(cfg.x)),
             counts)
@@ -284,8 +285,9 @@ def primeinc_audit(
     twins = np.flatnonzero(gaps == 2) + 1  # indices of p with p - 2 prime
     twin_uniform = len(twins) / pi_x
     twin_exact = 2 * len(twins) / int(primes_x[-1])
-    cfg = GenConfig(x=x, algorithm=Algorithm.PRIMEINC, seed=seed)
-    outputs = trial_records(cfg, trials, table)["prime"]
+    cfg = GenConfig(x=x, algorithm=Algorithm.PRIMEINC, seed=seed,
+                    primality=Exact(table))
+    outputs = trial_records(cfg, trials)["prime"]
     hits = int(np.count_nonzero(np.isin(outputs, primes_x[twins])))
     twin_empirical = hits / trials
 

@@ -25,9 +25,8 @@ from .errors import (
 )
 from .rng import CountingBitSource, split_seed
 
-# Desk-scale caps: sieving from 2^31 or totient tables beyond 10^8 are
-# refused, not attempted.  Every table fits the int32 candidates of
-# `verdicts`, and its primes the uint32 list of `sieve`.
+# Desk-scale caps: sieving from 2^31 (690 MB of flags and uint32 primes)
+# or totient tables beyond 10^8 are refused, not attempted.
 DEFAULT_SIEVE_CAP = 2**31 - 1
 DEFAULT_TOTIENT_CAP = 10**8
 
@@ -155,10 +154,19 @@ class PrimeTable:
     arrays are made read-only here.  Only `is_prime` and `prime_mask` read
     the flags: `is_prime` through a memoryview of the flag buffer, which
     indexes to a Python int, and `prime_mask` through the array.
+    DomainError for other than bound // 8 + 1 uint8 flag bytes and a 1-D
+    integer prime list.
     """
 
     def __init__(self, bound: int, packed_flags: np.ndarray, primes: np.ndarray):
-        self.bound = bound
+        self.bound = bound = _bound_index("table bound", bound, 0)
+        if not (isinstance(packed_flags, np.ndarray)
+                and isinstance(primes, np.ndarray)
+                and packed_flags.dtype == np.uint8
+                and packed_flags.shape == (bound // 8 + 1,)
+                and primes.ndim == 1 and primes.dtype.kind in "iu"):
+            raise DomainError(f"a table to {bound} takes {bound // 8 + 1} "
+                              f"uint8 flag bytes and a 1-D integer prime list")
         packed_flags.setflags(write=False)
         primes.setflags(write=False)
         self._flags = packed_flags
@@ -281,22 +289,18 @@ def table_for(x: int, table: PrimeTable | None = None,
     given (DomainError if it does not cover x), else `fallback` if it
     covers x, else sieve(x) (ResourceLimitError above the sieve cap)."""
     x = _bound_index("x", x, 2)
-    if table is not None:
-        if covering_table(table, x) is None:
-            raise DomainError(f"table bound {table.bound} below x = {x}")
-        return table
-    return covering_table(fallback, x) or sieve(x)
+    if table is not None and covering_table(table, x) is None:
+        raise DomainError(f"table bound {table.bound} below x = {x}")
+    return table or covering_table(fallback, x) or sieve(x)
 
 
 def covering_table(table: PrimeTable | None, x: int) -> PrimeTable | None:
     """table if it answers for all of [0, x], else None: the one rule for
     when a prime table, a policy's among them, stands in for a test.
     DomainError for a table that is not a PrimeTable."""
-    if table is None:
-        return None
-    if not isinstance(table, PrimeTable):
+    if table is not None and not isinstance(table, PrimeTable):
         raise DomainError(f"not a PrimeTable: {table!r}")
-    return table if table.bound >= x else None
+    return table if table is not None and table.bound >= x else None
 
 
 def primes_upto(x: int, table: PrimeTable | None = None) -> np.ndarray:
@@ -385,17 +389,27 @@ def totient_partial_sum(bound: int) -> int:
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 2 as ((p, e), ...) by trial division."""
+    """Prime factorization of n >= 2 as ((p, e), ...) by trial division,
+    ended past 2^12 by a cofactor below psi_13 that is_prime proves
+    (tested when it changes); ResourceLimitError past 2^20 (about 0.1 s)
+    with the cofactor unproven, so every n below 2^40 factors."""
     n = _bound_index("factorize", n, 2)
-    factors = []
-    p = 2
+    factors, p, fresh = [], 2, True  # fresh: n untested since it changed
     while p * p <= n:
+        if p > _TRIAL_BOUND and fresh:
+            if n < _DETERMINISTIC_MR_BOUND and is_prime(n):
+                break
+            fresh = False
+        if p > 2**20:
+            raise ResourceLimitError(f"factorize: the cofactor {n} has no "
+                                     f"prime factor to 2^20 and no proof")
         e = 0
         while n % p == 0:
             n //= p
             e += 1
         if e:
             factors.append((p, e))
+            fresh = True
         # 2, 3, 5, then skip multiples of 2 and 3
         p += p - 1 if p < 5 else 2 if p % 6 == 5 else 4
     if n > 1:
@@ -445,20 +459,11 @@ class PrimalityPolicy:
 class Exact(PrimalityPolicy):
     """Always-correct answers: table lookup when covered, else trial
     division by the primes to 2^12 (a lookup up to 2^12, then two gcds)
-    and a proof in three tiers; the lane engine divides whole steps at
-    once with `trial_division` and calls the proof alone (the tester of
-    `primality_tester(policy, x, screened=True)`).  Below psi_5 (about
-    2.2e12), the strong test to the first k primes, k the least index
-    with n < psi_k (2 to 5 bases).  From psi_5 to 2^64,
-    BPSW: the strong test to base 2 and the strong Lucas test (Baillie &
-    Wagstaff, Math. Comp. 1980; Pomerance, Selfridge & Wagstaff, Math.
-    Comp. 1980), which has no counterexample there (Feitsma and Galway's
-    base-2 pseudoprimes below 2^64, checked by Gilchrist).  From 2^64 to
-    psi_13 (about 3.3e24), the psi rule again (12 or 13 bases);
-    ResourceLimitError above.  The psi_k are the published least strong
-    pseudoprimes to the first k prime bases (Jaeschke, Math. Comp. 1993;
-    Jiang & Deng, Math. Comp. 2014; Sorenson & Webster, Math. Comp.
-    2017)."""
+    and a proof in the three tiers of _PSI: the strong test to the first
+    k primes below psi_5 (about 2.2e12), BPSW to 2^64 and the psi rule to
+    psi_13 (about 3.3e24); ResourceLimitError above.  The lane engine
+    divides whole steps at once with `trial_division` and calls the proof
+    alone (the tester of `primality_tester(policy, x, screened=True)`)."""
 
     table: PrimeTable | None = None
 
@@ -636,8 +641,7 @@ def primality_tester(policy: PrimalityPolicy, x: int,
     to 2^12."""
     test = _prove if screened else _miller_rabin
     if isinstance(policy, Exact):
-        table = covering_table(policy.table, x)
-        if table is not None:
+        if (table := covering_table(policy.table, x)) is not None:
             return table.is_prime
         if x >= _DETERMINISTIC_MR_BOUND:
             raise ResourceLimitError(
@@ -689,16 +693,13 @@ class _Verdicts:
 
 
 class _TableVerdicts(_Verdicts):
-    """verdicts from a table's flags, on int32 candidates."""
+    """verdicts from a table's flags."""
 
-    dtype, settle = np.int32, math.inf
+    settle = math.inf
 
     def __init__(self, table: PrimeTable, x: int):
-        if x > np.iinfo(self.dtype).max:
-            raise ResourceLimitError(f"a table's candidates are int32: "
-                                     f"x = {x} is not below 2^31")
         self.mask, self.primes = table.prime_mask, primes_upto(x, table)
-        self.top = int(self.primes[-1])  # a Python int keeps starts int32
+        self.top = self.primes[-1]
 
     def first(self, rows):
         return _first_column(self.mask(rows))
@@ -716,11 +717,10 @@ class _TableVerdicts(_Verdicts):
 
 
 class _TesterVerdicts(_Verdicts):
-    """verdicts of a screened test past trial_division, on int64
-    candidates (each <= x < 2^63), proven in column order as a generate
-    loop does."""
+    """verdicts of a screened test past trial_division, proven in column
+    order as a generate loop does."""
 
-    dtype, settle = np.int64, 64  # a larger class spends its budget
+    settle = 64  # a larger class spends its budget
 
     def __init__(self, test, x: int):
         self.test, self.x = test, x
@@ -748,18 +748,17 @@ class _TesterVerdicts(_Verdicts):
         return first, found[first < width]
 
 
-def verdicts(policy: PrimalityPolicy, x: int, table: PrimeTable | None = None,
-             tester=primality_tester):
-    """The lane engine's verdicts on candidates in [0, x]: from `table`
-    (which must cover x), else the policy's table where it covers x, else
-    tester(policy, x, screened=True) past trial_division, alike either
-    way.  The object has the candidates' `dtype`; first(rows), each
+def verdicts(policy: PrimalityPolicy, x: int, tester=primality_tester):
+    """The lane engine's verdicts on int64 candidates in [0, x], x < 2^63:
+    from the policy's table where covering_table finds it covers x, as
+    primality_tester decides, else tester(policy, x, screened=True) past
+    trial_division, alike either way.  The object has first(rows), each
     row's first column holding a prime (0 stands for no candidate), or
     the width, proving only up to it; holds_prime(q, a, m), which
     settles a class empty by enumeration up to `settle` members; and
     primeinc's end rule ends(starts, ok): each row's first start (where
     ok) with a prime <= x, or the width, and that start's first prime
     for each row that has one, in row order."""
-    if table is None and covering_table(policy.table, x) is None:
+    if (table := covering_table(policy.table, x)) is None:
         return _TesterVerdicts(tester(policy, x, screened=True), x)
-    return _TableVerdicts(table_for(x, table, policy.table), x)
+    return _TableVerdicts(table, x)

@@ -33,6 +33,7 @@ from primelab.ntheory import (
     Exact,
     MillerRabin,
     Modulus,
+    PrimeTable,
     factorize,
     primes_upto,
     primorial_below,
@@ -182,6 +183,16 @@ CASES = {
         (DomainError, lambda: trial_records(CFG, 2.5)),
     "trial_records(trials=10**30)":
         (ResourceLimitError, lambda: trial_records(CFG, 10**30)),
+    # a bare IndexError from is_prime and prime_mask; the lane engine
+    # refused it as a table beyond int32 candidates
+    "PrimeTable(flags too short)": (DomainError, lambda: PrimeTable(
+        2**33, np.zeros(1, dtype=np.uint8), np.array([2, 3]))),
+    # trial division ran to sqrt(n): minutes for two factors near 2^30
+    "factorize(two prime factors above 2^20)":
+        (ResourceLimitError, lambda: factorize(1_048_583 * 1_048_589)),
+    # a cofactor above psi_13 that no exact test proves prime
+    "factorize(2 * (2^89 - 1))":
+        (ResourceLimitError, lambda: factorize(2 * (2**89 - 1))),
 }
 
 

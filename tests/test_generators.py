@@ -59,6 +59,13 @@ def test_select_modulus_explicit_and_errors():
         select_modulus(4, 0.9, ModulusMode.PRIMORIAL)  # x^(1-eps) < 3
 
 
+def test_an_explicit_prime_modulus_near_2_61():
+    # factorize ran trial division to 2^30.5: minutes
+    cfg = GenConfig(x=2**62, algorithm=Algorithm.BASIC,
+                    modulus_mode="explicit", q=2**61 - 1)
+    assert (cfg.modulus.phi, cfg.modulus.omega) == (2**61 - 2, 1)
+
+
 def test_select_modulus_takes_a_numpy_explicit_q():
     # a numpy q was refused as "not an integer"
     m = select_modulus(1000, None, ModulusMode.EXPLICIT, np.int64(30))

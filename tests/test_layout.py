@@ -155,7 +155,12 @@ def test_harness_leaves_the_runner_to_generators():
 def test_generators_leaves_the_table_to_ntheory():
     """The lane engine takes its verdicts from ntheory.verdicts:
     generators reads no `table` attribute and no PrimeTable member, and
-    imports none of ntheory's table and trial-division helpers."""
+    imports none of ntheory's table and trial-division helpers.  A table
+    reaches the engine only as its policy's: neither trial_records, _Lanes
+    nor verdicts takes one."""
+    for func in (generators.trial_records, generators._Lanes,
+                 ntheory.verdicts):
+        assert "table" not in inspect.signature(func).parameters, func
     tree = _tree(SRC / "generators.py")
     members = {"table", "prime_mask", "primes", "count_leq", "is_prime"}
     helpers = {"covering_table", "table_for", "primes_upto", "trial_division"}

@@ -160,7 +160,7 @@ def test_sieve_domain_and_cap():
     with pytest.raises(ResourceLimitError):
         sieve(2**31 + 1)
     with pytest.raises(ResourceLimitError):
-        sieve(2**31)  # every table sieve builds fits the engine's int32
+        sieve(2**31)  # the desk-scale cap: 690 MB of flags and primes
 
 
 def test_count_ap_primes_examples():
@@ -333,6 +333,27 @@ def test_modulus_fields():
     assert (m8.phi, m8.carmichael) == (4, 2)
     with pytest.raises(DomainError):
         Modulus.from_int(1)
+
+
+@pytest.mark.parametrize("factors", [
+    ((2**61 - 1, 1),),  # trial division ran to 2^30.5: minutes
+    ((10**16 + 61, 1),),  # 7.8 s
+    ((3, 2), (4099, 1), (10**14 + 31, 1)),  # prime once 4099 is out
+    ((4111, 7),),  # above psi_13, divided out to 1
+    ((1_048_573, 1), (1_048_583, 1)),  # one factor to 2^20, one above
+], ids=["2^61-1", "10^16+61", "cofactor", "prime_power", "2^20"])
+def test_factorize_stops_at_a_proven_cofactor(factors):
+    n = math.prod(p**e for p, e in factors)
+    assert factorize(n) == factors
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 2**40))
+def test_factorize_below_2_40(n):
+    factors = factorize(n)
+    assert math.prod(p**e for p, e in factors) == n
+    assert all(is_prime(p) and e >= 1 for p, e in factors)
+    assert [p for p, _ in factors] == sorted({p for p, _ in factors})
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 15, 16, 30, 97, 100, 561])
@@ -663,6 +684,32 @@ def test_primality_tester_reads_a_covering_table(table_1k):
     assert [n for n in range(100) if test(n)] == sieve(100).primes.tolist()
 
 
+def test_verdicts_read_the_policy_table_where_it_covers_x(table_1k):
+    """verdicts picks its backend by covering_table(policy.table, x), as
+    primality_tester does, and a hand-built table past 2^31 answers
+    int64 candidates.  Its flags (zeroed lazily; two pages are read) hold
+    only the primes in (2^31, x]."""
+    for policy, x, backend in (
+            (Exact(table_1k), 1000, ntheory._TableVerdicts),
+            (Exact(table_1k), 1001, ntheory._TesterVerdicts),
+            (EXACT, 1000, ntheory._TesterVerdicts),
+            (MillerRabin(2), 1000, ntheory._TesterVerdicts)):
+        assert type(verdicts(policy, x)) is backend
+    x, base = 2**31 + 99, 2**31
+    primes = [base + 11, base + 45, base + 65, base + 95]
+    assert [n for n in range(base, x + 1) if is_prime(n)] == primes
+    flags = np.zeros(x // 8 + 1, np.uint8)
+    for p in primes:
+        flags[p >> 3] |= 1 << (p & 7)
+    read = verdicts(Exact(PrimeTable(x, flags, np.array(primes))), x)
+    rows = np.array([[base + 1, base + 11, base + 45],
+                     [base + 3, base + 5, base + 7]])
+    assert read.first(rows).tolist() == [1, 3]
+    first, found = read.ends(np.array([[base + 50, base + 96]]),
+                             np.ones((1, 2), bool))
+    assert (first.tolist(), found.tolist()) == ([0], [base + 65])
+
+
 _NARROW = sieve(3000)
 # the same table with an int64 list, as tests/test_table_dtype.py builds it
 _WIDE = PrimeTable(3000, _NARROW._flags, _NARROW.primes.astype(np.int64))
@@ -676,8 +723,7 @@ def test_table_and_tester_verdicts_agree(table, x):
     largest prime (2971 <= x): the same first columns, the same settled
     classes, and primeinc's same end rule, each as is_prime scans give
     them."""
-    read, tested = verdicts(EXACT, x, table), verdicts(EXACT, x)
-    assert (read.dtype, tested.dtype) == (np.int32, np.int64)
+    read, tested = verdicts(Exact(table), x), verdicts(EXACT, x)
     assert read.settle >= tested.settle == 64
     rng = np.random.default_rng(7)
     top = 2971
@@ -692,7 +738,7 @@ def test_table_and_tester_verdicts_agree(table, x):
         rows[rng.random(rows.shape) < 0.1] = 1
         expected = [first_prime(row) for row in rows.tolist()]
         for v in (read, tested):
-            assert v.first(rows.astype(v.dtype)).tolist() == expected
+            assert v.first(rows).tolist() == expected
 
     q = rng.integers(1, 200, 300)
     a = rng.integers(0, q)
@@ -721,5 +767,5 @@ def test_table_and_tester_verdicts_agree(table, x):
               for row, c in zip(starts.tolist(), ends) if c < 8]
     assert (8 in ends) == (x > top) and primes.count(top) > 10
     for v in (read, tested):
-        first, found = v.ends(starts.astype(v.dtype), ok)
+        first, found = v.ends(starts, ok)
         assert first.tolist() == ends and found.tolist() == primes

@@ -57,7 +57,7 @@ from primelab.harness import (
 )
 from primelab.metrics import FiniteDist, metrics_of, tv_between
 from primelab import ntheory
-from primelab.ntheory import Exact, MillerRabin, PrimeTable, sieve
+from primelab.ntheory import Exact, MillerRabin, sieve
 from primelab.rng import CountingBitSource, split_seed
 
 from conftest import chi2_z
@@ -174,13 +174,6 @@ def test_memory_does_not_grow_with_runs():
     assert peak < 4 * 2**20
 
 
-def test_draws_wider_than_a_word_are_refused():
-    wide = PrimeTable(2**33, np.zeros(1, dtype=np.uint8), np.array([2, 3]))
-    cfg = GenConfig(x=2**33, algorithm=Algorithm.TRIVIAL)
-    with pytest.raises(ResourceLimitError):
-        sample_distribution(cfg, 10, wide)
-
-
 T1000 = sieve(1000)
 
 
@@ -225,9 +218,9 @@ def _generate_runs(cfg, trials, retry):
     return runs
 
 
-def _engine_runs(cfg, trials, table, retry):
+def _engine_runs(cfg, trials, retry):
     """(prime, Telemetry) of each trial, from trial_records."""
-    records = trial_records(cfg, trials, table, retry, telemetry=True)
+    records = trial_records(cfg, trials, retry, telemetry=True)
     names = [f.name for f in dataclasses.fields(Telemetry)]
     return [(p, Telemetry(*row)) for p, *row in
             zip(*(records[name].tolist() for name in ["prime", *names]))]
@@ -245,7 +238,7 @@ def test_samples_equal_generate_trial_for_trial(x, algo, fields, retry):
         runs = _generate_runs(cfg, 2000, retry)
         _, counts = sample_distribution(cfg, 2000, table, retry)
         assert counts == Counter(p for p, _ in runs)
-        assert _engine_runs(cfg, 2000, table, retry) == runs
+        assert _engine_runs(cfg, 2000, retry) == runs
 
 
 @pytest.mark.parametrize("algo,fields", [
@@ -346,8 +339,9 @@ def test_engine_equals_the_generate_loop(trials, retry, q, **kw):
     except PrimelabError:
         return
     table, proved, loop = (
-        _records_or_failure(trial_records, cfg, trials, T10K, retry, True),
-        _records_or_failure(trial_records, cfg, trials, None, retry, True),
+        _records_or_failure(trial_records, dataclasses.replace(
+            cfg, primality=Exact(T10K)), trials, retry, True),
+        _records_or_failure(trial_records, cfg, trials, retry, True),
         _records_or_failure(_generate_loop, cfg, trials, retry, True))
     if any(isinstance(r, str) for r in (table, proved, loop)):
         assert table == proved == loop
@@ -422,7 +416,7 @@ def _witness_scale_configs(x, policy):
                          ids=["exact", "miller_rabin"])
 def test_engine_equals_generate_at_the_witness_scale(x, policy):
     for cfg in _witness_scale_configs(x, policy):
-        assert (_engine_runs(cfg, 50, None, False)
+        assert (_engine_runs(cfg, 50, False)
                 == _generate_runs(cfg, 50, False)), cfg
 
 
@@ -491,12 +485,12 @@ def test_benchmark_memory_does_not_scale_with_the_primes():
 # states are the (q, a) the search starts from.
 
 
-def _step(cfg, table, bound, **regs):
+def _step(cfg, bound, **regs):
     """Lanes t = 0 .. 2^k - 1 (k the bits of a draw below `bound`), all in
     registers `regs` with their next draw below `bound`, after the
     selection step took word t << (64 - k) each."""
     shift = 64 - (bound - 1).bit_length()
-    s = _Lanes(cfg, table, 1 << (64 - shift))
+    s = _Lanes(cfg, 1 << (64 - shift))
     for name, value in dict(regs, m=bound, shift=shift).items():
         getattr(s, name)[:] = value
     words = np.arange(s.width, dtype=np.uint64) << np.uint64(shift)
@@ -523,7 +517,7 @@ def test_unit_step_follows_sample_unit(method):
     jp = method is UnitMethod.JOYE_PAILLIER
     # the first draw is the state b = 0, u = 1 = u_of(0)
     for b, u in ([(b, u_of(b)) for b in range(q)] if jp else [(0, 1)]):
-        after = _step(cfg, T1000, q, phase=_UNIT, q=q, a=b, u=u)
+        after = _step(cfg, q, phase=_UNIT, q=q, a=b, u=u)
         assert len(after) == 32
         for t, regs in enumerate(after):
             c = (b + t * u) % q
@@ -552,7 +546,7 @@ def test_pick_step_follows_pick_random_modulus():
         states += [(_PICK_T, Q, q, a) for a in range(q)
                    if math.gcd(a, q) == 1]
     for phase, bound, q, a in states:
-        after = _step(cfg, t200, bound, phase=phase, q=q, a=a)
+        after = _step(cfg, bound, phase=phase, q=q, a=a)
         for t, (*regs, _) in enumerate(after):
             if t >= bound:  # rejected: the state stays
                 expected = (phase, bound, q, a)
@@ -592,7 +586,7 @@ class _WordSource:
                 return t
 
 
-def _rows_follow_generate(cfg, table, rows, select):
+def _rows_follow_generate(cfg, rows, select):
     """Lanes on the rows of (t, k) draws, each the word with t in its top
     k bits and ones below, select as select(source) does from the same
     words: the same (q, a), words and bits, and the search opened after
@@ -600,7 +594,7 @@ def _rows_follow_generate(cfg, table, rows, select):
     words = np.array([[t << (64 - k) | (1 << (64 - k)) - 1 for t, k in row]
                       for row in rows], np.uint64)
     assert words.shape[1] == _LOOK
-    s = _Lanes(cfg, table, len(rows), telemetry=True)
+    s = _Lanes(cfg, len(rows), telemetry=True)
     _admit(s, np.arange(len(rows)))
     s.ctr += _LOOK
     _select(s, words)
@@ -642,7 +636,7 @@ def test_pick_rows_follow_pick_random_modulus():
         [(11, 5), (7, 5), (40, 6), (35, 6), (0, 5), (3, 5), (63, 6),
          (62, 6)],
     ]
-    _rows_follow_generate(cfg, t200, rows,
+    _rows_follow_generate(cfg, rows,
                           lambda src: _pick_random_modulus(cfg, src))
 
 
@@ -661,7 +655,7 @@ def test_unit_rows_follow_sample_unit(method):
         # even draws: b = 0, then 2 on every draw; no unit yet
         [(t, 5) for t in range(0, 16, 2)],
     ]
-    _rows_follow_generate(q30, T1000, rows, lambda src: (
+    _rows_follow_generate(q30, rows, lambda src: (
         30, sample_unit(src, q30.modulus, method)))
     # q = 2*3*...*31 >= 2^31 at 10^18, in 38-bit draws: b = 6, + 1*u, a
     # unit (u = 1 mod 2, 3, else 0); rejection: 1
@@ -671,5 +665,5 @@ def test_unit_rows_follow_sample_unit(method):
     assert 2**31 <= q < top
     rows = [[(top, 38), (6, 38), (top - 1, 38), (1, 38), (5, 38),
              (0, 64), (0, 64), (0, 64)]]
-    _rows_follow_generate(wide, None, rows, lambda src: (
+    _rows_follow_generate(wide, rows, lambda src: (
         q, sample_unit(src, wide.modulus, method)))

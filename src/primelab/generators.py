@@ -80,7 +80,8 @@ _CLASS_ALGOS = _RESIDUE_ALGOS + _RANDOM_MODULUS_ALGOS
 
 
 def default_T(x: int) -> int:
-    """Residue-search budget before fallback: ceil((ln x)^2)."""
+    """Residue-search budget before fallback: ceil((ln x)^2), x >= 2."""
+    x = _bound_index("x", x, 2, ConfigError)
     return math.ceil(math.log(x) ** 2)
 
 
@@ -89,6 +90,7 @@ def derived_Q(x: int, A: float) -> int:
     for a finite A > 0: 2 * int(x / (2 (ln x)^A)) in doubles.  That is the
     exact floor for x <= 10^15 (A = 1, 2, 3); past it rounding can exceed
     the floor (by 2 at x = 10^18, A = 1, and 57,866 at x = 2^80, A = 2)."""
+    x = _bound_index("x", x, 2, ConfigError)
     try:
         if not 0 < A < math.inf:
             raise ConfigError(f"A must be finite and > 0, got {A}")
@@ -101,6 +103,15 @@ def derived_Q(x: int, A: float) -> int:
     if not 4 <= Q <= x:
         raise ConfigError(f"Q = {Q} not in [4, x] for x={x}, A={A}")
     return Q
+
+
+def _member(enum: type[Enum], name: str, value) -> Enum:
+    """value as a member of enum (its value too), else ConfigError."""
+    try:
+        return enum(value)
+    except ValueError as exc:
+        raise ConfigError(f"unknown {name} {value!r}; expected one of "
+                          + ", ".join(m.value for m in enum)) from exc
 
 
 def _modulus_limit(x: int, epsilon, mode, q) -> float | None:
@@ -197,14 +208,7 @@ class GenConfig:
             object.__setattr__(self, "Q", derived_Q(x, A))
 
     def _coerce(self, name: str, enum: type[Enum]) -> Enum:
-        value = getattr(self, name)
-        try:
-            member = enum(value)
-        except ValueError as exc:
-            choices = ", ".join(m.value for m in enum)
-            raise ConfigError(
-                f"unknown {name} {value!r}; expected one of {choices}"
-            ) from exc
+        member = _member(enum, name, getattr(self, name))
         object.__setattr__(self, name, member)
         return member
 
@@ -253,14 +257,14 @@ def select_modulus(
     PRIMORIAL / POWER_OF_TWO take the largest primorial (resp. power of
     two) that does not exceed x^(1-epsilon); EXPLICIT validates a given q.
     """
+    if type(mode) is not ModulusMode:
+        mode = _member(ModulusMode, "modulus_mode", mode)
     limit = _modulus_limit(x, epsilon, mode, explicit_q)
     if mode is ModulusMode.EXPLICIT:
         return Modulus.from_int(explicit_q)
     if mode is ModulusMode.PRIMORIAL:
         return Modulus.from_int(primorial_below(int(limit)))
-    if mode is ModulusMode.POWER_OF_TWO:
-        return Modulus.from_int(1 << (int(limit).bit_length() - 1))
-    raise ConfigError(f"unknown modulus mode {mode!r}")
+    return Modulus.from_int(1 << (int(limit).bit_length() - 1))
 
 
 def sample_unit(
@@ -269,25 +273,24 @@ def sample_unit(
     method: UnitMethod = UnitMethod.JOYE_PAILLIER,
 ) -> int:
     """Uniform element of (Z/qZ)*, as an integer in {1, ..., q-1}."""
+    if type(method) is not UnitMethod:
+        method = _member(UnitMethod, "unit_method", method)
     q = modulus.q
     if method is UnitMethod.REJECTION:
         while True:
             a = src.uniform_below(q)
             if math.gcd(a, q) == 1:
                 return a
-    if method is UnitMethod.JOYE_PAILLIER:
-        lam = modulus.carmichael
-        b = src.uniform_below(q)
-        for _ in range(_JP_MAX_ROUNDS):
-            u = (1 - pow(b, lam, q)) % q
-            if u == 0:
-                return b
-            r = src.uniform_below(q)
-            b = (b + r * u) % q
-        raise BrokenBitSourceError(
-            f"unit generation made no progress after {_JP_MAX_ROUNDS} rounds"
-        )
-    raise ConfigError(f"unknown unit method {method!r}")
+    lam = modulus.carmichael
+    b = src.uniform_below(q)
+    for _ in range(_JP_MAX_ROUNDS):
+        u = (1 - pow(b, lam, q)) % q
+        if u == 0:
+            return b
+        r = src.uniform_below(q)
+        b = (b + r * u) % q
+    raise BrokenBitSourceError(f"unit generation made no progress after "
+                               f"{_JP_MAX_ROUNDS} rounds")
 
 
 def _primeinc_search(src, x, test, tel):
@@ -479,13 +482,6 @@ class _Lanes:
         self.seed, self.key, self.retries = lanes[_KEYS].view(np.uint64)
 
 
-def _set_lanes(rows, i, values):
-    """rows[:, i] = values, row by row: numpy runs a 2-D fancy index
-    about half as fast as 1-D ones on the rows' views."""
-    for row, v in zip(rows, values):
-        row[i] = v
-
-
 def _admit(s: _Lanes, i, key=None):
     """Lanes i start a retry on word 0 of `key`, or else the next trials."""
     if key is None:
@@ -494,9 +490,9 @@ def _admit(s: _Lanes, i, key=None):
         s.trial[i], s.retries[i] = new, 0
         key = s.seed[i] = split_seed(s.cfg.seed, new.view(np.uint64))
     s.key[i], s.ctr[i] = key, 0
-    _set_lanes(s.regs, i, s.start)
+    s.regs[:, i] = s.start
     if s.telemetry:
-        _set_lanes(s.state[_TEL:], i, itertools.repeat(0))
+        s.state[_TEL:, i] = 0
         s.iters[i] = s.left[i]  # a selecting start has no draws left
 
 
@@ -510,7 +506,7 @@ def _exhaust(s: _Lanes, i, at=None):
             s.bits[i] += at * (64 - s.shift[i]) - at * (64 - s.trivial[2, 0])
             s.iters[i] += _NO_BUDGET
             s.records["fallback_entered"][s.trial[i]] = True
-        _set_lanes(s.regs, i, s.trivial)
+        s.regs[:, i] = s.trivial
     elif s.retry:
         s.retries[i] += np.uint64(1)
         _admit(s, i, split_seed(s.seed[i], s.retries[i]))
@@ -579,7 +575,7 @@ def _select(s: _Lanes, w):
     phase[d], left[d] = _SEARCH, s.budget
     m[d] = (s.cfg.x - a[d]) // q[d] + 1
     shift[d] = _shifts(m[d])
-    _set_lanes(s.regs, i, r)
+    s.regs[:, i] = r
     s.used[i] = used
     j, q, a, m = i[d], q[d], a[d], m[d]
     at = s.ctr[j] - _LOOK + used[d]

@@ -130,8 +130,6 @@ def metrics_of(dist: FiniteDist) -> DistMetrics:
     delta2_sq = sum (nS - D)^2 / (DS)^2, beta = sum n^2 / D^2 and
     gamma = max n / D.
     """
-    if not dist.num:
-        raise DomainError("cannot compute metrics of an empty distribution")
     size, den = dist.space_size, dist.den
     groups = Counter(dist.num.values())
     groups[0] += size - len(dist.num)
@@ -161,6 +159,8 @@ def tv_between(a: FiniteDist, b: FiniteDist) -> Fraction:
     exact Fraction: the numerators are compared in integers over
     lcm(D_a, D_b), with one division at the end.
     """
+    if not (isinstance(a, FiniteDist) and isinstance(b, FiniteDist)):
+        raise DomainError("tv_between takes two FiniteDists")
     if a.space_size != b.space_size:
         raise DomainError(
             f"space sizes differ: {a.space_size} vs {b.space_size}"

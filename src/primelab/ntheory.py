@@ -311,6 +311,8 @@ def primes_upto(x: int, table: PrimeTable | None = None) -> np.ndarray:
 
 def _class_mask(table: PrimeTable, q: int, a: int) -> np.ndarray:
     """Which of table.primes are = a (mod q), for q >= 1 and 0 <= a < q."""
+    if not isinstance(table, PrimeTable):
+        raise DomainError(f"not a PrimeTable: {table!r}")
     q, a = _bound_index("modulus", q, 1), _bound_index("residue", a, 0)
     if a >= q:
         raise DomainError(f"residue {a} not in [0, {q})")
@@ -326,7 +328,8 @@ def count_ap_primes(table: PrimeTable, q: int, a: int) -> int:
 
 def residue_class_primes(table: PrimeTable, q: int, a: int) -> list[int]:
     """The primes counted by ``count_ap_primes``, sorted ascending."""
-    return table.primes[_class_mask(table, q, a)].tolist()
+    mask = _class_mask(table, q, a)  # checks the table before reading it
+    return table.primes[mask].tolist()
 
 
 def primorial_below(limit: int) -> int:
@@ -666,7 +669,21 @@ def _first_column(hit: np.ndarray) -> np.ndarray:
 
 
 class _Verdicts:
-    """The scans of arithmetic progressions that both backends share."""
+    """The lane engine's verdict rules over a backend's screen(rows): the
+    entries proven prime, and those (or None) that only its test settles."""
+
+    def first(self, rows):
+        """Each row's first column holding a prime, or the width, proving
+        up to it in column order, as generate."""
+        prime, open_ = self.screen(rows)
+        if open_ is None:
+            return _first_column(prime)
+        first = _first_column(prime).tolist()
+        r, c = np.nonzero(open_)
+        for r, c, n in zip(r.tolist(), c.tolist(), rows[open_].tolist()):
+            if c < first[r] and self.test(n):
+                first[r] = c
+        return np.array(first)
 
     def holds_prime(self, q, a, m):
         """Whether each class a + t*q, t < m, holds a prime; one of more
@@ -691,6 +708,24 @@ class _Verdicts:
             t = t + _SCAN
         return found
 
+    def next_prime(self, y):
+        """The least prime in [y, x] for each start y in [1, x], or 0."""
+        t = self._first_member(np.ones_like(y), y, self.x - y + 1)
+        return np.where(t <= self.x - y, y + t, 0)
+
+    def ends(self, starts, ok):
+        """primeinc's end rule: each row's first start (where ok) with a
+        prime <= x, or the width, and the next primes of those that end."""
+        cols = np.arange(starts.shape[1])
+        first, found = _first_column(ok), np.zeros(len(starts), starts.dtype)
+        rows = np.flatnonzero(first < len(cols))
+        while len(rows):
+            found[rows] = self.next_prime(starts[rows, first[rows]])
+            rows = rows[found[rows] == 0]
+            first[rows] = _first_column(ok[rows] & (cols > first[rows, None]))
+            rows = rows[first[rows] < len(cols)]
+        return first, found[first < len(cols)]
+
 
 class _TableVerdicts(_Verdicts):
     """verdicts from a table's flags."""
@@ -698,67 +733,32 @@ class _TableVerdicts(_Verdicts):
     settle = math.inf
 
     def __init__(self, table: PrimeTable, x: int):
-        self.mask, self.primes = table.prime_mask, primes_upto(x, table)
-        self.top = self.primes[-1]
+        self.screen = lambda rows: (table.prime_mask(rows), None)
+        self.primes = primes_upto(x, table)
 
-    def first(self, rows):
-        return _first_column(self.mask(rows))
-
-    def ends(self, starts, ok):
-        # a start y <= the largest prime ends at the first prime >= y
-        first = _first_column(ok & (starts <= self.top))
-        i = np.flatnonzero(first < starts.shape[1])
-        y = starts[i, first[i]]
+    def next_prime(self, y):
         # sorted needles of the list's dtype: several times faster, no copy
-        order, prime = np.argsort(y), np.empty_like(y)
+        prime, order = np.zeros_like(y), np.flatnonzero(y <= self.primes[-1])
+        order = order[np.argsort(y[order])]
         needles = y[order].astype(self.primes.dtype)
         prime[order] = self.primes[self.primes.searchsorted(needles)]
-        return first, prime
+        return prime
 
 
 class _TesterVerdicts(_Verdicts):
-    """verdicts of a screened test past trial_division, proven in column
-    order as a generate loop does."""
+    """verdicts of a screened test past trial_division."""
 
     settle = 64  # a larger class spends its budget
+    screen = staticmethod(trial_division)
 
     def __init__(self, test, x: int):
         self.test, self.x = test, x
 
-    def first(self, rows):
-        prime, open_ = trial_division(rows)
-        first = _first_column(prime).tolist()
-        r, c = np.nonzero(open_)
-        for r, c, n in zip(r.tolist(), c.tolist(), rows[open_].tolist()):
-            if c < first[r] and self.test(n):
-                first[r] = c
-        return np.array(first)
-
-    def ends(self, starts, ok):
-        # each row's starts scanned in column order, up to one that ends
-        width = starts.shape[1]
-        first = np.full(len(starts), width)
-        found = np.zeros(len(starts), starts.dtype)
-        for c in range(width):
-            rows = np.flatnonzero(ok[:, c] & (first == width))
-            y = starts[rows, c]
-            t = self._first_member(np.ones_like(y), y, self.x - y + 1)
-            hit = t <= self.x - y
-            first[rows[hit]], found[rows[hit]] = c, y[hit] + t[hit]
-        return first, found[first < width]
-
 
 def verdicts(policy: PrimalityPolicy, x: int, tester=primality_tester):
-    """The lane engine's verdicts on int64 candidates in [0, x], x < 2^63:
-    from the policy's table where covering_table finds it covers x, as
-    primality_tester decides, else tester(policy, x, screened=True) past
-    trial_division, alike either way.  The object has first(rows), each
-    row's first column holding a prime (0 stands for no candidate), or
-    the width, proving only up to it; holds_prime(q, a, m), which
-    settles a class empty by enumeration up to `settle` members; and
-    primeinc's end rule ends(starts, ok): each row's first start (where
-    ok) with a prime <= x, or the width, and that start's first prime
-    for each row that has one, in row order."""
+    """The lane engine's _Verdicts on int64 candidates in [0, x], x < 2^63
+    (0 for no candidate): from the policy's table where covering_table finds
+    it covers x, else tester(policy, x, screened=True), alike."""
     if (table := covering_table(policy.table, x)) is None:
         return _TesterVerdicts(tester(policy, x, screened=True), x)
     return _TableVerdicts(table, x)

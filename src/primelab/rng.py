@@ -47,8 +47,12 @@ def _splitmix64(z):
 def split_seed(master_seed, index):
     """The seed of trial `index`: splitmix64(master XOR splitmix64(index)),
     fixed so that trial streams do not depend on execution order.  Either
-    argument may be a uint64 array."""
-    return _splitmix64((master_seed & _MASK64) ^ _splitmix64(index & _MASK64))
+    argument may be a uint64 array; DomainError for a non-integer."""
+    try:
+        master_seed, index = master_seed & _MASK64, index & _MASK64
+    except TypeError as exc:
+        raise DomainError(f"split_seed takes integers: {exc}") from exc
+    return _splitmix64(master_seed ^ _splitmix64(index))
 
 
 def word_block(seeds, start, width: int):
@@ -100,9 +104,8 @@ class CountingBitSource:
             if m == 1:
                 return 0
             k = (m - 1).bit_length()
-        except (TypeError, AttributeError) as exc:
-            raise DomainError(
-                f"uniform_below needs an integer, got {m!r}") from exc
+        except (TypeError, AttributeError):  # a numpy integer runs as an int
+            return self.uniform_below(_bound_index("uniform_below's m", m))
         draws, value = 0, m
         if k > 64:
             while value >= m and draws <= _MAX_REJECTIONS:

@@ -20,7 +20,13 @@ from primelab.exactdist import (
     exact_dist_uncond,
     exact_dist_uncond_nofallback,
 )
-from primelab.generators import Algorithm, GenConfig, trial_records
+from primelab.generators import (
+    Algorithm,
+    GenConfig,
+    default_T,
+    derived_Q,
+    trial_records,
+)
 from primelab.harness import (
     benchmark,
     gap_census,
@@ -29,17 +35,20 @@ from primelab.harness import (
     report_emit,
     sample_distribution,
 )
+from primelab.metrics import FiniteDist, tv_between
 from primelab.ntheory import (
     Exact,
     MillerRabin,
     Modulus,
     PrimeTable,
+    count_ap_primes,
     factorize,
     primes_upto,
     primorial_below,
+    residue_class_primes,
     sieve,
 )
-from primelab.rng import CountingBitSource
+from primelab.rng import CountingBitSource, split_seed
 
 CFG = GenConfig(x=1000, algorithm=Algorithm.TRIVIAL)
 T1K = sieve(1000)
@@ -193,6 +202,24 @@ CASES = {
     # a cofactor above psi_13 that no exact test proves prime
     "factorize(2 * (2^89 - 1))":
         (ResourceLimitError, lambda: factorize(2 * (2**89 - 1))),
+    # a bare TypeError from &
+    "split_seed(1.5, 2)": (DomainError, lambda: split_seed(1.5, 2)),
+    # each raised a bare AttributeError
+    "count_ap_primes(None, 3, 1)":
+        (DomainError, lambda: count_ap_primes(None, 3, 1)),
+    "residue_class_primes(None, 3, 1)":
+        (DomainError, lambda: residue_class_primes(None, 3, 1)),
+    "tv_between(dist, 5)": (DomainError, lambda: tv_between(
+        FiniteDist.uniform([2, 3]), 5)),
+    "tv_between(5, dist)": (DomainError, lambda: tv_between(
+        5, FiniteDist.uniform([2, 3]))),
+    # a bare ValueError from math.log
+    "default_T(0)": (ConfigError, lambda: default_T(0)),
+    # returned a budget of 0, and 1
+    "default_T(1)": (ConfigError, lambda: default_T(1)),
+    "default_T(2.5)": (ConfigError, lambda: default_T(2.5)),
+    # returned 4
+    "derived_Q(10.5, 1.0)": (ConfigError, lambda: derived_Q(10.5, 1.0)),
 }
 
 

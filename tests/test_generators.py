@@ -77,6 +77,29 @@ def test_select_modulus_takes_a_numpy_explicit_q():
         select_modulus(1000, None, ModulusMode.EXPLICIT, 30.0)
 
 
+def test_select_modulus_takes_a_mode_by_its_value():
+    # a string mode failed with "unknown modulus mode 'primorial'", and an
+    # explicit q with "q=30 needs modulus_mode=explicit", as GenConfig took it
+    assert (select_modulus(1000, 0.3, "primorial")
+            == select_modulus(1000, 0.3, ModulusMode.PRIMORIAL))
+    assert (select_modulus(1000, None, "explicit", 30)
+            == select_modulus(1000, None, ModulusMode.EXPLICIT, 30))
+    with pytest.raises(ConfigError, match="primorial, power_of_two, explicit"):
+        select_modulus(1000, 0.3, "primorials")
+
+
+def test_sample_unit_takes_a_method_by_its_value():
+    # "rejection" failed with "unknown unit method 'rejection'"
+    mod = Modulus.from_int(30)
+    for method in UnitMethod:
+        by_value, by_member = CountingBitSource(9), CountingBitSource(9)
+        assert ([sample_unit(by_value, mod, method.value) for _ in range(20)]
+                == [sample_unit(by_member, mod, method) for _ in range(20)])
+        assert by_value.bits_consumed == by_member.bits_consumed
+    with pytest.raises(ConfigError, match="rejection, joye_paillier"):
+        sample_unit(CountingBitSource(9), mod, "rejecting")
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         GenConfig(x=1, algorithm=Algorithm.TRIVIAL)

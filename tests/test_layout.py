@@ -3,7 +3,7 @@ reach up into exactdist (which imports generators), a FiniteDist has
 one exact representation, no public function takes a parameter that
 only tests would set, the CLI writes its output in one place, only
 generators chooses how trials run, and its lane engine takes every
-verdict from ntheory.verdicts."""
+verdict from ntheory.verdicts, whose rules are written once."""
 
 import ast
 import importlib
@@ -170,3 +170,12 @@ def test_generators_leaves_the_table_to_ntheory():
                 if isinstance(node, ast.ImportFrom) for a in node.names
                 if a.name in helpers]
     assert read == [] and imported == []
+
+
+def test_each_verdict_rule_is_written_once():
+    """ntheory._Verdicts alone writes the lane engine's verdict rules: a
+    backend gives its screen, settle and optionally next_prime, and
+    generators writes its lanes directly, with no _set_lanes."""
+    for backend in (ntheory._TableVerdicts, ntheory._TesterVerdicts):
+        assert not {"first", "ends", "holds_prime"} & vars(backend).keys()
+    assert not hasattr(generators, "_set_lanes")

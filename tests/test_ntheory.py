@@ -769,3 +769,41 @@ def test_table_and_tester_verdicts_agree(table, x):
     for v in (read, tested):
         first, found = v.ends(starts, ok)
         assert first.tolist() == ends and found.tolist() == primes
+
+
+def test_the_end_rule_moves_past_starts_above_the_largest_prime():
+    """primeinc's end rule scans a row's starts only while they lie above
+    the largest prime <= x (2971 for x = 2995), which redraws them: rows
+    whose first 1, 2 and 7 ok starts lie there before one that ends, with
+    starts that are not ok in between, a row with no ok start and a row
+    whose every ok start lies there.  Both backends equal a per-row
+    is_prime scan."""
+    x, top, width = 2995, 2971, 8
+    above = [2972, 2990, 2995, 2980, 2975, 2993, 2984]
+    rows = [
+        ([2980, 1000] + [5] * 6, [True] * 8),
+        ([2990, 13, 2975, 2971] + [0] * 4,
+         [True, False, True, True] + [False] * 4),
+        (above + [1], [True] * 8),
+        ([2, 3, 5, 7, 11, 13, 17, 19], [False] * 8),
+        (above + [17], [True] * 7 + [False]),
+        ([2972, 0, 0, 2995, 0, 2980, 0, 0],
+         [True, False, False, True, False, True, False, False]),
+    ]
+    starts = np.array([r for r, _ in rows])
+    ok = np.array([k for _, k in rows])
+    starts *= ok
+
+    def end(row, oks):
+        for c, (y, k) in enumerate(zip(row, oks)):
+            if k and y <= top:
+                return c, next(p for p in range(y, x + 1) if is_prime(p))
+        return width, None
+
+    expected = [end(r, k) for r, k in zip(starts.tolist(), ok.tolist())]
+    assert [c for c, _ in expected] == [1, 3, 7, 8, 8, 8]
+    for v in (verdicts(Exact(sieve(x)), x), verdicts(EXACT, x)):
+        first, found = v.ends(starts, ok)
+        assert first.tolist() == [c for c, _ in expected]
+        assert found.tolist() == [p for _, p in expected if p is not None]
+        assert ok.tolist() == [k for _, k in rows]  # ok is left as it was

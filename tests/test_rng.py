@@ -84,6 +84,22 @@ def test_uniform_below_power_of_two_charges_exactly():
     assert src.bits_consumed == 3000  # never rejects
 
 
+def test_uniform_below_takes_a_numpy_integer():
+    # np.int64(5) was refused with DomainError, which draw_bits accepts
+    for m in (np.int64(5), np.uint64(5), np.int32(1000)):
+        by_numpy, by_int = CountingBitSource(3), CountingBitSource(3)
+        draws = [by_numpy.uniform_below(m) for _ in range(50)]
+        assert draws == [by_int.uniform_below(int(m)) for _ in range(50)]
+        assert all(type(v) is int for v in draws)
+        assert (by_numpy.bits_consumed, by_numpy.draws) == (
+            by_int.bits_consumed, by_int.draws)
+    assert CountingBitSource(3).uniform_below(np.int64(1)) == 0
+    with pytest.raises(DomainError):
+        CountingBitSource(3).uniform_below(np.int64(0))
+    with pytest.raises(DomainError):
+        CountingBitSource(3).uniform_below(np.float64(5))
+
+
 def test_uniform_below_one_is_free():
     src = CountingBitSource(5)
     assert src.uniform_below(1) == 0

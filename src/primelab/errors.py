@@ -1,5 +1,5 @@
-"""Exception types shared across primelab modules, and the one rule that
-turns a non-integer argument into one of them."""
+"""Exception types shared across primelab modules, and the rules that
+turn a non-integer or mistyped argument into one of them."""
 
 import operator
 
@@ -44,6 +44,13 @@ def _bound_index(name: str, value, least: int | None = None,
     if least is not None and index < least:
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
     return index
+
+
+def _instance_of(name: str, value, kind: type, error: type = DomainError):
+    """value if it is an instance of kind, else `error`."""
+    if not isinstance(value, kind):
+        raise error(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return value
 
 
 def _index_field(obj, name: str, least: int | None = None) -> None:

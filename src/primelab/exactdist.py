@@ -19,13 +19,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, ResourceLimitError, _bound_index
 from .generators import derived_Q
 from .metrics import FiniteDist
-from .ntheory import (
-    DEFAULT_TOTIENT_CAP,
-    Modulus,
-    PrimeTable,
-    primes_upto,
-    table_for,
-)
+from .ntheory import DEFAULT_TOTIENT_CAP, PrimeTable, primes_upto, table_for
 
 # Refuse random-modulus sweeps needing more than this many class lookups.
 DEFAULT_WORK_CAP = 10**10
@@ -64,7 +58,7 @@ def exact_dist_basic(
     """
     primes_x = primes_upto(x, table)
     q = _fixed_modulus(x, q)
-    census = class_census(x, [q], primes_x, with_empty=True)
+    census = class_census(x, [q], primes_x)
     num, den, phi_star = _nofallback_law(census, primes_x)
     empty = census.empty[:, 1].tolist()
     meta = {
@@ -169,8 +163,7 @@ class ClassCensus:
     (c[k], m[k]); prime primes_x[hit_prime[j]] lies in hits[j] classes of
     key hit_key[j] (a prime dividing q in none of q's).  The i-th modulus
     has units[i] = phi(q) classes, holding unit_primes[i] primes.  The rows
-    (q, a) of `empty` are the unit classes without a prime, in order (none
-    unless asked for).
+    (q, a) of `empty` are the unit classes without a prime, in order.
     """
 
     c: np.ndarray
@@ -184,10 +177,8 @@ class ClassCensus:
     empty: np.ndarray
 
 
-def class_census(
-    x: int, qs, primes_x: np.ndarray, with_hits: bool = True,
-    with_empty: bool = False,
-) -> ClassCensus:
+def class_census(x: int, qs, primes_x: np.ndarray,
+                 with_hits: bool = True) -> ClassCensus:
     """Census of the moduli in the sequence qs, in chunks of moduli.
 
     A chunk holds at most _CHUNK entries of classes plus residue rows (a
@@ -195,9 +186,8 @@ def class_census(
     one `_census_chunk` pass over the flat index of its classes.  Raw
     hits are merged into distinct (prime, key) pairs every _CHUNK;
     with_hits=False skips them for callers that need only the class
-    counts.  with_empty lists the classes without a prime, from the same
-    pass.  Weighted bincounts are float64, which is exact for counts below
-    2^53.
+    counts.  Weighted bincounts are float64, which is exact for counts
+    below 2^53.
     """
     x = _bound_index("x", x)
     qs = [_bound_index("modulus", q, 1) for q in qs]
@@ -211,7 +201,7 @@ def class_census(
     chunks = _chunks(qs, pi_x)
     for i, run in enumerate(chunks):
         *part, new = _census_chunk(x, run, primes_x, base, key_index,
-                                   with_hits, with_empty)
+                                   with_hits)
         parts.append(part)
         raw.append(new)
         if i == len(chunks) - 1 or sum(map(len, raw)) >= _CHUNK:
@@ -227,7 +217,7 @@ def class_census(
     )
 
 
-def _census_chunk(x, qs, primes_x, base, key_index, with_hits, with_empty):
+def _census_chunk(x, qs, primes_x, base, key_index, with_hits):
     """(keys, classes, units, unit_primes, empty, raw hits) of the moduli
     qs: classes[k] unit classes have key keys[k], numbered in key_index;
     raw hits are key * pi(x) + prime, one per prime coprime to a q."""
@@ -238,11 +228,9 @@ def _census_chunk(x, qs, primes_x, base, key_index, with_hits, with_empty):
         return_inverse=True, return_counts=True)
     keys = np.array([key_index.setdefault(k, len(key_index))
                      for k in local.tolist()])
-    empty = np.zeros((0, 2), dtype=np.int64)
+    f = np.flatnonzero(unit & (counts == 0))
+    empty = np.stack((q_of[f], a[f]), axis=1)
     raw = np.zeros(0, dtype=np.int64)
-    if with_empty:
-        f = np.flatnonzero(unit & (counts == 0))
-        empty = np.stack((q_of[f], a[f]), axis=1)
     if with_hits:
         key_of = np.full(len(a), -1)
         key_of[unit] = keys[inverse]
@@ -358,8 +346,8 @@ def error_term_profile(
     pi_x = len(primes_x)
 
     if q is not None:
-        phi = Modulus.from_int(q).phi
         unit, counts = _unit_counts(primes_x, [q])[3:]
+        phi = int(np.count_nonzero(unit))
         # |c - pi_x / phi|, rounded once from integers
         terms = np.abs(counts[unit] * phi - pi_x) / phi
         errors = dict(zip(np.flatnonzero(unit).tolist(), terms.tolist()))

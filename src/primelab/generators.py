@@ -32,11 +32,13 @@ import numpy as np
 from .errors import (
     BrokenBitSourceError,
     ConfigError,
+    DomainError,
     NonTerminationError,
     PrimelabError,
     ResourceLimitError,
     _bound_index,
     _index_field,
+    _instance_of,
 )
 from .ntheory import (
     EXACT,
@@ -125,15 +127,19 @@ def _modulus_limit(x: int, epsilon, mode, q) -> float | None:
         if not 2 <= q < x:
             raise ConfigError(
                 f"explicit q={q} is not an integer in [2, x={x})")
-    if epsilon is not None and not 0 < epsilon < 1:
-        raise ConfigError(f"epsilon must be in (0,1), got {epsilon}")
-    if mode is ModulusMode.EXPLICIT:
-        if q is None:
-            raise ConfigError("explicit modulus mode requires q")
-        return None
-    if epsilon is None:
-        raise ConfigError("a derived modulus requires epsilon")
-    limit = x ** (1.0 - epsilon)
+    try:
+        if epsilon is not None and not 0 < epsilon < 1:
+            raise ConfigError(f"epsilon must be in (0,1), got {epsilon}")
+        if mode is ModulusMode.EXPLICIT:
+            if q is None:
+                raise ConfigError("explicit modulus mode requires q")
+            return None
+        if epsilon is None:
+            raise ConfigError("a derived modulus requires epsilon")
+        limit = x ** (1.0 - epsilon)
+    except (TypeError, OverflowError) as exc:
+        raise ConfigError(f"no float x^(1-epsilon) for epsilon={epsilon!r} "
+                          f"and a {x.bit_length()}-bit x") from exc
     # limit >= x only by float rounding; the modulus could then reach x
     if not 3 <= limit < x:
         raise ConfigError(f"x^(1-epsilon) = {limit} not in [3, x={x})")
@@ -257,6 +263,7 @@ def select_modulus(
     PRIMORIAL / POWER_OF_TWO take the largest primorial (resp. power of
     two) that does not exceed x^(1-epsilon); EXPLICIT validates a given q.
     """
+    x = _bound_index("x", x, 2, ConfigError)
     if type(mode) is not ModulusMode:
         mode = _member(ModulusMode, "modulus_mode", mode)
     limit = _modulus_limit(x, epsilon, mode, explicit_q)
@@ -275,19 +282,23 @@ def sample_unit(
     """Uniform element of (Z/qZ)*, as an integer in {1, ..., q-1}."""
     if type(method) is not UnitMethod:
         method = _member(UnitMethod, "unit_method", method)
-    q = modulus.q
+    q = _instance_of("modulus", modulus, Modulus).q
+    try:  # any source that draws as CountingBitSource.uniform_below does
+        uniform_below = src.uniform_below
+    except AttributeError as exc:
+        raise DomainError(f"not a bit source: {src!r}") from exc
     if method is UnitMethod.REJECTION:
         while True:
-            a = src.uniform_below(q)
+            a = uniform_below(q)
             if math.gcd(a, q) == 1:
                 return a
     lam = modulus.carmichael
-    b = src.uniform_below(q)
+    b = uniform_below(q)
     for _ in range(_JP_MAX_ROUNDS):
         u = (1 - pow(b, lam, q)) % q
         if u == 0:
             return b
-        r = src.uniform_below(q)
+        r = uniform_below(q)
         b = (b + r * u) % q
     raise BrokenBitSourceError(f"unit generation made no progress after "
                                f"{_JP_MAX_ROUNDS} rounds")
@@ -362,9 +373,10 @@ def generate(cfg: GenConfig, src: CountingBitSource | None = None):
     trivial search after T draws (erh_fallback, uncond) or raises
     NonTerminationError at the iteration cap (basic, uncond_nofallback).
     """
+    x = _instance_of("cfg", cfg, GenConfig).x
     if src is None:
         src = CountingBitSource(cfg.seed)
-    x = cfg.x
+    _instance_of("source", src, CountingBitSource)
     tel = Telemetry()
     test = primality_tester(cfg.primality, x)
     start = src.bits_consumed

@@ -18,6 +18,7 @@ import re
 import sys
 import types
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -29,6 +30,7 @@ from .errors import (
     PrimelabError,
     ResourceLimitError,
     _bound_index,
+    _instance_of,
 )
 from .exactdist import (
     FixedModulusErrorProfile,
@@ -128,6 +130,7 @@ def benchmark(cfg: GenConfig, trials: int,
     generators.trial_records runs (trial i on split_seed(cfg.seed, i)).
     The metrics take pi(x) from the policy's table where it covers x,
     else from sieve(x)."""
+    _instance_of("cfg", cfg, GenConfig)
     trials = _bound_index("trials", trials, 1)
     if with_metrics:
         space = table_for(cfg.x, None, cfg.primality.table).count_leq(cfg.x)
@@ -179,6 +182,7 @@ def sample_distribution(
     seed: this samples the law conditioned on termination, which the
     no-fallback closed form describes.
     """
+    _instance_of("cfg", cfg, GenConfig)
     runs = _bound_index("runs", runs, 1)
     table = table_for(cfg.x, table, cfg.primality.table)
     outputs = trial_records(replace(cfg, primality=Exact(table)), runs,
@@ -209,11 +213,11 @@ def gap_census(
 ) -> GapCensus:
     """Exact census of prime gaps at thresholds lambda * ln x."""
     x = _bound_index("x", x, 100)
-    lambdas = list(lambdas)
     try:
+        lambdas = list(lambdas)
         bad = [lam for lam in lambdas if not (0 <= lam < math.inf)]
     except TypeError as exc:
-        raise DomainError(f"lambda must be real, got {lambdas!r}") from exc
+        raise DomainError(f"lambdas must be reals, got {lambdas!r}") from exc
     if bad:
         raise DomainError(f"lambda must be finite and >= 0, got {bad}")
     primes_x = primes_upto(x, table)
@@ -463,6 +467,7 @@ def report_emit(reports: list, format: str = "json") -> str:
     JSON output is a (possibly empty) array of records, each carrying
     schema_version; serialization is deterministic (sorted keys).
     """
+    reports = list(_instance_of("reports", reports, Iterable))
     if format == "json":
         payload = json.dumps(
             [to_jsonable(r) for r in reports],
@@ -493,7 +498,7 @@ def parse_reports(text: str) -> list:
     a field missing, a value its annotation refuses, or trials < 1."""
     try:
         records = json.loads(text)
-    except ValueError as exc:  # json.JSONDecodeError among them
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is one
         raise DomainError(f"reports are not JSON: {exc}") from exc
     if not isinstance(records, list):
         raise DomainError("reports must be a JSON array")

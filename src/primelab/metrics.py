@@ -14,11 +14,12 @@ equality.
 
 import math
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import DomainError, _bound_index
+from .errors import DomainError, _bound_index, _instance_of
 
 
 class FiniteDist:
@@ -34,7 +35,7 @@ class FiniteDist:
     __slots__ = ("space_size", "num", "den", "meta")
 
     def __init__(self, space_size: int, mass: dict, meta: dict | None = None):
-        values = mass.values()
+        values = _instance_of("mass", mass, dict).values()
         if not all(isinstance(v, Rational) for v in values):
             raise DomainError("masses must be rationals (int or Fraction)")
         den = math.lcm(*(v.denominator for v in values))
@@ -71,7 +72,7 @@ class FiniteDist:
     @classmethod
     def uniform(cls, outcomes) -> "FiniteDist":
         """Uniform distribution on the given outcomes, which are its space."""
-        outcomes = list(outcomes)
+        outcomes = list(_instance_of("outcomes", outcomes, Iterable))
         n = len(outcomes)
         if n == 0:
             raise DomainError("uniform distribution needs at least one outcome")
@@ -84,7 +85,8 @@ class FiniteDist:
         the number of observations, or the integer numerators of a closed
         form over its common denominator."""
         dist = cls.__new__(cls)
-        dist._store(space_size, dict(counts), total, meta)
+        dist._store(space_size, dict(_instance_of("counts", counts, dict)),
+                    total, meta)
         return dist
 
     def __repr__(self) -> str:
@@ -130,7 +132,7 @@ def metrics_of(dist: FiniteDist) -> DistMetrics:
     delta2_sq = sum (nS - D)^2 / (DS)^2, beta = sum n^2 / D^2 and
     gamma = max n / D.
     """
-    size, den = dist.space_size, dist.den
+    size, den = _instance_of("dist", dist, FiniteDist).space_size, dist.den
     groups = Counter(dist.num.values())
     groups[0] += size - len(dist.num)
     scale = den * size
@@ -159,8 +161,8 @@ def tv_between(a: FiniteDist, b: FiniteDist) -> Fraction:
     exact Fraction: the numerators are compared in integers over
     lcm(D_a, D_b), with one division at the end.
     """
-    if not (isinstance(a, FiniteDist) and isinstance(b, FiniteDist)):
-        raise DomainError("tv_between takes two FiniteDists")
+    _instance_of("tv_between's a", a, FiniteDist)
+    _instance_of("tv_between's b", b, FiniteDist)
     if a.space_size != b.space_size:
         raise DomainError(
             f"space sizes differ: {a.space_size} vs {b.space_size}"

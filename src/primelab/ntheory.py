@@ -22,6 +22,7 @@ from .errors import (
     ResourceLimitError,
     _bound_index,
     _index_field,
+    _instance_of,
 )
 from .rng import CountingBitSource, split_seed
 
@@ -47,23 +48,24 @@ _HEAD = np.array([False, True, True, True, False, True, True])
 _WIDEN = np.array([sum((v >> b & 1) << (2 * b + 1) for b in range(8))
                    for v in range(256)], dtype="<u2")
 
-# Trial division, the first stage of every tester: the primes to
-# _TRIAL_BOUND = 2^12, from `_small_sieve` at import.  A tester looks up
-# n <= 2^12 in _TRIAL_FLAGS and refuses every larger n with a prime factor
-# to 2^12, in two passes: the primes to 251, which refuse most composites,
-# then the rest on that pass's survivors, each pass one gcd with the
-# product of its primes (one gcd with all of them, 5,811 bits, costs
-# about 5 us against 0.7 us for the primes to 251).  What is left is
-# above 2^12 with no prime factor to it, and `_prove` settles it: the
-# proof-only entry, which primality_tester(policy, x, screened=True)
-# hands to the lane engine for the candidates trial_division leaves
-# open.  The witnesses are the first 13 primes, 2 to 41.
+# The primes to 46,340 = sqrt(DEFAULT_SIEVE_CAP), sieved at import: the
+# base primes of `sieve` and `totient_sieve` are a prefix (_base_primes),
+# and `primorial_below` multiplies them.  Trial division by those to
+# _TRIAL_BOUND = 2^12 is the first stage of every tester: it looks up
+# n <= 2^12 in _SMALL_FLAGS and refuses every larger n with a prime factor
+# to 2^12 in two passes, the primes to 251 (which refuse most composites)
+# and then the rest on the survivors, each one gcd with the product of its
+# primes (one gcd with all of them, 5,811 bits, costs about 5 us against
+# 0.7 us for the primes to 251).  `_prove` settles what is left, above
+# 2^12 with no prime factor to it: the proof-only entry, which
+# primality_tester(policy, x, screened=True) hands to the lane engine for
+# the candidates trial_division leaves open.  The witnesses are the first
+# 13 primes, 2 to 41.
 _TRIAL_BOUND = 2**12
 
 
 def _small_sieve(bound: int) -> np.ndarray:
-    """The primality flags of 0..bound, read-only, by a plain sieve: the
-    trial table at import, from which `sieve` takes its base primes."""
+    """The primality flags of 0..bound, read-only, by a plain sieve."""
     flags = np.ones(bound + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(bound) + 1):
@@ -72,8 +74,9 @@ def _small_sieve(bound: int) -> np.ndarray:
     return flags
 
 
-_TRIAL_FLAGS = _small_sieve(_TRIAL_BOUND)
-_TRIAL_PRIMES = tuple(np.flatnonzero(_TRIAL_FLAGS).tolist())
+_SMALL_FLAGS = _small_sieve(math.isqrt(DEFAULT_SIEVE_CAP))
+_SMALL_PRIMES = tuple(np.flatnonzero(_SMALL_FLAGS).tolist())
+_TRIAL_PRIMES = _SMALL_PRIMES[: bisect_right(_SMALL_PRIMES, _TRIAL_BOUND)]
 _FIRST_PASS = bisect_right(_TRIAL_PRIMES, 251)  # the primes to 251
 _TRIAL_PRODUCTS = (math.prod(_TRIAL_PRIMES[:_FIRST_PASS]),
                    math.prod(_TRIAL_PRIMES[_FIRST_PASS:]))
@@ -185,10 +188,6 @@ class PrimeTable:
         bit = n.astype(np.uint8) & 7
         return ((self._flags[n >> 3] >> bit) & 1).view(bool)
 
-    def prime_count(self) -> int:
-        """pi(bound)."""
-        return len(self.primes)
-
     def count_leq(self, n: int) -> int:
         """pi(n) for any n <= bound."""
         if n > self.bound:
@@ -202,11 +201,8 @@ class PrimeTable:
 
 
 def _base_primes(root: int) -> list[int]:
-    """The primes <= root: a prefix of _TRIAL_PRIMES for root <= 2^12, so
-    for every sieve bound below 4097^2, else sieve(root)'s."""
-    if root <= _TRIAL_BOUND:
-        return list(_TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, root)])
-    return sieve(root).primes.tolist()
+    """The primes <= root <= 46,340: a prefix of _SMALL_PRIMES."""
+    return list(_SMALL_PRIMES[: bisect_right(_SMALL_PRIMES, root)])
 
 
 def _prime_count_bound(x: int) -> int:
@@ -298,9 +294,9 @@ def covering_table(table: PrimeTable | None, x: int) -> PrimeTable | None:
     """table if it answers for all of [0, x], else None: the one rule for
     when a prime table, a policy's among them, stands in for a test.
     DomainError for a table that is not a PrimeTable."""
-    if table is not None and not isinstance(table, PrimeTable):
-        raise DomainError(f"not a PrimeTable: {table!r}")
-    return table if table is not None and table.bound >= x else None
+    if table is None or _instance_of("table", table, PrimeTable).bound < x:
+        return None
+    return table
 
 
 def primes_upto(x: int, table: PrimeTable | None = None) -> np.ndarray:
@@ -311,8 +307,7 @@ def primes_upto(x: int, table: PrimeTable | None = None) -> np.ndarray:
 
 def _class_mask(table: PrimeTable, q: int, a: int) -> np.ndarray:
     """Which of table.primes are = a (mod q), for q >= 1 and 0 <= a < q."""
-    if not isinstance(table, PrimeTable):
-        raise DomainError(f"not a PrimeTable: {table!r}")
+    _instance_of("table", table, PrimeTable)
     q, a = _bound_index("modulus", q, 1), _bound_index("residue", a, 0)
     if a >= q:
         raise DomainError(f"residue {a} not in [0, {q})")
@@ -333,16 +328,17 @@ def residue_class_primes(table: PrimeTable, q: int, a: int) -> list[int]:
 
 
 def primorial_below(limit: int) -> int:
-    """Largest product of all primes up to some bound that is <= limit."""
+    """Largest product of all primes up to some bound that is <= limit,
+    from _SMALL_PRIMES; ResourceLimitError for a limit at or above their
+    product (about 10^20,000), where the next factor is not listed."""
     limit = _bound_index("limit", limit, 2)
     product = 1
-    p = 2
-    while product * p <= limit:
+    for p in _SMALL_PRIMES:
+        if product * p > limit:
+            return product
         product *= p
-        p += 1
-        while not is_prime(p):
-            p += 1
-    return product
+    raise ResourceLimitError(f"a {limit.bit_length()}-bit limit needs primes "
+                             f"above {_SMALL_PRIMES[-1]}")
 
 
 def totient_sieve(bound: int) -> np.ndarray:
@@ -420,18 +416,13 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
-def _carmichael_prime_power(p: int, e: int) -> int:
-    if p == 2 and e > 2:
-        return 2 ** (e - 2)
-    return p ** (e - 1) * (p - 1)
-
-
 @dataclass(frozen=True)
 class Modulus:
     """A modulus q with its unit-group data.
 
     phi = |(Z/qZ)*|, omega = number of distinct prime factors, carmichael =
-    exponent of the unit group (divides phi).
+    exponent of the unit group (divides phi): the lcm over the prime
+    powers p^e of q of phi(p^e), halved for 2^e with e > 2.
     """
 
     q: int
@@ -447,8 +438,9 @@ class Modulus:
         phi = 1
         lam = 1
         for p, e in factorization:
-            phi *= p ** (e - 1) * (p - 1)
-            lam = math.lcm(lam, _carmichael_prime_power(p, e))
+            part = p ** (e - 1) * (p - 1)  # phi(p^e)
+            phi *= part
+            lam = math.lcm(lam, part // 2 if p == 2 and e > 2 else part)
         return cls(q, phi, len(factorization), factorization, lam)
 
 
@@ -471,9 +463,8 @@ class Exact(PrimalityPolicy):
     table: PrimeTable | None = None
 
     def __post_init__(self):
-        if self.table is not None and not isinstance(self.table, PrimeTable):
-            raise ConfigError(f"Exact table is not a PrimeTable: "
-                              f"{self.table!r}")
+        if self.table is not None:
+            _instance_of("Exact table", self.table, PrimeTable, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -566,7 +557,7 @@ def _miller_rabin(n: int, bases=None) -> bool:
     """Trial division by the primes to 2^12 (a lookup to 2^12, then two
     gcds), then `_prove`."""
     if n <= _TRIAL_BOUND:
-        return bool(_TRIAL_FLAGS[n])
+        return bool(_SMALL_FLAGS[n])
     if (math.gcd(n, _TRIAL_PRODUCTS[0]) != 1
             or math.gcd(n, _TRIAL_PRODUCTS[1]) != 1):
         return False
@@ -602,7 +593,7 @@ def trial_division(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and 1 included).  Under either policy a verdict is a function of n,
     so an array of candidates may be filtered at once."""
     n = n.astype(np.uint64)
-    prime = _TRIAL_FLAGS[np.minimum(n, _TRIAL_BOUND)]  # 2^12 is composite
+    prime = _SMALL_FLAGS[np.minimum(n, _TRIAL_BOUND)]  # 2^12 is composite
     flat = n.ravel()
     index = np.flatnonzero(_WHEEL_UNITS[flat % (2 * _WHEEL)]
                            & (flat > _TRIAL_BOUND))

@@ -88,22 +88,16 @@ class CountingBitSource:
             self._state = (self._state + _GAMMA) & _MASK64
         return value >> (-k % 64)
 
-    def draw_bits(self, k: int) -> int:
-        """Return a uniform k-bit value and charge exactly k bits."""
-        k = _bound_index("k", k, 1)
-        self.bits_consumed += k
-        self.draws += 1
-        return self._bits(k)
-
     def uniform_below(self, m: int) -> int:
         """Uniform draw from {0, ..., m-1} by rejection.  Each attempt draws
-        and charges ceil(log2 m) bits; m = 1 takes no word and is free."""
+        and charges ceil(log2 m) bits; m = 1 takes no word and is free.  A
+        uniform k-bit value is uniform_below(1 << k), which never rejects."""
         try:  # free on the valid path: the hottest call of generate
             if m < 1:
                 raise DomainError(f"uniform_below needs m >= 1, got {m}")
-            if m == 1:
+            k = (m - 1).bit_length()  # before m == 1, so a float is refused
+            if not k:
                 return 0
-            k = (m - 1).bit_length()
         except (TypeError, AttributeError):  # a numpy integer runs as an int
             return self.uniform_below(_bound_index("uniform_below's m", m))
         draws, value = 0, m

@@ -276,7 +276,7 @@ def test_criterion_7_fallback_correctness():
 def test_criterion_8_number_theory_core():
     start = time.time()
     t100 = sieve(100)
-    ok_pi = t100.prime_count() == 25
+    ok_pi = t100.count_leq(100) == 25
     ok_ap = count_ap_primes(t100, 3, 1) == 11
 
     phi_sum = totient_partial_sum(10**4)

@@ -23,8 +23,12 @@ from primelab.exactdist import (
 from primelab.generators import (
     Algorithm,
     GenConfig,
+    ModulusMode,
     default_T,
     derived_Q,
+    generate,
+    sample_unit,
+    select_modulus,
     trial_records,
 )
 from primelab.harness import (
@@ -35,7 +39,7 @@ from primelab.harness import (
     report_emit,
     sample_distribution,
 )
-from primelab.metrics import FiniteDist, tv_between
+from primelab.metrics import FiniteDist, metrics_of, tv_between
 from primelab.ntheory import (
     Exact,
     MillerRabin,
@@ -111,7 +115,11 @@ CASES = {
         (DomainError, lambda: CountingBitSource(1).uniform_below(2.5)),
     'uniform_below("3")':
         (DomainError, lambda: CountingBitSource(1).uniform_below("3")),
-    "draw_bits(2.5)": (DomainError, lambda: CountingBitSource(1).draw_bits(2.5)),
+    # each returned 0
+    "uniform_below(1.0)":
+        (DomainError, lambda: CountingBitSource(1).uniform_below(1.0)),
+    "uniform_below(np.float64(1.0))": (DomainError, lambda: CountingBitSource(
+        1).uniform_below(np.float64(1.0))),
     # each succeeded with a float x
     "exact_dist_trivial(x=1000.0, table)":
         (DomainError, lambda: exact_dist_trivial(1000.0, T1K)),
@@ -220,6 +228,22 @@ CASES = {
     "default_T(2.5)": (ConfigError, lambda: default_T(2.5)),
     # returned 4
     "derived_Q(10.5, 1.0)": (ConfigError, lambda: derived_Q(10.5, 1.0)),
+    # each raised a bare AttributeError
+    "metrics_of(5)": (DomainError, lambda: metrics_of(5)),
+    "FiniteDist(3, 5)": (DomainError, lambda: FiniteDist(3, 5)),
+    "sample_unit(src, 30)":
+        (DomainError, lambda: sample_unit(CountingBitSource(1), 30)),
+    "generate(5)": (DomainError, lambda: generate(5)),
+    "benchmark(5, 10)": (DomainError, lambda: benchmark(5, 10)),
+    "sample_distribution(5, 10)":
+        (DomainError, lambda: sample_distribution(5, 10)),
+    # each raised a bare TypeError
+    "FiniteDist.uniform(5)": (DomainError, lambda: FiniteDist.uniform(5)),
+    'select_modulus(1000, "0.3", PRIMORIAL)': (ConfigError, lambda:
+        select_modulus(1000, "0.3", ModulusMode.PRIMORIAL)),
+    "gap_census(1000, 5)": (DomainError, lambda: gap_census(1000, 5)),
+    "report_emit(5)": (DomainError, lambda: report_emit(5)),
+    "parse_reports(5)": (DomainError, lambda: parse_reports(5)),
 }
 
 

@@ -245,7 +245,7 @@ def test_oracle_equivalence_simple(maker, cfg_kwargs):
     cfg = GenConfig(x=x, seed=31, primality=Exact(t), **cfg_kwargs)
     emp, _ = sample_distribution(cfg, runs, t)
     assert oracle_tv(emp, maker(x, t)) < 3 * math.sqrt(
-        t.prime_count() / runs
+        len(t.primes) / runs
     )
 
 
@@ -366,7 +366,7 @@ def test_class_census_lists_the_empty_classes():
     # x = 100, moduli 10..40: classes with no prime, by a gcd loop
     x, qs = 100, range(10, 41)
     primes_x = primes_upto(x)
-    census = class_census(x, qs, primes_x, with_empty=True)
+    census = class_census(x, qs, primes_x)
     held = {(q, p % q) for q in qs for p in primes_x.tolist()}
     assert census.empty.tolist() == [
         [q, a] for q in qs for a in range(q)
@@ -452,7 +452,7 @@ def census_view(census, primes_x):
 def test_class_census_equals_a_per_modulus_census(x, qs):
     # unsorted moduli with repeats, q = 1 and q > x
     primes_x = primes_upto(x)
-    census = class_census(x, qs, primes_x, with_hits=True, with_empty=True)
+    census = class_census(x, qs, primes_x, with_hits=True)
     assert census_view(census, primes_x) == reference_census(x, qs, primes_x)
 
 
@@ -468,7 +468,7 @@ def test_chunk_boundaries_change_nothing(chunk, monkeypatch):
             (exact_dist_uncond_nofallback, (x, 3.0))]
 
     def run():
-        census = class_census(x, qs, primes_x, with_empty=True)
+        census = class_census(x, qs, primes_x)
         return census_view(census, primes_x), [
             (d.num, d.den, d.meta) for d in (f(*a) for f, a in laws)]
     calls = count_unit_counts(monkeypatch)

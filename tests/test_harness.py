@@ -176,7 +176,7 @@ def test_error_profile_fixed_q_exact_sum(table_100k):
     # oracle: recompute from residue counts
     from primelab.ntheory import count_ap_primes
 
-    pi_x = table_100k.prime_count()
+    pi_x = len(table_100k.primes)
     for a, err in prof.error_terms.items():
         expected = abs(count_ap_primes(table_100k, 30, a) - pi_x / 8)
         assert err == pytest.approx(expected, rel=1e-12)
@@ -203,7 +203,7 @@ def test_error_profile_range_exact_oracle():
     from primelab.ntheory import count_ap_primes, totient_sieve
 
     Q = prof.Q
-    pi_x = t.prime_count()
+    pi_x = len(t.primes)
     brute = 0.0
     for q in range(Q // 2 + 1, Q + 1):
         phi_q = int(totient_sieve(Q)[q])

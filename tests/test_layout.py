@@ -2,8 +2,9 @@
 reach up into exactdist (which imports generators), a FiniteDist has
 one exact representation, no public function takes a parameter that
 only tests would set, the CLI writes its output in one place, only
-generators chooses how trials run, and its lane engine takes every
-verdict from ntheory.verdicts, whose rules are written once."""
+generators chooses how trials run, its lane engine takes every verdict
+from ntheory.verdicts, whose rules are written once, and every public
+function and method is called from the package or the benchmark."""
 
 import ast
 import importlib
@@ -103,8 +104,10 @@ def test_no_test_only_parameters():
 
 
 # The only private names one primelab module may import from another: the
-# rule that checks every integer argument, and its dataclass-field form.
-_SHARED_PRIVATE = {("errors", "_bound_index"), ("errors", "_index_field")}
+# rule that checks every integer argument, its dataclass-field form, and
+# the instance check of every typed argument.
+_SHARED_PRIVATE = {("errors", "_bound_index"), ("errors", "_index_field"),
+                   ("errors", "_instance_of")}
 
 
 def test_no_private_imports_across_modules():
@@ -179,3 +182,42 @@ def test_each_verdict_rule_is_written_once():
     for backend in (ntheory._TableVerdicts, ntheory._TesterVerdicts):
         assert not {"first", "ends", "holds_prime"} & vars(backend).keys()
     assert not hasattr(generators, "_set_lanes")
+
+
+# The public calls that nothing in src/ or bench/ names, each kept for its
+# reason; any other such call is deleted.
+_UNCALLED_PUBLIC = {
+    "parse_reports": "the documented reader of emitted reports",
+    "count_ap_primes": "acceptance criteria 7 and 8 read it, and it is the "
+                       "tests' independent check of the class census",
+    "residue_class_primes": "acceptance criterion 7 reads it, and it is the "
+                            "tests' independent check of the class census",
+    "totient_partial_sum": "Phi(N): the paper's pair count F(Q) is "
+                           "Phi(Q) - Phi(Q/2), which criterion 8 reads",
+}
+
+
+def _public_calls(tree: ast.Module | ast.ClassDef):
+    """The public functions of a module or class body, and the public
+    methods of its public classes."""
+    for node in tree.body:
+        if getattr(node, "name", "_").startswith("_"):
+            continue
+        if isinstance(node, ast.ClassDef):
+            yield from _public_calls(node)
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name
+
+
+def test_every_public_call_is_named_elsewhere():
+    """Each public function and method of src/primelab is named in src/
+    outside __init__.py or in bench/*.py (bench's tests aside), or is kept
+    in _UNCALLED_PUBLIC with its reason, which holds only uncalled names."""
+    bench = SRC.parents[1] / "bench"
+    used = set()
+    for path in [*SRC.glob("*.py"), *bench.glob("*.py")]:
+        if path.name != "__init__.py" and not path.name.startswith("test_"):
+            used.update(_words(_tree(path)))
+    public = {name for path in SRC.glob("*.py")
+              for name in _public_calls(_tree(path))}
+    assert sorted(public - used) == sorted(_UNCALLED_PUBLIC)

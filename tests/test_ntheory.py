@@ -39,7 +39,7 @@ from conftest import trial_division_primes
 def test_sieve_small():
     t = sieve(10)
     assert t.primes.tolist() == [2, 3, 5, 7]
-    assert t.prime_count() == 4
+    assert t.count_leq(10) == 4
     assert sieve(2).primes.tolist() == [2]
 
 
@@ -51,7 +51,7 @@ def test_sieve_against_trial_division():
 
 
 def test_sieve_pi_100():
-    assert sieve(100).prime_count() == 25
+    assert sieve(100).count_leq(100) == 25
 
 
 def _flat_sieve(bound):
@@ -70,7 +70,7 @@ def test_segmented_sieve_matches_flat_oracle():
     bound = (1 << 22) + 1000
     flat = _flat_sieve(bound)
     t = sieve(bound)
-    assert t.prime_count() == int(flat.sum())
+    assert len(t.primes) == int(flat.sum())
     lo = (1 << 22) - 50
     for n in range(lo, bound + 1):
         assert t.is_prime(n) == bool(flat[n])
@@ -150,7 +150,7 @@ def test_table_readers_make_no_copy_of_the_list():
 
 
 def test_sieve_prime_counts():
-    counts = [sieve(10**k).prime_count() for k in range(1, 8)]
+    counts = [len(sieve(10**k).primes) for k in range(1, 8)]
     assert counts == [4, 25, 168, 1229, 9592, 78498, 664579]
 
 
@@ -189,7 +189,7 @@ def test_count_ap_primes_errors():
 def test_residue_classes_partition_primes(q):
     t = sieve(2000)
     total = sum(count_ap_primes(t, q, a) for a in range(q))
-    assert total == t.prime_count()
+    assert total == len(t.primes)
     # classes with gcd(a, q) > 1 hold exactly the primes dividing q
     nonunit = sum(
         count_ap_primes(t, q, a) for a in range(q) if math.gcd(a, q) != 1
@@ -239,6 +239,38 @@ def test_primorial_bracketing():
         while not is_prime(nxt):
             nxt += 1
         assert L < prod * nxt
+
+
+@pytest.mark.parametrize("root", [4096, 4097, 10**4, 46_340])
+def test_base_primes_are_the_sieved_primes(root):
+    # one table of small primes, sieved at import, whatever the bound
+    assert ntheory._base_primes(root) == sieve(root).primes.tolist()
+
+
+def _primorial_by_walk(limit):
+    """primorial_below as an is_prime walk over the integers."""
+    product, p = 1, 2
+    while product * p <= limit:
+        product *= p
+        p += 1
+        while not is_prime(p):
+            p += 1
+    return product
+
+
+def test_primorial_below_equals_an_is_prime_walk():
+    limits = sorted({2, 3, 5, 6, 7, 29, 30, 31, 209, 210, 211, 2**1023}
+                    | {2**k + d for k in range(2, 1024, 37) for d in (-1, 1)})
+    assert [primorial_below(n) for n in limits] == [
+        _primorial_by_walk(n) for n in limits]
+
+
+def test_primorial_below_refuses_a_limit_past_its_primes():
+    # every prime to 46,340 multiplied: the next factor is not listed
+    product = math.prod(sieve(46_340).primes.tolist())
+    assert primorial_below(product - 1) == product // 46_337
+    with pytest.raises(ResourceLimitError):
+        primorial_below(product)
 
 
 def test_totient_partial_sum_small():
@@ -302,7 +334,7 @@ def test_sieves_refuse_non_integer_bounds():
             with pytest.raises(DomainError):
                 fn(bad)
     # numpy integers are integers
-    assert sieve(np.int64(100)).prime_count() == 25
+    assert sieve(np.int64(100)).count_leq(100) == 25
     assert totient_sieve(np.int32(10)).tolist() == _modulus_phis(10)
 
 

@@ -16,29 +16,29 @@ from primelab.rng import (
 from conftest import chi2_critical, chi2_stat_uniform
 
 
-def test_draw_bits_counts_and_range():
+def test_power_of_two_draws_count_and_range():
     src = CountingBitSource(1)
-    v = src.draw_bits(1)
+    v = src.uniform_below(2)
     assert v in (0, 1)
     assert src.bits_consumed == 1
     assert src.draws == 1
-    src.draw_bits(8)
+    src.uniform_below(1 << 8)
     assert src.bits_consumed == 9
 
 
 def test_same_seed_identical_stream():
     a = CountingBitSource(123)
     b = CountingBitSource(123)
-    assert [a.draw_bits(8) for _ in range(100)] == [
-        b.draw_bits(8) for _ in range(100)
+    assert [a.uniform_below(1 << 8) for _ in range(100)] == [
+        b.uniform_below(1 << 8) for _ in range(100)
     ]
 
 
 def test_different_seed_differs():
     a = CountingBitSource(0)
     b = CountingBitSource(1)
-    assert [a.draw_bits(32) for _ in range(8)] != [
-        b.draw_bits(32) for _ in range(8)
+    assert [a.uniform_below(1 << 32) for _ in range(8)] != [
+        b.uniform_below(1 << 32) for _ in range(8)
     ]
 
 
@@ -48,7 +48,7 @@ def test_words_follow_the_counter_rule():
     s = 2**64 - 3
     expected = [_splitmix64((s + j * _GAMMA) & _MASK64) for j in range(6)]
     src = CountingBitSource(s)
-    assert [src.draw_bits(64) for _ in range(6)] == expected
+    assert [src.uniform_below(1 << 64) for _ in range(6)] == expected
     block = word_block(np.array([s], dtype=np.uint64),
                   np.array([2], dtype=np.uint64), 4)
     assert block.tolist() == [expected[2:]]
@@ -56,25 +56,22 @@ def test_words_follow_the_counter_rule():
     assert CountingBitSource(s).uniform_below(1024) == expected[0] >> 54
     # a 100-bit draw is the top 100 bits of two words, the first one high
     a, b = CountingBitSource(9), CountingBitSource(9)
-    high, low = b.draw_bits(64), b.draw_bits(64)
-    assert a.draw_bits(100) == (high << 64 | low) >> 28
-    assert a.draw_bits(64) == b.draw_bits(64)
+    high, low = b.uniform_below(1 << 64), b.uniform_below(1 << 64)
+    assert a.uniform_below(1 << 100) == (high << 64 | low) >> 28
+    assert a.uniform_below(1 << 64) == b.uniform_below(1 << 64)
     # uniform_below(1) takes no word
     c, d = CountingBitSource(5), CountingBitSource(5)
     assert c.uniform_below(1) == 0
-    assert c.draw_bits(64) == d.draw_bits(64)
+    assert c.uniform_below(1 << 64) == d.uniform_below(1 << 64)
     # split_seed takes uint64 arrays too
     index = np.arange(5, dtype=np.uint64)
     assert split_seed(7, index).tolist() == [split_seed(7, i)
                                              for i in range(5)]
 
 
-def test_draw_bits_rejects_nonpositive():
-    src = CountingBitSource(0)
+def test_uniform_below_rejects_nonpositive():
     with pytest.raises(DomainError):
-        src.draw_bits(0)
-    with pytest.raises(DomainError):
-        src.uniform_below(0)
+        CountingBitSource(0).uniform_below(0)
 
 
 def test_uniform_below_power_of_two_charges_exactly():
@@ -85,7 +82,7 @@ def test_uniform_below_power_of_two_charges_exactly():
 
 
 def test_uniform_below_takes_a_numpy_integer():
-    # np.int64(5) was refused with DomainError, which draw_bits accepts
+    # np.int64(5) was refused with DomainError
     for m in (np.int64(5), np.uint64(5), np.int32(1000)):
         by_numpy, by_int = CountingBitSource(3), CountingBitSource(3)
         draws = [by_numpy.uniform_below(m) for _ in range(50)]
@@ -110,7 +107,7 @@ def test_uniform_below_one_is_free():
 def test_mean_of_single_bits():
     src = CountingBitSource(2024)
     n = 10**6
-    total = sum(src.draw_bits(1) for _ in range(n))
+    total = sum(src.uniform_below(2) for _ in range(n))
     assert 0.498 <= total / n <= 0.502
 
 

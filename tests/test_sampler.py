@@ -477,7 +477,7 @@ def test_benchmark_memory_does_not_scale_with_the_primes():
         finally:
             tracemalloc.stop()
         assert report.trials == 10**4
-        assert peak < 4 * table.prime_count()
+        assert peak < 4 * len(table.primes)
 
 
 # One selection step over every selection state, a lane per draw t below

@@ -26,6 +26,11 @@ DEFAULT_WORK_CAP = 10**10
 # Refuse fixed-modulus error profiles above this modulus: the profile
 # holds one float per unit class in a dict, about 160 bytes each.
 DEFAULT_PROFILE_CAP = 10**7
+# Refuse fallback laws whose lcm(m)^T passes this many bits: every
+# numerator and the denominator hold it, and a law of a few keys at 2^20
+# bits takes about a second to build and reduce (a T of 10^400 would never
+# finish computing its powers).
+DEFAULT_LAW_BITS_CAP = 2**20
 
 
 def exact_dist_trivial(x: int, table: PrimeTable | None = None) -> FiniteDist:
@@ -413,6 +418,10 @@ def _fallback_law(census: ClassCensus, primes_x: np.ndarray, T: int):
     f_q = int(census.classes.sum())
     lcm_c = math.lcm(*(c for c in census.c.tolist() if c))
     lcm_m = math.lcm(*census.m.tolist())
+    if (bits := T * lcm_m.bit_length()) > DEFAULT_LAW_BITS_CAP:
+        raise ResourceLimitError(
+            f"the fallback law needs lcm(m)^T, about {bits} bits "
+            f"(cap {DEFAULT_LAW_BITS_CAP} bits); decrease T")
     key_num, fallback = [], 0
     for c, m, n in zip(census.c.tolist(), census.m.tolist(),
                        census.classes.tolist()):

@@ -29,7 +29,9 @@ class FiniteDist:
     outcomes not stored; floats and a non-integer space size are refused
     with DomainError.  `mass` maps outcome -> reduced Fraction, built on
     access.  `meta` carries bookkeeping (e.g. conditioning flags) and
-    does not affect any computation.
+    does not affect any computation: str keys to JSON scalars or lists of
+    them, which the record codec writes as they are (DomainError for any
+    other meta).
     """
 
     __slots__ = ("space_size", "num", "den", "meta")
@@ -62,7 +64,7 @@ class FiniteDist:
         self.space_size = space_size
         self.num = num
         self.den = den
-        self.meta = meta or {}
+        self.meta = _checked_meta(meta)
 
     @property
     def mass(self) -> dict:
@@ -92,6 +94,24 @@ class FiniteDist:
     def __repr__(self) -> str:
         return (f"FiniteDist(space_size={self.space_size}, "
                 f"stored={len(self.num)})")
+
+
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+def _checked_meta(meta) -> dict:
+    """meta, {} for None; DomainError unless a dict of str keys to JSON
+    scalars or lists of them."""
+    if meta is None:
+        return {}
+    if not (isinstance(meta, dict) and all(
+            isinstance(k, str) and (isinstance(v, _JSON_SCALARS) or (
+                isinstance(v, list)
+                and all(isinstance(e, _JSON_SCALARS) for e in v)))
+            for k, v in meta.items())):
+        raise DomainError("meta must map str keys to JSON scalars or lists "
+                          f"of them, got {meta!r}")
+    return meta
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,18 @@ from .errors import (
 )
 from .rng import CountingBitSource, split_seed
 
-# Desk-scale caps: sieving from 2^31 (690 MB of flags and uint32 primes)
-# or totient tables beyond 10^8 are refused, not attempted.
+# Desk-scale caps: sieving from 2^31 (268 MB of flags; the table keeps no
+# list until one is read) or totient tables beyond 10^8 are refused, not
+# attempted.
 DEFAULT_SIEVE_CAP = 2**31 - 1
 DEFAULT_TOTIENT_CAP = 10**8
 
 _SEGMENT = 1 << 20  # odd numbers per segment of `sieve`: a multiple of 8
 _TOTIENT_BLOCK = 1 << 17
+# Flag bytes per chunk of PrimeTable's counts and its derived list: 4 KB of
+# word counts (and numpy's 32 KB buffer to sum them), or 256 KB of
+# unpacked bits.
+_CHUNK_BYTES = 1 << 15
 
 # The wheel of `sieve`: the odd multiples of 3, 5, 7, 11 and 13 repeat with
 # period 15,015 in odd-index space (index i stands for 2i + 1).  One period
@@ -150,36 +155,67 @@ _TRIAL_PASSES = (
 
 
 class PrimeTable:
-    """Exact primality for [0, bound]: packed flag bits plus the prime list
-    (uint32 from `sieve`; its readers take it in its own dtype).
+    """Exact primality for [0, bound], read from packed flag bits (bit
+    n & 7 of byte n >> 3).
 
-    Immutable after construction, so concurrent readers are safe: both
-    arrays are made read-only here.  Only `is_prime` and `prime_mask` read
-    the flags: `is_prime` through a memoryview of the flag buffer, which
-    indexes to a Python int, and `prime_mask` through the array.
-    DomainError for other than bound // 8 + 1 uint8 flag bytes and a 1-D
-    integer prime list.
+    Immutable after construction: the flags are made read-only here, and
+    so is the prime list.  `sieve` writes only the flags; the list
+    (`primes`) is derived from them on first read and then kept, and a
+    hand-built table may pass its own.  Concurrent readers are still safe,
+    as the derivation is idempotent: a reader that races another derives
+    an equal list.  Only PrimeTable reads the flags: `is_prime` through a
+    memoryview of the flag buffer, which indexes to a Python int,
+    `prime_mask` and `next_prime` through the array, and `count_leq` by
+    64-bit words.  DomainError for other than bound // 8 + 1 uint8 flag
+    bytes or a list that is not 1-D integer.
     """
 
-    def __init__(self, bound: int, packed_flags: np.ndarray, primes: np.ndarray):
+    def __init__(self, bound: int, packed_flags: np.ndarray,
+                 primes: np.ndarray | None = None):
         self.bound = bound = _bound_index("table bound", bound, 0)
         if not (isinstance(packed_flags, np.ndarray)
-                and isinstance(primes, np.ndarray)
                 and packed_flags.dtype == np.uint8
                 and packed_flags.shape == (bound // 8 + 1,)
-                and primes.ndim == 1 and primes.dtype.kind in "iu"):
+                and (primes is None or isinstance(primes, np.ndarray)
+                     and primes.ndim == 1 and primes.dtype.kind in "iu")):
             raise DomainError(f"a table to {bound} takes {bound // 8 + 1} "
                               f"uint8 flag bytes and a 1-D integer prime list")
         packed_flags.setflags(write=False)
-        primes.setflags(write=False)
+        if primes is not None:
+            primes.setflags(write=False)
         self._flags = packed_flags
         self._flags_view = memoryview(packed_flags)  # read-only as well
-        self.primes = primes
+        self._primes = primes
+
+    @property
+    def primes(self) -> np.ndarray:
+        """The primes <= bound, ascending: the list the table was built
+        with, else derived from the flags once, chunk by chunk into one
+        uint32 array (int64 from a bound of 2^32), so the peak is the list
+        plus one chunk."""
+        if self._primes is None:
+            dtype = np.uint32 if self.bound < 2**32 else np.int64
+            primes = np.empty(self.count_leq(self.bound), dtype)
+            count = 0
+            for lo in range(0, len(self._flags), _CHUNK_BYTES):
+                idx = np.flatnonzero(np.unpackbits(
+                    self._flags[lo : lo + _CHUNK_BYTES], bitorder="little"))
+                primes[count : count + len(idx)] = idx + 8 * lo
+                count += len(idx)
+            primes.setflags(write=False)
+            self._primes = primes
+        return self._primes
 
     def is_prime(self, n: int) -> bool:
-        if n < 0 or n > self.bound:
-            raise DomainError(f"{n} outside table range [0, {self.bound}]")
-        return self._flags_view[n >> 3] >> (n & 7) & 1 == 1
+        # the check converts only on the error path: this is the table
+        # tester of `generate`, called once per candidate
+        try:
+            if n < 0 or n > self.bound:
+                raise DomainError(f"{n} outside table range [0, {self.bound}]")
+            return self._flags_view[n >> 3] >> (n & 7) & 1 == 1
+        except TypeError:
+            raise DomainError(
+                f"is_prime needs an integer, got {n!r}") from None
 
     def prime_mask(self, n: np.ndarray) -> np.ndarray:
         """Primality of each entry of the int array n, unchecked: every
@@ -189,28 +225,53 @@ class PrimeTable:
         return ((self._flags[n >> 3] >> bit) & 1).view(bool)
 
     def count_leq(self, n: int) -> int:
-        """pi(n) for any n <= bound."""
+        """pi(n) for any integer n <= bound: the set flag bits to n,
+        counted by 64-bit words in chunks of _CHUNK_BYTES, never from the
+        list."""
+        n = _bound_index("count_leq", n)
         if n > self.bound:
             raise DomainError(f"{n} exceeds table bound {self.bound}")
         if n < 2:
             return 0
-        # a needle of the list's dtype: a Python int or an int64 one would
-        # widen the whole list to an int64 copy on every call
-        needle = self.primes.dtype.type(n)
-        return int(self.primes.searchsorted(needle, side="right"))
+        whole = (n >> 6) << 3  # the bytes of the words wholly below n's
+        count = sum(int(np.bitwise_count(
+            self._flags[lo : min(lo + _CHUNK_BYTES, whole)].view("<u8")).sum())
+            for lo in range(0, whole, _CHUNK_BYTES))
+        tail = int.from_bytes(self._flags_view[whole : (n >> 3) + 1], "little")
+        return count + (tail & (2 << (n & 63)) - 1).bit_count()
+
+    def next_prime(self, y: np.ndarray, x: int) -> np.ndarray:
+        """The least prime in [y, x] for each entry y of the int64 array,
+        or 0; unchecked: x <= bound and every y in [0, x].  Each row reads
+        one little-endian 64-bit window of the flags from byte y >> 3, the
+        bits below y cleared, and takes its lowest set bit; only the rows
+        whose window holds no prime read on, a window at a time."""
+        found, rows, byte = np.zeros_like(y), np.arange(len(y)), y >> 3
+        shift = (y & 7).astype(np.uint64)
+        window = self._window(byte) >> shift << shift
+        while len(rows):
+            # the trailing zeros: the lowest set bit's index, 64 if none
+            low = np.bitwise_count(~window & window - np.uint64(1))
+            p = 8 * byte + low
+            hit = low < 64
+            found[rows[hit]] = np.where(p[hit] <= x, p[hit], 0)
+            rows, byte = rows[~hit], byte[~hit] + 8
+            keep = 8 * byte <= x
+            rows, byte = rows[keep], byte[keep]
+            window = self._window(byte)
+        return found
+
+    def _window(self, byte: np.ndarray) -> np.ndarray:
+        """The flags of bytes byte..byte + 7 as one little-endian uint64
+        each.  A byte past the flags reads as the last one: its bits stand
+        for numbers above bound, which next_prime refuses as above x."""
+        index = byte[:, None] + np.arange(8)
+        return np.take(self._flags, index, mode="clip").view("<u8")[:, 0]
 
 
 def _base_primes(root: int) -> list[int]:
     """The primes <= root <= 46,340: a prefix of _SMALL_PRIMES."""
     return list(_SMALL_PRIMES[: bisect_right(_SMALL_PRIMES, root)])
-
-
-def _prime_count_bound(x: int) -> int:
-    """An integer > pi(x) for x >= 2: Dusart's pi(x) < x/ln x (1 + 1.2762/ln x)
-    (Dusart, "The kth prime is greater than k(ln k + ln ln k - 1) for
-    k >= 2", Math. Comp. 1999), plus one for float rounding."""
-    log = math.log(x)
-    return int(x / log * (1 + 1.2762 / log)) + 1
 
 
 def sieve(bound: int) -> PrimeTable:
@@ -222,15 +283,14 @@ def sieve(bound: int) -> PrimeTable:
     multiples of 3, 5, 7, 11 and 13 are crossed off by a copy; only the
     primes from 17 to sqrt(bound) are crossed off per segment.  The packed
     flags (bit n & 7 of byte n >> 3) come from packing the odd mask and
-    widening each byte to two through _WIDEN.  The primes are written in
-    place into one uint32 array (every prime is below DEFAULT_SIEVE_CAP)
-    sized by Dusart's bound on pi(bound), and the used prefix is returned,
-    so no per-segment chunks are joined.  Peak memory is the result
-    (bound / 8 bytes of flags, 4 bytes per prime and Dusart's slack,
-    0.75 % at 10^8) plus about 3 MB of wheel and segment buffers.  On a
-    2-vCPU VM, 10^8 takes about 0.25 s at a peak RSS of 69 MB, and 10^9
-    about 3.5 s at 350 MB (interpreter and numpy included; 92 and 543 MB
-    with an int64 list).  A bound above DEFAULT_SIEVE_CAP is refused.
+    widening each byte to two through _WIDEN; they are all that is
+    written, and the table derives its prime list only when it is read.
+    Peak memory is the bound / 8 bytes of flags plus about 3 MB of wheel
+    and segment buffers.  On a 2-vCPU VM, 10^8 takes about 0.12 s at a
+    peak RSS of 46 MB, and 10^9 about 1.5 s at 153 MB (interpreter and
+    numpy included; 0.2 s at 69 MB and 2.7-3.2 s at 349 MB when the
+    sieve also wrote the uint32 list).  A bound above DEFAULT_SIEVE_CAP
+    is refused.
     """
     bound = _bound_index("sieve bound", bound, 2)
     if bound > DEFAULT_SIEVE_CAP:
@@ -247,9 +307,6 @@ def sieve(bound: int) -> PrimeTable:
     steps = np.array(base, dtype=np.int64)
     halves = steps // 2
     packed = np.zeros(bound // 8 + 1, dtype=np.uint8)
-    primes = np.empty(_prime_count_bound(bound), dtype=np.uint32)
-    primes[0] = 2
-    count = 1
     for lo in range(0, n_odd, _SEGMENT):
         hi = min(lo + _SEGMENT, n_odd)
         offset = lo % _WHEEL
@@ -266,17 +323,11 @@ def sieve(bound: int) -> PrimeTable:
             starts = squares[:live]
         for p, start in zip(base, starts):
             mask[start::p] = False
-        idx = np.flatnonzero(mask)
-        out = primes[count : count + len(idx)]
-        out[:] = idx  # below _SEGMENT: a cast copy, cheaper than a ufunc's
-        out *= 2
-        out += 2 * lo + 1
-        count += len(idx)
         wide = _WIDEN[np.packbits(mask, bitorder="little")].view(np.uint8)
         dest = packed[lo // 4 : lo // 4 + len(wide)]
         dest[:] = wide[: len(dest)]
     packed[0] |= 4  # 2; no bit past bound is set, as the mask ends there
-    return PrimeTable(bound, packed, primes[:count])
+    return PrimeTable(bound, packed)
 
 
 def table_for(x: int, table: PrimeTable | None = None,
@@ -725,15 +776,7 @@ class _TableVerdicts(_Verdicts):
 
     def __init__(self, table: PrimeTable, x: int):
         self.screen = lambda rows: (table.prime_mask(rows), None)
-        self.primes = primes_upto(x, table)
-
-    def next_prime(self, y):
-        # sorted needles of the list's dtype: several times faster, no copy
-        prime, order = np.zeros_like(y), np.flatnonzero(y <= self.primes[-1])
-        order = order[np.argsort(y[order])]
-        needles = y[order].astype(self.primes.dtype)
-        prime[order] = self.primes[self.primes.searchsorted(needles)]
-        return prime
+        self.next_prime = lambda y: table.next_prime(y, x)
 
 
 class _TesterVerdicts(_Verdicts):

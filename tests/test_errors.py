@@ -5,6 +5,7 @@ the same way."""
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -204,6 +205,18 @@ CASES = {
     # refused it as a table beyond int32 candidates
     "PrimeTable(flags too short)": (DomainError, lambda: PrimeTable(
         2**33, np.zeros(1, dtype=np.uint8), np.array([2, 3]))),
+    # each raised a bare TypeError, from a comparison or from >>
+    'PrimeTable.is_prime("3")': (DomainError, lambda: T1K.is_prime("3")),
+    'PrimeTable.count_leq("3")': (DomainError, lambda: T1K.count_leq("3")),
+    "PrimeTable.is_prime(2.5)": (DomainError, lambda: T1K.is_prime(2.5)),
+    # each computed (lcm(m) / m)^T and m^T without bound
+    "exact_dist_erh_fallback(T=10**400)": (ResourceLimitError, lambda:
+        exact_dist_erh_fallback(1000, 30, 10**400, T1K)),
+    "exact_dist_uncond(T=10**400)": (ResourceLimitError, lambda:
+        exact_dist_uncond(200, 1.0, 10**400)),
+    # report_emit of it raised a bare TypeError from json
+    "FiniteDist(meta=object())": (DomainError, lambda: FiniteDist(
+        4, {2: Fraction(1)}, meta=object())),
     # trial division ran to sqrt(n): minutes for two factors near 2^30
     "factorize(two prime factors above 2^20)":
         (ResourceLimitError, lambda: factorize(1_048_583 * 1_048_589)),

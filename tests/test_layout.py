@@ -1,10 +1,11 @@
-"""Package layout: ntheory owns the prime table, generators does not
-reach up into exactdist (which imports generators), a FiniteDist has
-one exact representation, no public function takes a parameter that
-only tests would set, the CLI writes its output in one place, only
-generators chooses how trials run, its lane engine takes every verdict
-from ntheory.verdicts, whose rules are written once, and every public
-function and method is called from the package or the benchmark."""
+"""Package layout: ntheory owns the prime table, whose flags only
+PrimeTable reads, generators does not reach up into exactdist (which
+imports generators), a FiniteDist has one exact representation, no
+public function takes a parameter that only tests would set, the CLI
+writes its output in one place, only generators chooses how trials run,
+its lane engine takes every verdict from ntheory.verdicts, whose rules
+are written once, and every public function and method is called from
+the package or the benchmark."""
 
 import ast
 import importlib
@@ -43,6 +44,27 @@ def test_only_ntheory_mentions_the_table_flags():
                if path.stem != "ntheory"
                and any(_FLAGS.search(w) for w in _words(_tree(path)))]
     assert readers == []
+
+
+def test_only_prime_table_reads_its_flags():
+    """In src/, `._flags` (and `._flags_view`) is read only inside class
+    PrimeTable, and the table backend of the lane engine names neither
+    the prime list nor primes_upto: it reads the table's flags through
+    its methods alone."""
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path)
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "PrimeTable"
+                  for node in ast.walk(cls)}
+        readers += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and _FLAGS.match(node.attr) and id(node) not in inside]
+    backend = next(node for node in _tree(SRC / "ntheory.py").body
+                   if isinstance(node, ast.ClassDef)
+                   and node.name == "_TableVerdicts")
+    assert readers == []
+    assert not {"primes", "primes_upto"} & set(_words(backend))
 
 
 def test_generators_does_not_import_exactdist():

@@ -107,6 +107,30 @@ def test_sieve_segment_and_wheel_edges(monkeypatch):
         _assert_matches_flat(sieve(bound), flat[: bound + 1])
 
 
+@pytest.mark.parametrize("bound", [2, 3, 8, 2**21 - 1, 2**21, 2**21 + 1,
+                                   3 * 2**21 + 5, 10**6])
+def test_the_derived_list_matches_a_plain_sieve(bound):
+    """sieve writes only the flags; the list is derived from them on first
+    read, chunk by chunk, and kept.  The bounds lie at the edges of the
+    sieve's segments of 2^21 numbers."""
+    t = sieve(bound)
+    primes = t.primes
+    assert primes.dtype == np.uint32
+    assert np.array_equal(primes, np.flatnonzero(_flat_sieve(bound)))
+    assert t.primes is primes
+
+
+@pytest.mark.parametrize("bound", [2, 3, 100, 1000, 2**15 + 3])
+def test_count_leq_counts_the_flags(bound):
+    t = sieve(bound)
+    primes = t.primes
+    grid = {-5, 0, 1, 2, 3, 63, 64, 65, bound // 2, bound - 1, bound}
+    grid |= set(range(max(bound - 70, 0), bound + 1))
+    grid = sorted(n for n in grid if n <= bound)
+    for n in grid + [np.int64(bound), np.uint32(bound // 3), np.int64(-1)]:
+        assert t.count_leq(n) == len(primes[primes <= n]), n
+
+
 def test_table_is_read_only():
     # a write into the list or the flags changed every later verdict
     t = sieve(100)
@@ -160,7 +184,7 @@ def test_sieve_domain_and_cap():
     with pytest.raises(ResourceLimitError):
         sieve(2**31 + 1)
     with pytest.raises(ResourceLimitError):
-        sieve(2**31)  # the desk-scale cap: 690 MB of flags and primes
+        sieve(2**31)  # the desk-scale cap: 268 MB of flags
 
 
 def test_count_ap_primes_examples():
@@ -745,6 +769,45 @@ def test_verdicts_read_the_policy_table_where_it_covers_x(table_1k):
 _NARROW = sieve(3000)
 # the same table with an int64 list, as tests/test_table_dtype.py builds it
 _WIDE = PrimeTable(3000, _NARROW._flags, _NARROW.primes.astype(np.int64))
+
+
+def _searched_next_prime(table, y, x):
+    """The least prime in [y, x] for each y, or 0, by a binary search of
+    the list."""
+    primes = table.primes[: table.count_leq(x)].astype(np.int64)
+    i = np.searchsorted(primes, y)
+    return np.where(i < len(primes), primes[np.minimum(i, len(primes) - 1)],
+                    0)
+
+
+_GAP = sieve(492_230)  # 492,113 and then no prime up to 492,227
+_GAP_WIDE = PrimeTable(_GAP.bound, _GAP._flags, _GAP.primes.astype(np.int64))
+
+
+@pytest.mark.parametrize("table", ["narrow", "wide", "gap", "gap_wide"])
+def test_the_window_next_prime_matches_a_search_of_the_list(table):
+    """The table's next-prime lookup reads one 64-bit window of the flags
+    per start, and on past an empty one; it equals a binary search of the
+    list at y = x, at the starts above the largest prime <= x, in the
+    flags' last byte and inside the 114-long gap after 492,113, whose
+    prime lies past the first window."""
+    table = {"narrow": _NARROW, "wide": _WIDE, "gap": _GAP,
+             "gap_wide": _GAP_WIDE}[table]
+    rng = np.random.default_rng(11)
+    b = table.bound
+    for x in (b, b - 3, 2971, 2995, 64, 2):
+        top = int(table.primes[table.count_leq(x) - 1])
+        starts = [x, top, top + 1, *range(max(x - 70, 0), x + 1),
+                  *range(8 * (b >> 3), b + 1), *range(492_110, 492_230)]
+        y = np.array([s for s in starts if 0 <= s <= x]
+                     + rng.integers(0, x + 1, 2000).tolist(), dtype=np.int64)
+        expected = _searched_next_prime(table, y, x)
+        assert np.array_equal(table.next_prime(y, x), expected), x
+        backend = verdicts(Exact(table), x)
+        assert np.array_equal(backend.next_prime(y), expected), x
+    gap = np.arange(492_114, 492_228)
+    if b >= 492_227:
+        assert (table.next_prime(gap, b) == 492_227).all()
 
 
 @pytest.mark.parametrize("x", [2971, 2995], ids=["prime_x", "composite_x"])

@@ -480,6 +480,31 @@ def test_benchmark_memory_does_not_scale_with_the_primes():
         assert peak < 4 * len(table.primes)
 
 
+def test_the_first_table_backed_benchmark_derives_no_prime_list():
+    """sieve writes only the flags, and no table-backed run reads the
+    list: the first benchmark of each algorithm on a fresh table, with no
+    warm-up call on it, stays under the 4 pi(x) bytes (2.7 MB) that
+    deriving the uint32 list would take."""
+    pi_x = 664_579
+    policy = Exact(sieve(10**7))
+    for algo, kwargs in (("trivial", {}), ("primeinc", {}),
+                         ("basic", {"epsilon": 0.3}),
+                         ("erh_fallback", {"epsilon": 0.3}),
+                         ("uncond", {"A": 2.0}),
+                         ("uncond_nofallback", {"A": 2.0})):
+        cfg = GenConfig(x=10**7, algorithm=Algorithm(algo),
+                        primality=policy, **kwargs)
+        tracemalloc.start()
+        try:
+            report = benchmark(cfg, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.trials == 2000
+        assert peak < 4 * pi_x, algo
+    assert policy.table.count_leq(10**7) == pi_x
+
+
 # One selection step over every selection state, a lane per draw t below
 # the draw's power of two: the transitions of the chain whose absorbing
 # states are the (q, a) the search starts from.

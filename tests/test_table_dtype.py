@@ -1,5 +1,6 @@
 """Every reader of a PrimeTable answers alike from the uint32 prime list
-that `sieve` writes and from an int64 copy of it.  This guards the paths
+that a `sieve` table derives from its flags and from an int64 copy of
+it.  This guards the paths
 that no digest pins against silent uint32 wraparound (a difference of
 two uint32 values, x - p going negative) and against a reader that
 widens the list to mix it with int64 operands."""

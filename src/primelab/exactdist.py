@@ -27,9 +27,12 @@ DEFAULT_WORK_CAP = 10**10
 # holds one float per unit class in a dict, about 160 bytes each.
 DEFAULT_PROFILE_CAP = 10**7
 # Refuse fallback laws whose lcm(m)^T passes this many bits: every
-# numerator and the denominator hold it, and a law of a few keys at 2^20
-# bits takes about a second to build and reduce (a T of 10^400 would never
-# finish computing its powers).
+# numerator and the denominator hold it, so time and memory grow with
+# bits times keys, and a T of 10^400 would never finish its powers.  At
+# default_T the cap is loose: exact_dist_uncond at A = 3 reaches it only
+# near x = 3.9e6, where 3.4e5 bits (x = 10^6) already ran past 100 s and
+# 1.5 GB on a 2-vCPU VM; at A = 1 and 2 DEFAULT_WORK_CAP refuses first,
+# and a fixed modulus has two values of m, far below it.
 DEFAULT_LAW_BITS_CAP = 2**20
 
 

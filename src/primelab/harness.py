@@ -20,15 +20,14 @@ import types
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, fields, is_dataclass, replace
-from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
+from .codec import digit_limit_error, encode_value, json_text
 from .errors import (
     DomainError,
     PrimelabError,
-    ResourceLimitError,
     _bound_index,
     _instance_of,
 )
@@ -323,42 +322,11 @@ _RECORD_KINDS = {
 }
 
 
-def _encode_value(v):
-    """JSON form of a report value: dataclasses and dicts field by field
-    (str keys), a Fraction as {"fraction": "n/d"}, an enum as its value,
-    a primality policy as a {"type": ...} dict."""
-    if isinstance(v, Fraction):
-        try:
-            return {"fraction": f"{v.numerator}/{v.denominator}"}
-        except ValueError as exc:
-            raise _digit_limit_error() from exc
-    if isinstance(v, Enum):
-        return v.value
-    if isinstance(v, Exact):
-        return {"type": "exact",
-                "table_bound": v.table.bound if v.table else None}
-    if isinstance(v, MillerRabin):
-        return {"type": "miller_rabin", "rounds": v.rounds, "seed": v.seed}
-    if isinstance(v, PrimalityPolicy):
-        raise DomainError(f"cannot serialize policy {v!r}")
-    if is_dataclass(v):
-        return {f.name: _encode_value(getattr(v, f.name)) for f in fields(v)}
-    if isinstance(v, dict):
-        return {str(k): _encode_value(x) for k, x in v.items()}
-    return v
-
-
 _FRACTION = re.compile(r"(-?[0-9]+)/([0-9]*[1-9][0-9]*)")  # d > 0
 
 
-def _digit_limit_error() -> ResourceLimitError:
-    return ResourceLimitError(
-        f"fraction has more than {sys.get_int_max_str_digits()} "
-        f"digits, Python's integer-to-string limit")
-
-
 def _decode(tp, value, name: str):
-    """The value of annotation tp from the JSON form that _encode_value
+    """The value of annotation tp from the JSON form that encode_value
     writes, `name` its path in the record; DomainError where it does not
     fit tp.  Enum values are left for GenConfig to turn into members."""
     if isinstance(tp, types.UnionType):  # X | None
@@ -379,7 +347,7 @@ def _decode(tp, value, name: str):
         try:
             return Fraction(int(match[1]), int(match[2]))
         except ValueError as exc:
-            raise _digit_limit_error() from exc
+            raise digit_limit_error() from exc
     if tp is PrimalityPolicy:
         kind = value.get("type") if isinstance(value, dict) else None
         if kind == "exact":
@@ -400,14 +368,14 @@ def _decode(tp, value, name: str):
 
 def dist_to_dict(dist: FiniteDist) -> dict:
     rows = [
-        [int(p), _encode_value(m)] for p, m in sorted(dist.mass.items())
+        [int(p), encode_value(m)] for p, m in sorted(dist.mass.items())
     ]
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "distribution",
         "space_size": dist.space_size,
         "mass": rows,
-        "meta": _encode_value(dist.meta),
+        "meta": encode_value(dist.meta),
     }
 
 
@@ -422,7 +390,7 @@ def to_jsonable(obj):
     for kind, cls in _RECORD_KINDS.items():
         if type(obj) is cls:
             return {"schema_version": SCHEMA_VERSION, "kind": kind,
-                    **_encode_value(obj)}
+                    **encode_value(obj)}
     raise DomainError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -469,10 +437,8 @@ def report_emit(reports: list, format: str = "json") -> str:
     """
     reports = list(_instance_of("reports", reports, Iterable))
     if format == "json":
-        payload = json.dumps(
-            [to_jsonable(r) for r in reports],
-            sort_keys=True, indent=2,
-        ) + "\n"
+        payload = json_text([to_jsonable(r) for r in reports],
+                             sort_keys=True, indent=2) + "\n"
     elif format == "csv":
         payload = _reports_to_csv(reports)
     else:

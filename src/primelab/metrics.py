@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+from .codec import encode_value, json_text
 from .errors import DomainError, _bound_index, _instance_of
 
 
@@ -29,9 +30,8 @@ class FiniteDist:
     outcomes not stored; floats and a non-integer space size are refused
     with DomainError.  `mass` maps outcome -> reduced Fraction, built on
     access.  `meta` carries bookkeeping (e.g. conditioning flags) and
-    does not affect any computation: str keys to JSON scalars or lists of
-    them, which the record codec writes as they are (DomainError for any
-    other meta).
+    does not affect any computation: a dict that the record codec can
+    write (DomainError for any other meta).
     """
 
     __slots__ = ("space_size", "num", "den", "meta")
@@ -96,21 +96,12 @@ class FiniteDist:
                 f"stored={len(self.num)})")
 
 
-_JSON_SCALARS = (str, int, float, bool, type(None))
-
-
 def _checked_meta(meta) -> dict:
-    """meta, {} for None; DomainError unless a dict of str keys to JSON
-    scalars or lists of them."""
+    """meta, {} for None; DomainError unless a dict that the record codec
+    can write."""
     if meta is None:
         return {}
-    if not (isinstance(meta, dict) and all(
-            isinstance(k, str) and (isinstance(v, _JSON_SCALARS) or (
-                isinstance(v, list)
-                and all(isinstance(e, _JSON_SCALARS) for e in v)))
-            for k, v in meta.items())):
-        raise DomainError("meta must map str keys to JSON scalars or lists "
-                          f"of them, got {meta!r}")
+    json_text(encode_value(_instance_of("meta", meta, dict)))
     return meta
 
 

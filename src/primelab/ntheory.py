@@ -35,9 +35,11 @@ DEFAULT_TOTIENT_CAP = 10**8
 _SEGMENT = 1 << 20  # odd numbers per segment of `sieve`: a multiple of 8
 _TOTIENT_BLOCK = 1 << 17
 # Flag bytes per chunk of PrimeTable's counts and its derived list: 4 KB of
-# word counts (and numpy's 32 KB buffer to sum them), or 256 KB of
-# unpacked bits.
+# word counts (and numpy's 32 KB buffer to sum them), or 128 KB of
+# unpacked odd bits.
 _CHUNK_BYTES = 1 << 15
+# A derived prime list is uint32 for a bound below this, int64 from it.
+_UINT32_LIST_LIMIT = 2**32
 
 # The wheel of `sieve`: the odd multiples of 3, 5, 7, 11 and 13 repeat with
 # period 15,015 in odd-index space (index i stands for 2i + 1).  One period
@@ -52,6 +54,11 @@ _HEAD = np.array([False, True, True, True, False, True, True])
 # uint16 of full flags for 16k..16k + 15 (bit 2b + 1).
 _WIDEN = np.array([sum((v >> b & 1) << (2 * b + 1) for b in range(8))
                    for v in range(256)], dtype="<u2")
+# Its inverse: each little-endian uint16 u of flags for 16k..16k + 15 as
+# the byte of its odd bits, bit b = bit 2b + 1 of u.  PrimeTable derives
+# its list from these, as 2 is the only even prime.
+_ODD_BITS = sum((np.arange(1 << 16, dtype=np.uint16) >> (2 * b + 1) & 1) << b
+                for b in range(8)).astype(np.uint8)
 
 # The primes to 46,340 = sqrt(DEFAULT_SIEVE_CAP), sieved at import: the
 # base primes of `sieve` and `totient_sieve` are a prefix (_base_primes),
@@ -160,48 +167,50 @@ class PrimeTable:
 
     Immutable after construction: the flags are made read-only here, and
     so is the prime list.  `sieve` writes only the flags; the list
-    (`primes`) is derived from them on first read and then kept, and a
-    hand-built table may pass its own.  Concurrent readers are still safe,
-    as the derivation is idempotent: a reader that races another derives
-    an equal list.  Only PrimeTable reads the flags: `is_prime` through a
-    memoryview of the flag buffer, which indexes to a Python int,
-    `prime_mask` and `next_prime` through the array, and `count_leq` by
-    64-bit words.  DomainError for other than bound // 8 + 1 uint8 flag
-    bytes or a list that is not 1-D integer.
+    (`primes`) is derived from them once, on first read, and then kept.
+    Concurrent readers are still safe, as the derivation is idempotent: a
+    reader that races another derives an equal list.  Only PrimeTable
+    reads the flags: `is_prime` through a memoryview of the flag buffer,
+    which indexes to a Python int, `prime_mask` and `next_prime` through
+    the array, and `count_leq` by 64-bit words.  DomainError for other
+    than bound // 8 + 1 uint8 flag bytes.
     """
 
-    def __init__(self, bound: int, packed_flags: np.ndarray,
-                 primes: np.ndarray | None = None):
+    def __init__(self, bound: int, packed_flags: np.ndarray):
         self.bound = bound = _bound_index("table bound", bound, 0)
         if not (isinstance(packed_flags, np.ndarray)
                 and packed_flags.dtype == np.uint8
-                and packed_flags.shape == (bound // 8 + 1,)
-                and (primes is None or isinstance(primes, np.ndarray)
-                     and primes.ndim == 1 and primes.dtype.kind in "iu")):
-            raise DomainError(f"a table to {bound} takes {bound // 8 + 1} "
-                              f"uint8 flag bytes and a 1-D integer prime list")
+                and packed_flags.shape == (bound // 8 + 1,)):
+            raise DomainError(
+                f"a table to {bound} takes {bound // 8 + 1} uint8 flag bytes")
         packed_flags.setflags(write=False)
-        if primes is not None:
-            primes.setflags(write=False)
         self._flags = packed_flags
         self._flags_view = memoryview(packed_flags)  # read-only as well
-        self._primes = primes
+        self._primes = None
 
     @property
     def primes(self) -> np.ndarray:
-        """The primes <= bound, ascending: the list the table was built
-        with, else derived from the flags once, chunk by chunk into one
-        uint32 array (int64 from a bound of 2^32), so the peak is the list
-        plus one chunk."""
+        """The primes <= bound, ascending, uint32 below _UINT32_LIST_LIMIT
+        and int64 from it: derived from the flags once, chunk by chunk
+        into one array, so the peak is the list plus one chunk.  Only the
+        odd bits are unpacked, through _ODD_BITS, and bit 2 read alone."""
         if self._primes is None:
-            dtype = np.uint32 if self.bound < 2**32 else np.int64
+            dtype = np.uint32 if self.bound < _UINT32_LIST_LIMIT else np.int64
             primes = np.empty(self.count_leq(self.bound), dtype)
-            count = 0
+            count = int(self._flags[0] >> 2 & 1)  # 2, the one even prime
+            primes[:count] = 2
             for lo in range(0, len(self._flags), _CHUNK_BYTES):
-                idx = np.flatnonzero(np.unpackbits(
-                    self._flags[lo : lo + _CHUNK_BYTES], bitorder="little"))
-                primes[count : count + len(idx)] = idx + 8 * lo
-                count += len(idx)
+                chunk = self._flags[lo : lo + _CHUNK_BYTES]
+                if len(chunk) & 1:  # the last chunk, padded to whole uint16
+                    chunk = np.append(chunk, np.uint8(0))
+                odd = np.unpackbits(np.take(_ODD_BITS, chunk.view("<u2")),
+                                    bitorder="little").view(bool)
+                # odd bit i stands for 8 lo + 2i + 1
+                found = np.flatnonzero(odd).astype(dtype, copy=False)
+                found *= 2
+                found += 8 * lo + 1
+                primes[count : count + len(found)] = found
+                count += len(found)
             primes.setflags(write=False)
             self._primes = primes
         return self._primes
@@ -352,8 +361,8 @@ def covering_table(table: PrimeTable | None, x: int) -> PrimeTable | None:
 
 def primes_upto(x: int, table: PrimeTable | None = None) -> np.ndarray:
     """The primes <= x, from table_for(x, table)."""
-    table = table_for(x, table)
-    return table.primes[: table.count_leq(x)]
+    primes = table_for(x, table).primes
+    return primes[: np.searchsorted(primes, primes.dtype.type(x), "right")]
 
 
 def _class_mask(table: PrimeTable, q: int, a: int) -> np.ndarray:

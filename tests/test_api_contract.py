@@ -99,7 +99,7 @@ CALLS = {
     "MillerRabin": row(MillerRabin, rounds=2, seed=3),
     "Modulus.from_int": row(Modulus.from_int, 30),
     "PrimeTable": row(PrimeTable, T100.bound,
-                      np.packbits(FLAGS, bitorder="little"), T100.primes),
+                      np.packbits(FLAGS, bitorder="little")),
     "PrimeTable.is_prime": row(T100.is_prime, 97),
     "PrimeTable.count_leq": row(T100.count_leq, 50),
     "benchmark": row(benchmark, CFG, 10, with_metrics=True),

@@ -204,7 +204,7 @@ CASES = {
     # a bare IndexError from is_prime and prime_mask; the lane engine
     # refused it as a table beyond int32 candidates
     "PrimeTable(flags too short)": (DomainError, lambda: PrimeTable(
-        2**33, np.zeros(1, dtype=np.uint8), np.array([2, 3]))),
+        2**33, np.zeros(1, dtype=np.uint8))),
     # each raised a bare TypeError, from a comparison or from >>
     'PrimeTable.is_prime("3")': (DomainError, lambda: T1K.is_prime("3")),
     'PrimeTable.count_leq("3")': (DomainError, lambda: T1K.count_leq("3")),
@@ -256,6 +256,9 @@ CASES = {
         select_modulus(1000, "0.3", ModulusMode.PRIMORIAL)),
     "gap_census(1000, 5)": (DomainError, lambda: gap_census(1000, 5)),
     "report_emit(5)": (DomainError, lambda: report_emit(5)),
+    # a bare TypeError from json, as a plain dict passes unencoded
+    "report_emit([{object}])": (DomainError,
+                                lambda: report_emit([{"a": object()}])),
     "parse_reports(5)": (DomainError, lambda: parse_reports(5)),
 }
 

@@ -25,6 +25,7 @@ from primelab.harness import (
     write_text,
 )
 from primelab.exactdist import error_term_profile, exact_dist_basic
+from primelab.metrics import FiniteDist
 from primelab.ntheory import Exact, sieve, totient_partial_sum
 
 
@@ -248,11 +249,23 @@ def test_parse_reports_missing_field_is_domain_error():
 
 def test_encode_value_beyond_int_digit_limit():
     from primelab.errors import ResourceLimitError
-    from primelab.harness import _encode_value
+    from primelab.codec import encode_value
 
     with pytest.raises(ResourceLimitError,
                        match=str(sys.get_int_max_str_digits())):
-        _encode_value(Fraction(1, 10**5000))
+        encode_value(Fraction(1, 10**5000))
+
+
+def test_a_meta_is_what_the_record_codec_writes():
+    """FiniteDist takes any dict meta that report_emit can write (nested
+    dicts, tuples, Fractions, enums) and refuses one it cannot."""
+    meta = {"f": Fraction(1, 3), "d": {"t": (1, 2)}, "e": Algorithm.BASIC}
+    record = json.loads(report_emit([FiniteDist(4, {2: 1}, meta)]))[0]
+    assert record["meta"] == {"f": {"fraction": "1/3"},
+                              "d": {"t": [1, 2]}, "e": "basic"}
+    for bad in ({"l": [Fraction(1, 2)]}, {"o": object()}, [("a", 1)]):
+        with pytest.raises(DomainError):
+            FiniteDist(4, {2: 1}, bad)
 
 
 def test_report_json_deterministic(table_1k):

@@ -33,7 +33,7 @@ from primelab.ntheory import (
 
 from primelab.rng import CountingBitSource, split_seed
 
-from conftest import trial_division_primes
+from conftest import trial_division_primes, wide_table
 
 
 def test_sieve_small():
@@ -757,7 +757,7 @@ def test_verdicts_read_the_policy_table_where_it_covers_x(table_1k):
     flags = np.zeros(x // 8 + 1, np.uint8)
     for p in primes:
         flags[p >> 3] |= 1 << (p & 7)
-    read = verdicts(Exact(PrimeTable(x, flags, np.array(primes))), x)
+    read = verdicts(Exact(PrimeTable(x, flags)), x)
     rows = np.array([[base + 1, base + 11, base + 45],
                      [base + 3, base + 5, base + 7]])
     assert read.first(rows).tolist() == [1, 3]
@@ -768,7 +768,7 @@ def test_verdicts_read_the_policy_table_where_it_covers_x(table_1k):
 
 _NARROW = sieve(3000)
 # the same table with an int64 list, as tests/test_table_dtype.py builds it
-_WIDE = PrimeTable(3000, _NARROW._flags, _NARROW.primes.astype(np.int64))
+_WIDE = wide_table(3000)
 
 
 def _searched_next_prime(table, y, x):
@@ -781,7 +781,7 @@ def _searched_next_prime(table, y, x):
 
 
 _GAP = sieve(492_230)  # 492,113 and then no prime up to 492,227
-_GAP_WIDE = PrimeTable(_GAP.bound, _GAP._flags, _GAP.primes.astype(np.int64))
+_GAP_WIDE = wide_table(_GAP.bound)
 
 
 @pytest.mark.parametrize("table", ["narrow", "wide", "gap", "gap_wide"])

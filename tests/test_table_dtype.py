@@ -1,7 +1,7 @@
 """Every reader of a PrimeTable answers alike from the uint32 prime list
-that a `sieve` table derives from its flags and from an int64 copy of
-it.  This guards the paths
-that no digest pins against silent uint32 wraparound (a difference of
+that a `sieve` table derives from its flags and from the int64 list that
+a table from 2^32 derives (here the same flags, with that limit lowered
+while the list is derived).  This guards the paths that no digest pins against silent uint32 wraparound (a difference of
 two uint32 values, x - p going negative) and against a reader that
 widens the list to mix it with int64 operands."""
 
@@ -28,16 +28,17 @@ from primelab.harness import (
 )
 from primelab.ntheory import (
     Exact,
-    PrimeTable,
     count_ap_primes,
     primes_upto,
     residue_class_primes,
     sieve,
 )
 
+from conftest import wide_table
+
 X = 3000
 NARROW = sieve(X)
-WIDE = PrimeTable(X, NARROW._flags, NARROW.primes.astype(np.int64))
+WIDE = wide_table(X)
 
 LAWS = {
     "trivial": lambda t: exact_dist_trivial(X, t),

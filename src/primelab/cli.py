@@ -11,7 +11,8 @@ Subcommands map one-to-one onto the lab's experiments:
 
 Each subcommand returns one payload, a text or a record dict, and `main`
 writes it once: to stdout, or to the file named by --out.  Errors are
-reported as a JSON object on stderr with a nonzero exit code.
+reported as a JSON object on stderr with a nonzero exit code: 2 for a
+command line that the parser refuses ("UsageError"), else 1.
 """
 
 import argparse
@@ -122,8 +123,20 @@ def _cmd_error_profile(args) -> dict:
     return to_jsonable(error_term_profile(args.x, q=args.q, A=args.A))
 
 
+class UsageError(Exception):
+    """A command line that the parser refuses."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser (and so each of its subcommands') that raises
+    UsageError where argparse would print its usage text and exit."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="primelab",
         description="Prime generation laboratory: generators, exact "
                     "output distributions, and resource budgets.",
@@ -190,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         payload = args.func(args)
         if isinstance(payload, dict):
             payload = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -199,12 +212,12 @@ def main(argv=None) -> int:
             sys.stdout.write(payload)
         else:
             write_text(payload, args.out)
-    except PrimelabError as exc:
+    except (UsageError, PrimelabError) as exc:
         sys.stderr.write(json.dumps({
             "error": type(exc).__name__,
             "message": str(exc),
         }) + "\n")
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1  # 2 as argparse's
     return 0
 
 

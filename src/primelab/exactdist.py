@@ -34,6 +34,13 @@ DEFAULT_PROFILE_CAP = 10**7
 # 1.5 GB on a 2-vCPU VM; at A = 1 and 2 DEFAULT_WORK_CAP refuses first,
 # and a fixed modulus has two values of m, far below it.
 DEFAULT_LAW_BITS_CAP = 2**20
+# Refuse fallback laws whose numerators pass this many bits in all: each
+# key's and each prime's numerator holds about lcm(m)^T, so the law holds
+# that many bits times (keys + pi(x)), and a law below the cap above can
+# still fill memory.  At default_T, exact_dist_uncond at A = 3 holds
+# 1.8e9 bits at x = 2e5, and 4.3e9 at x = 3.2e5, which ran for 30 s at
+# 770 MB before this cap; every exact_sweep law holds at most 1.6e6.
+DEFAULT_LAW_TOTAL_BITS_CAP = 2**31
 
 
 def exact_dist_trivial(x: int, table: PrimeTable | None = None) -> FiniteDist:
@@ -425,6 +432,10 @@ def _fallback_law(census: ClassCensus, primes_x: np.ndarray, T: int):
         raise ResourceLimitError(
             f"the fallback law needs lcm(m)^T, about {bits} bits "
             f"(cap {DEFAULT_LAW_BITS_CAP} bits); decrease T")
+    if (total := bits * (len(census.c) + pi_x)) > DEFAULT_LAW_TOTAL_BITS_CAP:
+        raise ResourceLimitError(
+            f"the fallback law's numerators hold about {total} bits "
+            f"(cap {DEFAULT_LAW_TOTAL_BITS_CAP} bits); decrease x or T")
     key_num, fallback = [], 0
     for c, m, n in zip(census.c.tolist(), census.m.tolist(),
                        census.classes.tolist()):

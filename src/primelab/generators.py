@@ -407,9 +407,9 @@ def generate(cfg: GenConfig, src: CountingBitSource | None = None):
 # ---------------------------------------------------------------------------
 # lane engine: generate's trials in numpy lanes, word for word
 
-# Lanes in flight (at most; no more than the trials), and words per lane
-# and step: 8, so that a lane's row of 8 bools reads as one little-endian
-# uint64 (see _search).
+# Lanes in flight (at most; no more than the trials), and the least words
+# per lane and step: 8, so that each group of 8 bools in a lane's row reads
+# as one little-endian uint64 (see _search).
 _LANES, _LOOK, _MIN_WIDTH = 4096, 8, 32
 _ONES = np.uint64(0x0101010101010101)
 # A lane's next draw: none, the search for p = a + t*q (trivial and
@@ -450,7 +450,8 @@ def _pow_mod(b, e: int, q: int):
 
 class _Lanes:
     """Lanes that run trials of cfg (all idle at first) into `records`,
-    and what the steps read of cfg.  Each name in _ROWS is an attribute,
+    what the steps read of cfg, and the words each lane takes a step,
+    `look` (see narrow).  Each name in _ROWS is an attribute,
     that row of `state` over the first `width` lanes: the registers
     (`regs`, see _column), the words the selection took this step, the
     next word, the trial; as uint64 its seed, the run's key and retries;
@@ -483,9 +484,12 @@ class _Lanes:
 
     def narrow(self, live):
         """Move the live lanes to the front, halve the width while at most
-        half of it is live, and rebind the rows."""
+        half of it is live, set `look` so that a step hands out about
+        _LANES words in all (at least _LOOK a lane, in whole groups of
+        _LOOK; _LOOK above width 256), and rebind the rows."""
         while self.width > _MIN_WIDTH and 2 * len(live) <= self.width:
             self.width //= 2
+        self.look = max(_LOOK, _LANES // self.width // _LOOK * _LOOK)
         rows = len(_ROWS) if self.telemetry else _TEL
         self.state[:rows, :len(live)] = self.state[:rows].take(live, axis=1)
         self.state[0, len(live):self.width] = _IDLE
@@ -568,7 +572,9 @@ def _select(s: _Lanes, w):
     """Selecting lanes, their registers r gathered once, draw from w's
     columns in turn (s.select), dropping a t not below the bound, until
     they pick their class: its bound becomes 0 and its shift 64 (no more
-    draws or bits), and its search opens on the next word."""
+    draws or bits), and its search opens on the next word.  The columns
+    stop once every lane has picked: a wide step holds many more words
+    than a selection takes."""
     s.used[:] = 0
     i = np.flatnonzero(s.phase > _SEARCH)
     if not len(i):
@@ -583,6 +589,8 @@ def _select(s: _Lanes, w):
         k = (t < m).nonzero()[0]
         done = s.select(s, r, k, t[k])
         used[done], m[done], shift[done] = c + 1, 0, 64
+        if not m.any():
+            break
     d = np.flatnonzero(used)
     phase[d], left[d] = _SEARCH, s.budget
     m[d] = (s.cfg.x - a[d]) // q[d] + 1
@@ -590,9 +598,9 @@ def _select(s: _Lanes, w):
     s.regs[:, i] = r
     s.used[i] = used
     j, q, a, m = i[d], q[d], a[d], m[d]
-    at = s.ctr[j] - _LOOK + used[d]
+    at = s.ctr[j] - w.shape[1] + used[d]
     if s.telemetry:
-        s.sel[i] += 64 * w.shape[1] - spent
+        s.sel[i] += 64 * (c + 1) - spent  # the columns run
         s.iters[j] += s.budget
         s.bits[j] -= at * (64 - shift[d])
         s.records["chosen_q"][s.trial[j]] = q
@@ -618,7 +626,7 @@ def _finish(s: _Lanes, i, h, found, tries, y):
     n = s.iters[i] - s.left[i] + tries[i, h]
     records["loop_iterations"][done] = n
     records["primality_tests"][done] += n + (found - y)  # y, y + 1, ...
-    words = s.ctr[i] - (_LOOK - 1) + h  # up to the last draw's word
+    words = s.ctr[i] - (s.look - 1) + h  # up to the last draw's word
     records["bits_consumed"][done] = (s.bits[i] + s.sel[i]
                                       + words * (64 - s.shift[i]))
     records["selection_bits"][done] = s.sel[i]
@@ -627,19 +635,26 @@ def _finish(s: _Lanes, i, h, found, tries, y):
 def _search(s: _Lanes, w):
     """Searching lanes draw p = a + t*q from the rest of their words of
     the block w, up to a prime or the end of their budget."""
-    lanes, left = s.phase == _SEARCH, s.left
+    lanes, left, look = s.phase == _SEARCH, s.left, w.shape[1]
     # the shifted words read as int64 in place, the draws t and then p;
     # other lanes accept none
     t = np.right_shift(w, s.shift.view(np.uint64)[:, None], out=w)
     p = t = t.view(np.int64)
     ok = (t < s.m[:, None]) & lanes[:, None]
-    # drop the words the selection took, and make tries[:, j] the draws
-    # accepted up to word j: running byte sums, times 0x0101...01
-    rows = ok.view(np.uint64)[:, 0]
-    rows &= ~np.uint64(0) << (8 * s.used).view(np.uint64)
-    tries = (rows * _ONES).view(np.uint8).reshape(s.width, _LOOK)
-    within = np.minimum(left, _LOOK)[:, None]
-    if (within < _LOOK).any():  # the draws past the budget are not made
+    # drop the words the selection took: each group of 8 read as one
+    # uint64 loses its bytes below the lane's used word (a shift past 63
+    # clears the group)
+    groups = ok.view(np.uint64)
+    shift = 8 * s.used[:, None] - np.arange(0, 8 * look, 64)
+    groups &= ~np.uint64(0) << np.maximum(shift, 0, out=shift).view(np.uint64)
+    # tries[:, j], the draws accepted up to word j: the running byte sums
+    # of j's group (times 0x0101...01), plus the totals of the groups before
+    sums = (groups * _ONES).view(np.uint8)
+    tries = sums.astype(np.int16)
+    tries[:, 8:] += np.repeat(np.cumsum(sums[:, 7:-1:8], axis=1,
+                                        dtype=np.int16), 8, axis=1)
+    within = np.minimum(left, look)[:, None]
+    if (within < look).any():  # the draws past the budget are not made
         ok &= tries <= within
     # p = a + t*q in place; a rejected draw's p may wrap, then is 0
     p *= s.q[:, None]
@@ -650,12 +665,12 @@ def _search(s: _Lanes, w):
         if s.telemetry:
             # a start y above the largest prime is tested up to x, redrawn:
             # its x - y tests past the first count as they happen
-            r, c = np.nonzero(ok & (np.arange(_LOOK) < first[:, None]))
+            r, c = np.nonzero(ok & (np.arange(look) < first[:, None]))
             np.add.at(s.records["primality_tests"], s.trial[r],
                       s.cfg.x - p[r, c])
     else:
         first, found = s.verdicts.first(p), None
-    ended = first < _LOOK
+    ended = first < look
     i = np.flatnonzero(ended)
     y = p[i, first[i]]
     _finish(s, i, first[i], y if found is None else found, tries, y)
@@ -669,7 +684,7 @@ def _search(s: _Lanes, w):
     np.subtract(left, drawn, out=left, where=lanes)
     i = np.flatnonzero(spent)
     # give back the words after the budget's last draw
-    s.ctr[i] -= _LOOK - 1 - np.argmax(tries[i] >= within[i], axis=1)
+    s.ctr[i] -= look - 1 - np.argmax(tries[i] >= within[i], axis=1)
     _exhaust(s, i, s.ctr[i])
 
 
@@ -723,9 +738,10 @@ def trial_records(cfg: GenConfig, trials: int,
     k_i the trial's seed.  The one choice of runner: below 2^63 the lane
     engine, from 2^63 on _generate_loop.  The engine takes every verdict from
     ntheory.verdicts(cfg.primality, cfg.x): a table only as Exact(table).
-    Each engine step hands every lane (_Lanes) its next _LOOK words, for
+    Each engine step hands every lane (_Lanes) its next s.look words, for
     _select and then _search; idle lanes take the next trials (_admit),
-    and once all are admitted the width halves."""
+    and once all are admitted the width halves and the look grows, so
+    that the slowest trials finish in a few steps."""
     trials = _bound_index("trials", trials, 1)
     if cfg.x >= 2**63:  # where a draw may take more than a word
         return _generate_loop(cfg, trials, retry_nontermination, telemetry)
@@ -737,8 +753,8 @@ def trial_records(cfg: GenConfig, trials: int,
             _admit(s, np.flatnonzero(idle)[: trials - s.admitted])
         elif s.width > _MIN_WIDTH and 2 * np.count_nonzero(~idle) <= s.width:
             s.narrow(np.flatnonzero(~idle))
-        w = word_block(s.key, s.ctr.view(np.uint64), _LOOK)
-        s.ctr += _LOOK
+        w = word_block(s.key, s.ctr.view(np.uint64), s.look)
+        s.ctr += s.look
         _select(s, w)
         _search(s, w)
     if s.failed is not None:

@@ -715,8 +715,13 @@ _BITS = 2 ** np.arange(23, -1, -1, dtype=np.float32)  # rows cast to 4 bytes
 
 def _first_column(hit: np.ndarray) -> np.ndarray:
     """The first True column of each row of the bool array hit, or its
-    width: the top bit of the row read in binary (exact to 24 columns)."""
-    return hit.shape[1] - np.frexp(hit @ _BITS[-hit.shape[1]:])[1]
+    width: to 24 columns the top bit of the row read in binary (a float32
+    holds it exactly), else the argmax where the row holds a True."""
+    width = hit.shape[1]
+    if width <= len(_BITS):
+        return width - np.frexp(hit @ _BITS[-width:])[1]
+    first = hit.argmax(axis=1)
+    return np.where(hit[np.arange(len(hit)), first], first, width)
 
 
 class _Verdicts:

@@ -183,3 +183,28 @@ def test_cli_out_into_missing_directory(tmp_path, capsys, command):
     )
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "PrimelabError"
+
+
+@pytest.mark.parametrize("argv, wrong", [
+    (("bench", "--x", "abc", "--algo", "trivial", "--trials", "5"),
+     "--x: invalid int value: 'abc'"),
+    (("bench", "--x", "1000", "--algo", "trivial"),
+     "the following arguments are required: --trials"),
+    (("bench", "--x", "1000", "--algo", "fastest", "--trials", "5"),
+     "--algo: invalid choice"),
+    ((), "the following arguments are required: command"),
+])
+def test_cli_usage_error_is_machine_readable(capsys, argv, wrong):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    record = json.loads(err)
+    assert record["error"] == "UsageError"
+    assert wrong in record["message"]
+
+
+def test_cli_help_is_text(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["bench", "--help"])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 0 and captured.err == ""
+    assert captured.out.startswith("usage: primelab bench")

@@ -214,6 +214,9 @@ CASES = {
         exact_dist_erh_fallback(1000, 30, 10**400, T1K)),
     "exact_dist_uncond(T=10**400)": (ResourceLimitError, lambda:
         exact_dist_uncond(200, 1.0, 10**400)),
+    # ran 30 s at 770 MB: 4.3e9 numerator bits, each number under the cap
+    "exact_dist_uncond(x=320000, A=3)": (ResourceLimitError, lambda:
+        exact_dist_uncond(320_000, 3.0, default_T(320_000))),
     # report_emit of it raised a bare TypeError from json
     "FiniteDist(meta=object())": (DomainError, lambda: FiniteDist(
         4, {2: Fraction(1)}, meta=object())),

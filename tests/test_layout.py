@@ -206,6 +206,22 @@ def test_each_verdict_rule_is_written_once():
     assert not hasattr(generators, "_set_lanes")
 
 
+def test_only_the_lanes_set_the_words_per_step():
+    """The words a step hands each lane follow from the width in one
+    place: generators reads _LOOK only where _Lanes sets its look, so
+    each step function reads the step's look or its block's width."""
+    tree = _tree(SRC / "generators.py")
+    lanes = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "_Lanes")
+    sets = [node for node in ast.walk(lanes) if isinstance(node, ast.Assign)
+            and [ast.unparse(t) for t in node.targets] == ["self.look"]]
+    inside = {id(node) for node in ast.walk(sets[0])}
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "_LOOK"
+             and isinstance(node.ctx, ast.Load) and id(node) not in inside]
+    assert len(sets) == 1 and reads == []
+
+
 # The public calls that nothing in src/ or bench/ names, each kept for its
 # reason; any other such call is deleted.
 _UNCALLED_PUBLIC = {

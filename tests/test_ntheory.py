@@ -902,3 +902,17 @@ def test_the_end_rule_moves_past_starts_above_the_largest_prime():
         assert first.tolist() == [c for c, _ in expected]
         assert found.tolist() == [p for _, p in expected if p is not None]
         assert ok.tolist() == [k for _, k in rows]  # ok is left as it was
+
+
+@pytest.mark.parametrize("width", [1, 8, 16, 24, 25, 64, 224])
+@pytest.mark.parametrize("rows", [1, 2, 17, 4096])
+def test_first_column_is_exact_at_any_width(rows, width):
+    """The lane engine's first True column of each row, or the width, on
+    rows with no True, a True in the last column alone, or any density."""
+    rng = np.random.default_rng(rows * 1000 + width)
+    density = rng.choice([0.0, 0.5 / width, 0.3, 1.0], size=(rows, 1))
+    hit = rng.random((rows, width)) < density
+    k = min(rows, width)
+    hit[:k] = np.eye(k, width, width - k, dtype=bool)  # row k-1: the last
+    expected = np.where(hit.any(1), hit.argmax(1), width)
+    assert ntheory._first_column(hit).tolist() == expected.tolist()

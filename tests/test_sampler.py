@@ -41,6 +41,7 @@ from primelab.generators import (
     _generate_loop,
     _admit,
     _Lanes,
+    _LANES,
     _LOOK,
     _pick_random_modulus,
     _select,
@@ -398,6 +399,32 @@ def test_shifts_are_exact_for_every_word_bound():
     assert _shifts(2**60) == 4
 
 
+def test_a_narrow_step_hands_each_lane_more_words(monkeypatch):
+    """Once every trial is admitted, a step hands out about _LANES words
+    in all: 2000 trials at 10^6 take 6 steps (trivial) and 8 (uncond),
+    where 8 words a lane and step took 14 and 25.  No step takes more
+    words than the widest, _LANES lanes of _LOOK."""
+    from primelab import generators
+
+    steps = []
+    block = generators.word_block
+
+    def counted(seeds, start, width):
+        steps.append((len(seeds), width))
+        return block(seeds, start, width)
+    monkeypatch.setattr(generators, "word_block", counted)
+    table, counts = sieve(10**6), {}
+    for algo in (Algorithm.TRIVIAL, Algorithm.UNCOND):
+        steps.clear()
+        trial_records(GenConfig(x=10**6, algorithm=algo, A=2.0, seed=1,
+                                primality=Exact(table)), 2000, telemetry=True)
+        counts[algo.value] = len(steps)
+        assert all(lanes * look <= _LANES * _LOOK for lanes, look in steps)
+        assert steps[-1][1] > _LOOK
+    assert counts == {"trivial": 6, "uncond": 8}
+    assert counts["trivial"] <= 14 // 2 and counts["uncond"] <= 25 // 2
+
+
 def _witness_scale_configs(x, policy):
     """Every algorithm at x under the policy, with no table, and both unit
     methods for the fixed modulus (at 10^18 q = 2*3*...*31, past 2^31)."""
@@ -410,14 +437,23 @@ def _witness_scale_configs(x, policy):
                             unit_method=method or UnitMethod.JOYE_PAILLIER)
 
 
-# 2^63 - 1: the widest draws and candidates the engine takes
-@pytest.mark.parametrize("x", [10**12, 10**18, 2**63 - 1])
+# 2^63 - 1: the widest draws and candidates the engine takes.  "tail":
+# 300 trials at 10^12, whose tail runs at width 18 on 224 words a lane
+# and step, on budgets of 2 draws: T before a fallback, or the iteration
+# cap of a class that fails and is retried.
+@pytest.mark.parametrize("x, trials", [
+    *(pytest.param(x, 50, id=str(x)) for x in (10**12, 10**18, 2**63 - 1)),
+    pytest.param(10**12, 300, id="tail"),
+])
 @pytest.mark.parametrize("policy", [Exact(), MillerRabin(2)],
                          ids=["exact", "miller_rabin"])
-def test_engine_equals_generate_at_the_witness_scale(x, policy):
+def test_engine_equals_generate_at_the_witness_scale(x, trials, policy):
+    tail = trials > 50
     for cfg in _witness_scale_configs(x, policy):
-        assert (_engine_runs(cfg, 50, False)
-                == _generate_runs(cfg, 50, False)), cfg
+        if tail:
+            cfg = dataclasses.replace(cfg, T_override=2, max_iterations=2)
+        assert (_engine_runs(cfg, trials, tail)
+                == _generate_runs(cfg, trials, tail)), cfg
 
 
 @pytest.mark.parametrize("policy", [Exact(), MillerRabin(2)],

@@ -38,7 +38,7 @@ from .harness import (
     write_text,
 )
 from .metrics import metrics_of
-from .ntheory import Exact, MillerRabin, sieve
+from .ntheory import Exact, MillerRabin
 from .exactdist import (
     error_term_profile,
     exact_dist_basic,
@@ -82,19 +82,18 @@ def _cmd_bench(args) -> str:
 def _cmd_exact_dist(args) -> str | dict:
     cfg = _config_from_args(args)
     algo, x = cfg.algorithm, cfg.x
-    table = sieve(x)
     if algo is Algorithm.TRIVIAL:
-        dist = exact_dist_trivial(x, table)
+        dist = exact_dist_trivial(x)
     elif algo is Algorithm.PRIMEINC:
-        dist = exact_dist_primeinc(x, table)
+        dist = exact_dist_primeinc(x)
     elif algo is Algorithm.UNCOND_NOFALLBACK:
-        dist = exact_dist_uncond_nofallback(x, cfg.A, table)
+        dist = exact_dist_uncond_nofallback(x, cfg.A)
     elif algo is Algorithm.UNCOND:
-        dist = exact_dist_uncond(x, cfg.A, cfg.budget, table)
+        dist = exact_dist_uncond(x, cfg.A, cfg.budget)
     else:
         q = cfg.modulus.q
-        dist = (exact_dist_basic(x, q, table) if algo is Algorithm.BASIC
-                else exact_dist_erh_fallback(x, q, cfg.budget, table))
+        dist = (exact_dist_basic(x, q) if algo is Algorithm.BASIC
+                else exact_dist_erh_fallback(x, q, cfg.budget))
     if args.format == "csv":
         return report_emit([dist], "csv")
     record = dist_to_dict(dist)

@@ -271,17 +271,11 @@ def _merge_hits(pairs, hits, raw):
 
 
 def _chunks(qs: list[int], row: int) -> list[list[int]]:
-    """qs cut in order into runs whose classes plus one row of `row`
-    residues per modulus total at most _CHUNK entries; a larger modulus
-    is a run of its own."""
-    runs, size = [[]], 0
-    for q in qs:
-        if runs[-1] and size + q + row > _CHUNK:
-            runs.append([])
-            size = 0
-        runs[-1].append(q)
-        size += q + row
-    return runs
+    """qs cut in order into runs of one length, as many moduli as keep a
+    run's classes plus one row of `row` residues per modulus within
+    _CHUNK entries at the largest q; a larger modulus is a run of its own."""
+    size = max(1, _CHUNK // (max(qs) + row))
+    return [qs[i : i + size] for i in range(0, len(qs), size)]
 
 
 def _unit_counts(primes_x: np.ndarray, qs: list[int]):

@@ -26,9 +26,9 @@ from .errors import (
 )
 from .rng import CountingBitSource, split_seed
 
-# Desk-scale caps: sieving from 2^31 (268 MB of flags; the table keeps no
-# list until one is read) or totient tables beyond 10^8 are refused, not
-# attempted.
+# Desk-scale caps: a prime table from 2^31 (268 MB of flags; the table
+# keeps no list until one is read) or a totient table beyond 10^8 is
+# refused, not attempted.
 DEFAULT_SIEVE_CAP = 2**31 - 1
 DEFAULT_TOTIENT_CAP = 10**8
 
@@ -38,8 +38,6 @@ _TOTIENT_BLOCK = 1 << 17
 # word counts (and numpy's 32 KB buffer to sum them), or 128 KB of
 # unpacked odd bits.
 _CHUNK_BYTES = 1 << 15
-# A derived prime list is uint32 for a bound below this, int64 from it.
-_UINT32_LIST_LIMIT = 2**32
 
 # The wheel of `sieve`: the odd multiples of 3, 5, 7, 11 and 13 repeat with
 # period 15,015 in odd-index space (index i stands for 2i + 1).  One period
@@ -165,15 +163,15 @@ class PrimeTable:
     """Exact primality for [0, bound], read from packed flag bits (bit
     n & 7 of byte n >> 3).
 
-    Immutable after construction: the flags are made read-only here, and
-    so is the prime list.  `sieve` writes only the flags; the list
-    (`primes`) is derived from them once, on first read, and then kept.
-    Concurrent readers are still safe, as the derivation is idempotent: a
-    reader that races another derives an equal list.  Only PrimeTable
-    reads the flags: `is_prime` through a memoryview of the flag buffer,
-    which indexes to a Python int, `prime_mask` and `next_prime` through
-    the array, and `count_leq` by 64-bit words.  DomainError for other
-    than bound // 8 + 1 uint8 flag bytes.
+    Immutable after construction: the flags are made read-only here, and so
+    is the prime list.  `sieve` writes only the flags; the list (`primes`)
+    is derived from them once, on first read, and then kept.  Concurrent
+    readers are safe, as the derivation is idempotent: a reader that races
+    another derives an equal list.  Only PrimeTable reads the flags:
+    `is_prime` through a memoryview of the flag buffer, which indexes to a
+    Python int, `prime_mask` and `next_prime` through the array, and
+    `count_leq` by 64-bit words.  DomainError for other than bound // 8 + 1
+    uint8 flag bytes, then ResourceLimitError past DEFAULT_SIEVE_CAP.
     """
 
     def __init__(self, bound: int, packed_flags: np.ndarray):
@@ -183,6 +181,9 @@ class PrimeTable:
                 and packed_flags.shape == (bound // 8 + 1,)):
             raise DomainError(
                 f"a table to {bound} takes {bound // 8 + 1} uint8 flag bytes")
+        if bound > DEFAULT_SIEVE_CAP:
+            raise ResourceLimitError(
+                f"table bound {bound} exceeds cap {DEFAULT_SIEVE_CAP}")
         packed_flags.setflags(write=False)
         self._flags = packed_flags
         self._flags_view = memoryview(packed_flags)  # read-only as well
@@ -190,13 +191,12 @@ class PrimeTable:
 
     @property
     def primes(self) -> np.ndarray:
-        """The primes <= bound, ascending, uint32 below _UINT32_LIST_LIMIT
-        and int64 from it: derived from the flags once, chunk by chunk
+        """The primes <= bound, ascending, as uint32 (bound is at most
+        DEFAULT_SIEVE_CAP): derived from the flags once, chunk by chunk
         into one array, so the peak is the list plus one chunk.  Only the
         odd bits are unpacked, through _ODD_BITS, and bit 2 read alone."""
         if self._primes is None:
-            dtype = np.uint32 if self.bound < _UINT32_LIST_LIMIT else np.int64
-            primes = np.empty(self.count_leq(self.bound), dtype)
+            primes = np.empty(self.count_leq(self.bound), np.uint32)
             count = int(self._flags[0] >> 2 & 1)  # 2, the one even prime
             primes[:count] = 2
             for lo in range(0, len(self._flags), _CHUNK_BYTES):
@@ -206,7 +206,7 @@ class PrimeTable:
                 odd = np.unpackbits(np.take(_ODD_BITS, chunk.view("<u2")),
                                     bitorder="little").view(bool)
                 # odd bit i stands for 8 lo + 2i + 1
-                found = np.flatnonzero(odd).astype(dtype, copy=False)
+                found = np.flatnonzero(odd).astype(np.uint32)
                 found *= 2
                 found += 8 * lo + 1
                 primes[count : count + len(found)] = found
@@ -480,28 +480,25 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 class Modulus:
     """A modulus q with its unit-group data.
 
-    phi = |(Z/qZ)*|, omega = number of distinct prime factors, carmichael =
-    exponent of the unit group (divides phi): the lcm over the prime
-    powers p^e of q of phi(p^e), halved for 2^e with e > 2.
+    phi = |(Z/qZ)*|, carmichael = exponent of the unit group (divides phi):
+    the lcm over the prime powers p^e of q of phi(p^e), halved for 2^e
+    with e > 2.  Its factors are factorize(q).
     """
 
     q: int
     phi: int
-    omega: int
-    factorization: tuple[tuple[int, int], ...]
     carmichael: int
 
     @classmethod
     def from_int(cls, q: int) -> "Modulus":
         q = _bound_index("modulus", q, 2)
-        factorization = factorize(q)
         phi = 1
         lam = 1
-        for p, e in factorization:
+        for p, e in factorize(q):
             part = p ** (e - 1) * (p - 1)  # phi(p^e)
             phi *= part
             lam = math.lcm(lam, part // 2 if p == 2 and e > 2 else part)
-        return cls(q, phi, len(factorization), factorization, lam)
+        return cls(q, phi, lam)
 
 
 class PrimalityPolicy:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from primelab import ntheory
 from primelab.ntheory import sieve
 
 
@@ -18,16 +17,6 @@ def table_100k():
 @pytest.fixture(scope="session")
 def table_1m():
     return sieve(10**6)
-
-
-def wide_table(bound: int):
-    """sieve(bound) with its prime list derived as int64, as a table from
-    2^32 derives it: the uint32 limit is lowered while the list is read."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ntheory, "_UINT32_LIST_LIMIT", 0)
-        table = sieve(bound)
-        assert table.primes.dtype == np.int64  # derived now, and kept
-    return table
 
 
 def chi2_critical(dof: int, significance: float = 1e-6) -> float:

@@ -1,8 +1,12 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
 from primelab.cli import main
+from primelab.exactdist import exact_dist_uncond_nofallback
+from primelab.harness import dist_to_dict
+from primelab.metrics import metrics_of
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +86,20 @@ def test_exact_dist_json_has_metrics(capsys):
     record = json.loads(out)
     assert record["metrics"]["delta1"] == pytest.approx(0.4)
     assert record["space_size"] == 10
+
+
+def test_exact_dist_uncond_nofallback(capsys):
+    code, out, err = run_cli(
+        capsys, "exact-dist", "--x", "100", "--algo", "uncond_nofallback",
+        "--A", "1",
+    )
+    assert code == 0 and err == ""
+    dist = exact_dist_uncond_nofallback(100, 1.0)
+    expected = dist_to_dict(dist)
+    expected["metrics"] = {
+        k: float(v) for k, v in asdict(metrics_of(dist)).items()
+    }
+    assert json.loads(out) == json.loads(json.dumps(expected))
 
 
 def test_gap_census_cli(capsys):

@@ -45,6 +45,7 @@ from primelab.ntheory import (
     Exact,
     MillerRabin,
     Modulus,
+    PrimalityPolicy,
     PrimeTable,
     count_ap_primes,
     factorize,
@@ -205,6 +206,17 @@ CASES = {
     # refused it as a table beyond int32 candidates
     "PrimeTable(flags too short)": (DomainError, lambda: PrimeTable(
         2**33, np.zeros(1, dtype=np.uint8))),
+    # the one cap of every table, which sieve also refuses past
+    "PrimeTable(bound 2^31)": (ResourceLimitError, lambda: PrimeTable(
+        2**31, np.zeros(2**28 + 1, dtype=np.uint8))),
+    # refusals that no other test reached
+    "report_emit([object()])":
+        (DomainError, lambda: report_emit([object()])),
+    "FiniteDist(meta={policy})": (DomainError, lambda: FiniteDist(
+        2, {0: Fraction(1, 2), 1: Fraction(1, 2)},
+        meta={"p": PrimalityPolicy()})),
+    "class_census(qs=[10**8 + 1])": (ResourceLimitError,
+        lambda: class_census(10, [10**8 + 1], primes_upto(10))),
     # each raised a bare TypeError, from a comparison or from >>
     'PrimeTable.is_prime("3")': (DomainError, lambda: T1K.is_prime("3")),
     'PrimeTable.count_leq("3")': (DomainError, lambda: T1K.count_leq("3")),

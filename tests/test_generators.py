@@ -26,6 +26,7 @@ from primelab.ntheory import (
     Exact,
     MillerRabin,
     Modulus,
+    factorize,
     is_prime,
     residue_class_primes,
     sieve,
@@ -63,7 +64,8 @@ def test_an_explicit_prime_modulus_near_2_61():
     # factorize ran trial division to 2^30.5: minutes
     cfg = GenConfig(x=2**62, algorithm=Algorithm.BASIC,
                     modulus_mode="explicit", q=2**61 - 1)
-    assert (cfg.modulus.phi, cfg.modulus.omega) == (2**61 - 2, 1)
+    assert cfg.modulus.phi == 2**61 - 2
+    assert factorize(cfg.modulus.q) == ((2**61 - 1, 1),)
 
 
 def test_select_modulus_takes_a_numpy_explicit_q():

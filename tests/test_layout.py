@@ -252,6 +252,8 @@ def test_every_public_call_is_named_elsewhere():
     outside __init__.py or in bench/*.py (bench's tests aside), or is kept
     in _UNCALLED_PUBLIC with its reason, which holds only uncalled names."""
     bench = SRC.parents[1] / "bench"
+    assert bench.is_dir(), (f"{bench} not found: this test reads the calls "
+                            f"of bench/*.py from the checkout beside src/")
     used = set()
     for path in [*SRC.glob("*.py"), *bench.glob("*.py")]:
         if path.name != "__init__.py" and not path.name.startswith("test_"):

@@ -33,7 +33,7 @@ from primelab.ntheory import (
 
 from primelab.rng import CountingBitSource, split_seed
 
-from conftest import trial_division_primes, wide_table
+from conftest import trial_division_primes
 
 
 def test_sieve_small():
@@ -380,8 +380,7 @@ def test_totient_lower_bound_constant():
 def test_modulus_fields():
     m = Modulus.from_int(2310)
     assert m.phi == 480
-    assert m.omega == 5
-    assert m.factorization == ((2, 1), (3, 1), (5, 1), (7, 1), (11, 1))
+    assert factorize(m.q) == ((2, 1), (3, 1), (5, 1), (7, 1), (11, 1))
     assert m.carmichael == 60
     assert m.phi % m.carmichael == 0
 
@@ -417,7 +416,7 @@ def test_modulus_phi_product_form(q):
     m = Modulus.from_int(q)
     # phi = q * prod(1 - 1/p), checked in exact arithmetic
     expected = Fraction(q)
-    for p, _ in m.factorization:
+    for p, _ in factorize(q):
         expected *= Fraction(p - 1, p)
     assert m.phi == expected
     # carmichael is the exponent of the unit group
@@ -742,33 +741,33 @@ def test_primality_tester_reads_a_covering_table(table_1k):
 
 def test_verdicts_read_the_policy_table_where_it_covers_x(table_1k):
     """verdicts picks its backend by covering_table(policy.table, x), as
-    primality_tester does, and a hand-built table past 2^31 answers
-    int64 candidates.  Its flags (zeroed lazily; two pages are read) hold
-    only the primes in (2^31, x]."""
+    primality_tester does, and a hand-built table to the cap, 2^31 - 1,
+    answers int64 candidates up to it.  Its flags (zeroed lazily; two
+    pages are read) hold only the primes in (x - 100, x], x among them."""
     for policy, x, backend in (
             (Exact(table_1k), 1000, ntheory._TableVerdicts),
             (Exact(table_1k), 1001, ntheory._TesterVerdicts),
             (EXACT, 1000, ntheory._TesterVerdicts),
             (MillerRabin(2), 1000, ntheory._TesterVerdicts)):
         assert type(verdicts(policy, x)) is backend
-    x, base = 2**31 + 99, 2**31
-    primes = [base + 11, base + 45, base + 65, base + 95]
+    x = ntheory.DEFAULT_SIEVE_CAP
+    base = x - 99
+    primes = [base + 1, base + 15, base + 31, base + 39, base + 81, x]
     assert [n for n in range(base, x + 1) if is_prime(n)] == primes
     flags = np.zeros(x // 8 + 1, np.uint8)
     for p in primes:
         flags[p >> 3] |= 1 << (p & 7)
     read = verdicts(Exact(PrimeTable(x, flags)), x)
-    rows = np.array([[base + 1, base + 11, base + 45],
+    rows = np.array([[base + 3, base + 15, base + 31],
                      [base + 3, base + 5, base + 7]])
     assert read.first(rows).tolist() == [1, 3]
-    first, found = read.ends(np.array([[base + 50, base + 96]]),
-                             np.ones((1, 2), bool))
-    assert (first.tolist(), found.tolist()) == ([0], [base + 65])
+    first, found = read.ends(np.array([[base + 50, base + 96],
+                                       [base + 82, base + 90]]),
+                             np.ones((2, 2), bool))
+    assert (first.tolist(), found.tolist()) == ([0, 0], [base + 81, x])
 
 
 _NARROW = sieve(3000)
-# the same table with an int64 list, as tests/test_table_dtype.py builds it
-_WIDE = wide_table(3000)
 
 
 def _searched_next_prime(table, y, x):
@@ -781,18 +780,16 @@ def _searched_next_prime(table, y, x):
 
 
 _GAP = sieve(492_230)  # 492,113 and then no prime up to 492,227
-_GAP_WIDE = wide_table(_GAP.bound)
 
 
-@pytest.mark.parametrize("table", ["narrow", "wide", "gap", "gap_wide"])
+@pytest.mark.parametrize("table", ["narrow", "gap"])
 def test_the_window_next_prime_matches_a_search_of_the_list(table):
     """The table's next-prime lookup reads one 64-bit window of the flags
     per start, and on past an empty one; it equals a binary search of the
     list at y = x, at the starts above the largest prime <= x, in the
     flags' last byte and inside the 114-long gap after 492,113, whose
     prime lies past the first window."""
-    table = {"narrow": _NARROW, "wide": _WIDE, "gap": _GAP,
-             "gap_wide": _GAP_WIDE}[table]
+    table = {"narrow": _NARROW, "gap": _GAP}[table]
     rng = np.random.default_rng(11)
     b = table.bound
     for x in (b, b - 3, 2971, 2995, 64, 2):
@@ -811,7 +808,7 @@ def test_the_window_next_prime_matches_a_search_of_the_list(table):
 
 
 @pytest.mark.parametrize("x", [2971, 2995], ids=["prime_x", "composite_x"])
-@pytest.mark.parametrize("table", [_NARROW, _WIDE], ids=["uint32", "int64"])
+@pytest.mark.parametrize("table", [_NARROW], ids=["uint32"])
 def test_table_and_tester_verdicts_agree(table, x):
     """verdicts' two backends under Exact below 2^31, on random rows with
     0, 1, the members past x (written as 0) and the starts above the

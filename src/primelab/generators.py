@@ -463,8 +463,7 @@ class _Lanes:
     def __init__(self, cfg: GenConfig, trials: int, retry: bool = False,
                  telemetry: bool = False):
         self.cfg, self.algo, self.budget = cfg, cfg.algorithm, cfg.budget
-        # the engine's own name of the tester, which tracing patches
-        self.verdicts = verdicts(cfg.primality, cfg.x, primality_tester)
+        self.verdicts = verdicts(cfg.primality, cfg.x)
         self.retry, self.telemetry = retry, telemetry
         self.capped = (self.algo in _CLASS_ALGOS
                        and self.algo not in _FALLBACK_ALGOS)

@@ -14,17 +14,14 @@ import functools
 import io
 import json
 import math
-import re
-import sys
-import types
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .codec import digit_limit_error, encode_value, json_text
+from .codec import decode_value, encode_value, json_text
 from .errors import (
     DomainError,
     PrimelabError,
@@ -44,10 +41,7 @@ from .generators import (
 from .metrics import DistMetrics, FiniteDist, metrics_of
 from .ntheory import (
     DEFAULT_TOTIENT_CAP,
-    EXACT,
     Exact,
-    MillerRabin,
-    PrimalityPolicy,
     PrimeTable,
     primes_upto,
     table_for,
@@ -322,50 +316,6 @@ _RECORD_KINDS = {
 }
 
 
-_FRACTION = re.compile(r"(-?[0-9]+)/([0-9]*[1-9][0-9]*)")  # d > 0
-
-
-def _decode(tp, value, name: str):
-    """The value of annotation tp from the JSON form that encode_value
-    writes, `name` its path in the record; DomainError where it does not
-    fit tp.  Enum values are left for GenConfig to turn into members."""
-    if isinstance(tp, types.UnionType):  # X | None
-        return None if value is None else _decode(tp.__args__[0], value, name)
-    if tp is int:
-        if isinstance(value, bool):
-            raise DomainError(f"{name} needs an integer, got {value!r}")
-        return _bound_index(name, value)
-    if tp is float:
-        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
-            return value
-        raise DomainError(f"{name} needs a finite number, got {value!r}")
-    if tp is Fraction:
-        text = value.get("fraction") if isinstance(value, dict) else None
-        match = _FRACTION.fullmatch(text) if isinstance(text, str) else None
-        if match is None:
-            raise DomainError(f"{name} is not a fraction n/d: {value!r}")
-        try:
-            return Fraction(int(match[1]), int(match[2]))
-        except ValueError as exc:
-            raise digit_limit_error() from exc
-    if tp is PrimalityPolicy:
-        kind = value.get("type") if isinstance(value, dict) else None
-        if kind == "exact":
-            return EXACT
-        if kind == "miller_rabin":
-            return _decode(MillerRabin, value, name)
-        raise DomainError(f"{name} is not a primality policy: {value!r}")
-    if is_dataclass(tp):
-        if not isinstance(value, dict):
-            raise DomainError(f"{name} must be an object, got {value!r}")
-        for f in fields(tp):
-            if f.name not in value:
-                raise DomainError(f"{name} lacks field {f.name!r}")
-        return tp(**{f.name: _decode(f.type, value[f.name], f"{name}.{f.name}")
-                     for f in fields(tp)})
-    return value
-
-
 def dist_to_dict(dist: FiniteDist) -> dict:
     rows = [
         [int(p), encode_value(m)] for p, m in sorted(dist.mass.items())
@@ -457,7 +407,7 @@ def write_text(payload: str, path: str) -> None:
 
 def parse_reports(text: str) -> list:
     """Parse a JSON report array back into objects: a run_report record
-    becomes a RunReport, read by _decode, with EXACT for an exact policy
+    becomes a RunReport, read by decode_value, with EXACT for an exact policy
     (its table is not written); any other record stays a dict.
     DomainError unless text is a JSON array, for a record with a kind
     whose schema_version is not SCHEMA_VERSION, and for a run_report with
@@ -476,7 +426,7 @@ def parse_reports(text: str) -> list:
                 f"{record['kind']!r} record has schema_version "
                 f"{record.get('schema_version')!r}, not {SCHEMA_VERSION}")
         if isinstance(record, dict) and record.get("kind") == "run_report":
-            record = _decode(RunReport, record, "run_report")
+            record = decode_value(RunReport, record, "run_report")
             _bound_index("run_report.trials", record.trials, 1)
         out.append(record)
     return out

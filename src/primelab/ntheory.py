@@ -26,7 +26,7 @@ from .errors import (
 )
 from .rng import CountingBitSource, split_seed
 
-# Desk-scale caps: a prime table from 2^31 (268 MB of flags; the table
+# Desk-scale caps: a prime table from 2^31 (134 MB of flags; the table
 # keeps no list until one is read) or a totient table beyond 10^8 is
 # refused, not attempted.
 DEFAULT_SIEVE_CAP = 2**31 - 1
@@ -35,8 +35,8 @@ DEFAULT_TOTIENT_CAP = 10**8
 _SEGMENT = 1 << 20  # odd numbers per segment of `sieve`: a multiple of 8
 _TOTIENT_BLOCK = 1 << 17
 # Flag bytes per chunk of PrimeTable's counts and its derived list: 4 KB of
-# word counts (and numpy's 32 KB buffer to sum them), or 128 KB of
-# unpacked odd bits.
+# word counts (and numpy's 32 KB buffer to sum them), or 256 KB of
+# unpacked bits, 2^19 numbers.
 _CHUNK_BYTES = 1 << 15
 
 # The wheel of `sieve`: the odd multiples of 3, 5, 7, 11 and 13 repeat with
@@ -48,15 +48,6 @@ _PERIOD = np.gcd(np.arange(1, 2 * _WHEEL, 2, dtype=np.int16), _WHEEL) == 1
 _PERIOD.flags.writeable = False
 # Primality of 1, 3, ..., 13, which the wheel gets wrong.
 _HEAD = np.array([False, True, True, True, False, True, True])
-# Odd flag byte v (bit b: the odd number 16k + 2b + 1) as the little-endian
-# uint16 of full flags for 16k..16k + 15 (bit 2b + 1).
-_WIDEN = np.array([sum((v >> b & 1) << (2 * b + 1) for b in range(8))
-                   for v in range(256)], dtype="<u2")
-# Its inverse: each little-endian uint16 u of flags for 16k..16k + 15 as
-# the byte of its odd bits, bit b = bit 2b + 1 of u.  PrimeTable derives
-# its list from these, as 2 is the only even prime.
-_ODD_BITS = sum((np.arange(1 << 16, dtype=np.uint16) >> (2 * b + 1) & 1) << b
-                for b in range(8)).astype(np.uint8)
 
 # The primes to 46,340 = sqrt(DEFAULT_SIEVE_CAP), sieved at import: the
 # base primes of `sieve` and `totient_sieve` are a prefix (_base_primes),
@@ -160,8 +151,9 @@ _TRIAL_PASSES = (
 
 
 class PrimeTable:
-    """Exact primality for [0, bound], read from packed flag bits (bit
-    n & 7 of byte n >> 3).
+    """Exact primality for [0, bound], read from the packed flags of the
+    odd numbers: bit i & 7 of byte i >> 3 stands for 2i + 1, and 2 is
+    prime by rule.
 
     Immutable after construction: the flags are made read-only here, and so
     is the prime list.  `sieve` writes only the flags; the list (`primes`)
@@ -170,7 +162,7 @@ class PrimeTable:
     another derives an equal list.  Only PrimeTable reads the flags:
     `is_prime` through a memoryview of the flag buffer, which indexes to a
     Python int, `prime_mask` and `next_prime` through the array, and
-    `count_leq` by 64-bit words.  DomainError for other than bound // 8 + 1
+    `count_leq` by 64-bit words.  DomainError for other than bound // 16 + 1
     uint8 flag bytes, then ResourceLimitError past DEFAULT_SIEVE_CAP.
     """
 
@@ -178,9 +170,9 @@ class PrimeTable:
         self.bound = bound = _bound_index("table bound", bound, 0)
         if not (isinstance(packed_flags, np.ndarray)
                 and packed_flags.dtype == np.uint8
-                and packed_flags.shape == (bound // 8 + 1,)):
+                and packed_flags.shape == (bound // 16 + 1,)):
             raise DomainError(
-                f"a table to {bound} takes {bound // 8 + 1} uint8 flag bytes")
+                f"a table to {bound} takes {bound // 16 + 1} uint8 flag bytes")
         if bound > DEFAULT_SIEVE_CAP:
             raise ResourceLimitError(
                 f"table bound {bound} exceeds cap {DEFAULT_SIEVE_CAP}")
@@ -193,22 +185,18 @@ class PrimeTable:
     def primes(self) -> np.ndarray:
         """The primes <= bound, ascending, as uint32 (bound is at most
         DEFAULT_SIEVE_CAP): derived from the flags once, chunk by chunk
-        into one array, so the peak is the list plus one chunk.  Only the
-        odd bits are unpacked, through _ODD_BITS, and bit 2 read alone."""
+        into one array, so the peak is the list plus one chunk."""
         if self._primes is None:
             primes = np.empty(self.count_leq(self.bound), np.uint32)
-            count = int(self._flags[0] >> 2 & 1)  # 2, the one even prime
+            count = int(self.bound >= 2)  # 2, the one even prime
             primes[:count] = 2
             for lo in range(0, len(self._flags), _CHUNK_BYTES):
-                chunk = self._flags[lo : lo + _CHUNK_BYTES]
-                if len(chunk) & 1:  # the last chunk, padded to whole uint16
-                    chunk = np.append(chunk, np.uint8(0))
-                odd = np.unpackbits(np.take(_ODD_BITS, chunk.view("<u2")),
+                odd = np.unpackbits(self._flags[lo : lo + _CHUNK_BYTES],
                                     bitorder="little").view(bool)
-                # odd bit i stands for 8 lo + 2i + 1
+                # bit i of the chunk stands for 16 lo + 2i + 1
                 found = np.flatnonzero(odd).astype(np.uint32)
                 found *= 2
-                found += 8 * lo + 1
+                found += 16 * lo + 1
                 primes[count : count + len(found)] = found
                 count += len(found)
             primes.setflags(write=False)
@@ -221,7 +209,8 @@ class PrimeTable:
         try:
             if n < 0 or n > self.bound:
                 raise DomainError(f"{n} outside table range [0, {self.bound}]")
-            return self._flags_view[n >> 3] >> (n & 7) & 1 == 1
+            return (self._flags_view[n >> 4] >> (n >> 1 & 7) & n & 1 == 1
+                    or n == 2)
         except TypeError:
             raise DomainError(
                 f"is_prime needs an integer, got {n!r}") from None
@@ -229,45 +218,50 @@ class PrimeTable:
     def prime_mask(self, n: np.ndarray) -> np.ndarray:
         """Primality of each entry of the int array n, unchecked: every
         entry must lie in [0, bound]."""
-        # uint8 throughout: an int64 shift count would widen every byte
-        bit = n.astype(np.uint8) & 7
-        return ((self._flags[n >> 3] >> bit) & 1).view(bool)
+        # uint8 throughout: an int64 shift count would widen every byte.
+        # n's low byte holds its parity and the bit (n >> 1) & 7.
+        low = n.astype(np.uint8)
+        return (self._flags[n >> 4] >> (low >> 1 & 7) & low & 1
+                | (n == 2)).view(bool)
 
     def count_leq(self, n: int) -> int:
-        """pi(n) for any integer n <= bound: the set flag bits to n,
-        counted by 64-bit words in chunks of _CHUNK_BYTES, never from the
-        list."""
+        """pi(n) for any integer n <= bound: one for 2 and the set flag
+        bits to the index of n's odd part, counted by 64-bit words in
+        chunks of _CHUNK_BYTES, never from the list."""
         n = _bound_index("count_leq", n)
         if n > self.bound:
             raise DomainError(f"{n} exceeds table bound {self.bound}")
         if n < 2:
             return 0
-        whole = (n >> 6) << 3  # the bytes of the words wholly below n's
+        i = (n - 1) >> 1  # the largest odd number <= n is 2i + 1
+        whole = (i >> 6) << 3  # the bytes of the words wholly below i's
         count = sum(int(np.bitwise_count(
             self._flags[lo : min(lo + _CHUNK_BYTES, whole)].view("<u8")).sum())
             for lo in range(0, whole, _CHUNK_BYTES))
-        tail = int.from_bytes(self._flags_view[whole : (n >> 3) + 1], "little")
-        return count + (tail & (2 << (n & 63)) - 1).bit_count()
+        tail = int.from_bytes(self._flags_view[whole : (i >> 3) + 1], "little")
+        return 1 + count + (tail & (2 << (i & 63)) - 1).bit_count()
 
     def next_prime(self, y: np.ndarray, x: int) -> np.ndarray:
         """The least prime in [y, x] for each entry y of the int64 array,
-        or 0; unchecked: x <= bound and every y in [0, x].  Each row reads
-        one little-endian 64-bit window of the flags from byte y >> 3, the
-        bits below y cleared, and takes its lowest set bit; only the rows
-        whose window holds no prime read on, a window at a time."""
-        found, rows, byte = np.zeros_like(y), np.arange(len(y)), y >> 3
-        shift = (y & 7).astype(np.uint64)
+        or 0; unchecked: 2 <= x <= bound and every y in [0, x].  A start
+        <= 2 finds 2.  Each other row reads one little-endian 64-bit window of
+        the flags from byte y >> 4, 128 numbers, the bits below y cleared,
+        and takes its lowest set bit; only the rows whose window holds no
+        prime read on, a window at a time."""
+        found, rows, byte = np.zeros_like(y), np.arange(len(y)), y >> 4
+        shift = (y >> 1 & 7).astype(np.uint64)
         window = self._window(byte) >> shift << shift
         while len(rows):
             # the trailing zeros: the lowest set bit's index, 64 if none
             low = np.bitwise_count(~window & window - np.uint64(1))
-            p = 8 * byte + low
+            p = 16 * byte + 2 * low + 1
             hit = low < 64
             found[rows[hit]] = np.where(p[hit] <= x, p[hit], 0)
             rows, byte = rows[~hit], byte[~hit] + 8
-            keep = 8 * byte <= x
+            keep = 16 * byte <= x
             rows, byte = rows[keep], byte[keep]
             window = self._window(byte)
+        found[y <= 2] = 2
         return found
 
     def _window(self, byte: np.ndarray) -> np.ndarray:
@@ -290,16 +284,14 @@ def sieve(bound: int) -> PrimeTable:
     segment holds _SEGMENT of them.  Each mask starts as a slice of the
     wheel, _PERIOD tiled to one segment plus one period, so the odd
     multiples of 3, 5, 7, 11 and 13 are crossed off by a copy; only the
-    primes from 17 to sqrt(bound) are crossed off per segment.  The packed
-    flags (bit n & 7 of byte n >> 3) come from packing the odd mask and
-    widening each byte to two through _WIDEN; they are all that is
-    written, and the table derives its prime list only when it is read.
-    Peak memory is the bound / 8 bytes of flags plus about 3 MB of wheel
-    and segment buffers.  On a 2-vCPU VM, 10^8 takes about 0.12 s at a
-    peak RSS of 46 MB, and 10^9 about 1.5 s at 153 MB (interpreter and
-    numpy included; 0.2 s at 69 MB and 2.7-3.2 s at 349 MB when the
-    sieve also wrote the uint32 list).  A bound above DEFAULT_SIEVE_CAP
-    is refused.
+    primes from 17 to sqrt(bound) are crossed off per segment.  Each mask,
+    packed, is the table's flags for its segment (bit i & 7 of byte i >> 3
+    for 2i + 1); they are all that is written, and the table derives its
+    prime list only when it is read.  Peak memory is the bound / 16 bytes
+    of flags plus about 3 MB of wheel and segment buffers.  On a 2-vCPU
+    VM, 10^8 takes about 0.09 s at a peak RSS of 39 MB, and 10^9 about
+    1.2 s at 93 MB (interpreter and numpy included).  A bound above
+    DEFAULT_SIEVE_CAP is refused.
     """
     bound = _bound_index("sieve bound", bound, 2)
     if bound > DEFAULT_SIEVE_CAP:
@@ -315,7 +307,7 @@ def sieve(bound: int) -> PrimeTable:
     squares = [p * p // 2 for p in base]  # the index of p^2, where p starts
     steps = np.array(base, dtype=np.int64)
     halves = steps // 2
-    packed = np.zeros(bound // 8 + 1, dtype=np.uint8)
+    packed = np.zeros(bound // 16 + 1, dtype=np.uint8)
     for lo in range(0, n_odd, _SEGMENT):
         hi = min(lo + _SEGMENT, n_odd)
         offset = lo % _WHEEL
@@ -332,10 +324,9 @@ def sieve(bound: int) -> PrimeTable:
             starts = squares[:live]
         for p, start in zip(base, starts):
             mask[start::p] = False
-        wide = _WIDEN[np.packbits(mask, bitorder="little")].view(np.uint8)
-        dest = packed[lo // 4 : lo // 4 + len(wide)]
-        dest[:] = wide[: len(dest)]
-    packed[0] |= 4  # 2; no bit past bound is set, as the mask ends there
+        # no bit past bound is set, as the mask ends there
+        bits = np.packbits(mask, bitorder="little")
+        packed[lo // 8 : lo // 8 + len(bits)] = bits
     return PrimeTable(bound, packed)
 
 
@@ -800,10 +791,10 @@ class _TesterVerdicts(_Verdicts):
         self.test, self.x = test, x
 
 
-def verdicts(policy: PrimalityPolicy, x: int, tester=primality_tester):
+def verdicts(policy: PrimalityPolicy, x: int):
     """The lane engine's _Verdicts on int64 candidates in [0, x], x < 2^63
     (0 for no candidate): from the policy's table where covering_table finds
-    it covers x, else tester(policy, x, screened=True), alike."""
+    it covers x, else primality_tester(policy, x, screened=True), alike."""
     if (table := covering_table(policy.table, x)) is None:
-        return _TesterVerdicts(tester(policy, x, screened=True), x)
+        return _TesterVerdicts(primality_tester(policy, x, screened=True), x)
     return _TableVerdicts(table, x)

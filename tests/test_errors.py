@@ -208,7 +208,7 @@ CASES = {
         2**33, np.zeros(1, dtype=np.uint8))),
     # the one cap of every table, which sieve also refuses past
     "PrimeTable(bound 2^31)": (ResourceLimitError, lambda: PrimeTable(
-        2**31, np.zeros(2**28 + 1, dtype=np.uint8))),
+        2**31, np.zeros(2**27 + 1, dtype=np.uint8))),
     # refusals that no other test reached
     "report_emit([object()])":
         (DomainError, lambda: report_emit([object()])),

@@ -80,9 +80,11 @@ def _assert_matches_flat(t, flat):
     bound = len(flat) - 1
     assert t.primes.dtype == np.uint32
     assert np.array_equal(t.primes, np.flatnonzero(flat))
-    # packed flags: bit n & 7 of byte n >> 3, nothing past bound
-    assert t._flags.tobytes() == np.packbits(flat, bitorder="little").tobytes()
-    assert t._flags[-1] >> (bound & 7) + 1 == 0
+    # packed odd flags: bit i & 7 of byte i >> 3 for 2i + 1, zero-padded
+    # to bound // 16 + 1 bytes
+    odd = np.packbits(flat[1::2], bitorder="little")
+    assert len(t._flags) == bound // 16 + 1
+    assert t._flags.tobytes() == odd.tobytes().ljust(len(t._flags), b"\0")
 
 
 def test_sieve_matches_flat_reference():
@@ -141,6 +143,22 @@ def test_table_is_read_only():
     with pytest.raises(TypeError):
         t._flags_view[0] = 255
     assert t.primes[0] == 2 and not t.is_prime(4)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_the_smallest_hand_built_tables(bound):
+    """A table keeps only the flags of the odd numbers (bit 1 of byte 0
+    stands for 3), so 2 is prime by rule and 0 and 1 are not, in every
+    reader of a table of one flag byte."""
+    flags = np.array([0b10 if bound >= 3 else 0], dtype=np.uint8)
+    t = PrimeTable(bound, flags)
+    expected = [n for n in (2, 3) if n <= bound]
+    n = np.arange(bound + 1)
+    assert t.primes.tolist() == expected
+    assert [t.count_leq(k) for k in n] == [sum(p <= k for p in expected)
+                                           for k in n]
+    assert [t.is_prime(k) for k in n] == [k in expected for k in n]
+    assert t.prime_mask(n).tolist() == [k in expected for k in n]
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, 4, 996, 997, 998, 1000,
@@ -754,9 +772,9 @@ def test_verdicts_read_the_policy_table_where_it_covers_x(table_1k):
     base = x - 99
     primes = [base + 1, base + 15, base + 31, base + 39, base + 81, x]
     assert [n for n in range(base, x + 1) if is_prime(n)] == primes
-    flags = np.zeros(x // 8 + 1, np.uint8)
+    flags = np.zeros(x // 16 + 1, np.uint8)
     for p in primes:
-        flags[p >> 3] |= 1 << (p & 7)
+        flags[p >> 4] |= 1 << (p >> 1 & 7)
     read = verdicts(Exact(PrimeTable(x, flags)), x)
     rows = np.array([[base + 3, base + 15, base + 31],
                      [base + 3, base + 5, base + 7]])
@@ -779,7 +797,7 @@ def _searched_next_prime(table, y, x):
                     0)
 
 
-_GAP = sieve(492_230)  # 492,113 and then no prime up to 492,227
+_GAP = sieve(1_357_340)  # 1,357,201 and then no prime up to 1,357,333
 
 
 @pytest.mark.parametrize("table", ["narrow", "gap"])
@@ -787,24 +805,24 @@ def test_the_window_next_prime_matches_a_search_of_the_list(table):
     """The table's next-prime lookup reads one 64-bit window of the flags
     per start, and on past an empty one; it equals a binary search of the
     list at y = x, at the starts above the largest prime <= x, in the
-    flags' last byte and inside the 114-long gap after 492,113, whose
-    prime lies past the first window."""
+    flags' last byte and inside the 132-long gap after 1,357,201, whose
+    prime lies past the first window of 128 numbers."""
     table = {"narrow": _NARROW, "gap": _GAP}[table]
     rng = np.random.default_rng(11)
     b = table.bound
     for x in (b, b - 3, 2971, 2995, 64, 2):
         top = int(table.primes[table.count_leq(x) - 1])
         starts = [x, top, top + 1, *range(max(x - 70, 0), x + 1),
-                  *range(8 * (b >> 3), b + 1), *range(492_110, 492_230)]
+                  *range(16 * (b >> 4), b + 1), *range(1_357_198, 1_357_340)]
         y = np.array([s for s in starts if 0 <= s <= x]
                      + rng.integers(0, x + 1, 2000).tolist(), dtype=np.int64)
         expected = _searched_next_prime(table, y, x)
         assert np.array_equal(table.next_prime(y, x), expected), x
         backend = verdicts(Exact(table), x)
         assert np.array_equal(backend.next_prime(y), expected), x
-    gap = np.arange(492_114, 492_228)
-    if b >= 492_227:
-        assert (table.next_prime(gap, b) == 492_227).all()
+    gap = np.arange(1_357_202, 1_357_334)
+    if b >= 1_357_333:
+        assert (table.next_prime(gap, b) == 1_357_333).all()
 
 
 @pytest.mark.parametrize("x", [2971, 2995], ids=["prime_x", "composite_x"])

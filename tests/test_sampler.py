@@ -479,6 +479,7 @@ def test_the_engine_proves_what_generate_proves(monkeypatch, policy):
             return test(n)
         return counted
     monkeypatch.setattr(generators, "primality_tester", counting)
+    monkeypatch.setattr(ntheory, "primality_tester", counting)
     for cfg in _witness_scale_configs(10**18, policy):
         tested.clear()
         trial_records(cfg, 75)

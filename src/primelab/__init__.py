@@ -22,6 +22,7 @@ from .exactdist import (
     exact_dist_trivial,
     exact_dist_uncond,
     exact_dist_uncond_nofallback,
+    law,
 )
 from .generators import (
     Algorithm,
@@ -103,6 +104,7 @@ __all__ = [
     "gap_census",
     "generate",
     "is_prime",
+    "law",
     "metrics_of",
     "parse_reports",
     "primeinc_audit",

@@ -4,7 +4,7 @@ Subcommands map one-to-one onto the lab's experiments:
 
 * generate        one prime plus its telemetry
 * bench           aggregate telemetry over many trials
-* exact-dist      closed-form output distribution of an algorithm
+* exact-dist      exactdist.law of the config; refuses --mr-rounds
 * audit-primeinc  gap-length bias audit of the scan-upward generator
 * gap-census      prime-gap census against the 1 - e^(-lambda) model
 * error-profile   residue-class error terms for a modulus or modulus range
@@ -39,15 +39,7 @@ from .harness import (
 )
 from .metrics import metrics_of
 from .ntheory import Exact, MillerRabin
-from .exactdist import (
-    error_term_profile,
-    exact_dist_basic,
-    exact_dist_erh_fallback,
-    exact_dist_primeinc,
-    exact_dist_trivial,
-    exact_dist_uncond,
-    exact_dist_uncond_nofallback,
-)
+from .exactdist import error_term_profile, law
 
 
 def _config_from_args(args) -> GenConfig:
@@ -80,20 +72,7 @@ def _cmd_bench(args) -> str:
 
 
 def _cmd_exact_dist(args) -> str | dict:
-    cfg = _config_from_args(args)
-    algo, x = cfg.algorithm, cfg.x
-    if algo is Algorithm.TRIVIAL:
-        dist = exact_dist_trivial(x)
-    elif algo is Algorithm.PRIMEINC:
-        dist = exact_dist_primeinc(x)
-    elif algo is Algorithm.UNCOND_NOFALLBACK:
-        dist = exact_dist_uncond_nofallback(x, cfg.A)
-    elif algo is Algorithm.UNCOND:
-        dist = exact_dist_uncond(x, cfg.A, cfg.budget)
-    else:
-        q = cfg.modulus.q
-        dist = (exact_dist_basic(x, q) if algo is Algorithm.BASIC
-                else exact_dist_erh_fallback(x, q, cfg.budget))
+    dist = law(_config_from_args(args))
     if args.format == "csv":
         return report_emit([dist], "csv")
     record = dist_to_dict(dist)

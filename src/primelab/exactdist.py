@@ -1,10 +1,10 @@
 """Closed-form output distributions of the generators at desk scale.
 
-Each generator's exact probability of producing a given prime p <= x is
-computed from residue-class prime counts, using rational arithmetic so
-that masses sum to exactly 1.  These distributions are the brute-force
-oracle against which Monte Carlo runs and analytic predictions are
-checked.  This module alone counts primes per residue class
+Each generator's exact law over the primes p <= x is computed from
+residue-class prime counts in rational arithmetic, so masses sum to
+exactly 1; `law(cfg)` alone picks the closed form of a config.  These
+laws are the oracle that Monte Carlo runs and predictions are checked
+against.  This module alone counts primes per residue class
 (`_unit_counts`, and `class_census` over a set of moduli); the closed
 forms and the error-term profiles E(x;q,a) of `error_term_profile` all
 read those counts.
@@ -16,10 +16,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ResourceLimitError, _bound_index
-from .generators import derived_Q
+from .errors import (
+    ConfigError,
+    DomainError,
+    ResourceLimitError,
+    _bound_index,
+    _instance_of,
+)
+from .generators import Algorithm, GenConfig, derived_Q
 from .metrics import FiniteDist
-from .ntheory import DEFAULT_TOTIENT_CAP, PrimeTable, primes_upto, table_for
+from .ntheory import (
+    DEFAULT_TOTIENT_CAP,
+    Exact,
+    PrimeTable,
+    primes_upto,
+    table_for,
+)
 
 # Refuse random-modulus sweeps needing more than this many class lookups.
 DEFAULT_WORK_CAP = 10**10
@@ -41,6 +53,30 @@ DEFAULT_LAW_BITS_CAP = 2**20
 # 1.8e9 bits at x = 2e5, and 4.3e9 at x = 3.2e5, which ran for 30 s at
 # 770 MB before this cap; every exact_sweep law holds at most 1.6e6.
 DEFAULT_LAW_TOTAL_BITS_CAP = 2**31
+
+
+def law(cfg: GenConfig) -> FiniteDist:
+    """The exact output law of cfg's runs: the closed form of its
+    algorithm at cfg's modulus q, A and budget T, over the table
+    table_for(cfg.x, None, cfg.primality.table) that sample_distribution
+    reads.  For basic and uncond_nofallback, the law conditioned on
+    termination with no iteration cap (max_iterations is not read).
+    ConfigError for a non-Exact policy: its verdicts are not the primes."""
+    _instance_of("cfg", cfg, GenConfig)
+    _instance_of("primality", cfg.primality, Exact, ConfigError)
+    x, algo = cfg.x, cfg.algorithm
+    table = table_for(x, None, cfg.primality.table)
+    if algo is Algorithm.TRIVIAL:
+        return exact_dist_trivial(x, table)
+    if algo is Algorithm.PRIMEINC:
+        return exact_dist_primeinc(x, table)
+    if algo is Algorithm.BASIC:
+        return exact_dist_basic(x, cfg.modulus.q, table)
+    if algo is Algorithm.ERH_FALLBACK:
+        return exact_dist_erh_fallback(x, cfg.modulus.q, cfg.budget, table)
+    if algo is Algorithm.UNCOND:
+        return exact_dist_uncond(x, cfg.A, cfg.budget, table)
+    return exact_dist_uncond_nofallback(x, cfg.A, table)
 
 
 def exact_dist_trivial(x: int, table: PrimeTable | None = None) -> FiniteDist:

@@ -23,16 +23,13 @@ import numpy as np
 
 from .codec import decode_value, encode_value, json_text
 from .errors import (
+    ConfigError,
     DomainError,
     PrimelabError,
     _bound_index,
     _instance_of,
 )
-from .exactdist import (
-    FixedModulusErrorProfile,
-    RangeErrorProfile,
-    exact_dist_primeinc,
-)
+from .exactdist import FixedModulusErrorProfile, RangeErrorProfile, law
 from .generators import (
     Algorithm,
     GenConfig,
@@ -164,11 +161,11 @@ def sample_distribution(
     retry_nontermination: bool = False,
 ):
     """Empirical output distribution of `benchmark`'s trials 0..runs-1 of
-    cfg under Exact: (FiniteDist, counts), counts mapping each observed
-    prime to its runs.  generators.trial_records runs them, draw for draw,
-    and the counts come from its array of their outputs.  The runs are
-    cfg's under Exact(table), the table the argument (which must cover x),
-    else the policy's table where it covers x, else sieve(x).
+    cfg: (FiniteDist, counts), counts mapping each observed prime to its
+    runs, taken from the outputs of generators.trial_records.  The runs
+    read the table argument (which must cover x), else the table of cfg's
+    Exact policy where it covers x, else sieve(x).  A policy other than
+    Exact raises ConfigError, as in exactdist.law.
 
     With retry_nontermination, retry r of a trial i that spends its budget
     (basic, uncond_nofallback) runs on split_seed(k_i, r), k_i the trial's
@@ -177,6 +174,7 @@ def sample_distribution(
     """
     _instance_of("cfg", cfg, GenConfig)
     runs = _bound_index("runs", runs, 1)
+    _instance_of("primality", cfg.primality, Exact, ConfigError)
     table = table_for(cfg.x, table, cfg.primality.table)
     outputs = trial_records(replace(cfg, primality=Exact(table)), runs,
                             retry_nontermination)["prime"]
@@ -269,8 +267,9 @@ def primeinc_audit(
     trials = _bound_index("trials", trials, 1)
     x = _bound_index("x", x, 5)  # the least twin pair is (3, 5)
     table = table_for(x, table)
-    dist = exact_dist_primeinc(x, table)
-    delta1 = metrics_of(dist).delta1
+    cfg = GenConfig(x=x, algorithm=Algorithm.PRIMEINC, seed=seed,
+                    primality=Exact(table))
+    delta1 = metrics_of(law(cfg)).delta1
     lnx = math.log(x)
     primes_x = primes_upto(x, table)
     pi_x = len(primes_x)
@@ -282,8 +281,6 @@ def primeinc_audit(
     twins = np.flatnonzero(gaps == 2) + 1  # indices of p with p - 2 prime
     twin_uniform = len(twins) / pi_x
     twin_exact = 2 * len(twins) / int(primes_x[-1])
-    cfg = GenConfig(x=x, algorithm=Algorithm.PRIMEINC, seed=seed,
-                    primality=Exact(table))
     outputs = trial_records(cfg, trials)["prime"]
     hits = int(np.count_nonzero(np.isin(outputs, primes_x[twins])))
     twin_empirical = hits / trials

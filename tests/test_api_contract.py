@@ -40,6 +40,7 @@ from primelab import (
     gap_census,
     generate,
     is_prime,
+    law,
     metrics_of,
     parse_reports,
     primeinc_audit,
@@ -118,6 +119,8 @@ CALLS = {
     "gap_census": row(gap_census, 1000, [1.0, 2.0], T1K),
     "generate": row(generate, CFG, CountingBitSource(1)),
     "is_prime": row(is_prime, 97, MillerRabin(2)),
+    "law": row(law, GenConfig(x=1000, algorithm="basic", epsilon=0.3,
+                              primality=Exact(T1K))),
     "metrics_of": row(metrics_of, DIST),
     "parse_reports": row(parse_reports, report_emit([REPORT])),
     "primeinc_audit": row(primeinc_audit, 1000, 10, seed=2, table=T1K),

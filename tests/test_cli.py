@@ -4,7 +4,8 @@ from dataclasses import asdict
 import pytest
 
 from primelab.cli import main
-from primelab.exactdist import exact_dist_uncond_nofallback
+from primelab.exactdist import law
+from primelab.generators import GenConfig
 from primelab.harness import dist_to_dict
 from primelab.metrics import metrics_of
 
@@ -88,18 +89,48 @@ def test_exact_dist_json_has_metrics(capsys):
     assert record["space_size"] == 10
 
 
-def test_exact_dist_uncond_nofallback(capsys):
-    code, out, err = run_cli(
-        capsys, "exact-dist", "--x", "100", "--algo", "uncond_nofallback",
-        "--A", "1",
-    )
+# exact-dist flags, and the config they build
+EXACT_DIST_CASES = {
+    "trivial": (["--x", "100", "--algo", "trivial"],
+                GenConfig(x=100, algorithm="trivial")),
+    "primeinc": (["--x", "100", "--algo", "primeinc"],
+                 GenConfig(x=100, algorithm="primeinc")),
+    "basic": (["--x", "1000", "--algo", "basic", "--epsilon", "0.3"],
+              GenConfig(x=1000, algorithm="basic", epsilon=0.3)),
+    "erh_fallback": (["--x", "1000", "--algo", "erh_fallback",
+                      "--epsilon", "0.3"],
+                     GenConfig(x=1000, algorithm="erh_fallback",
+                               epsilon=0.3)),
+    "uncond": (["--x", "100", "--algo", "uncond", "--A", "1", "--T", "3"],
+               GenConfig(x=100, algorithm="uncond", A=1.0, T_override=3)),
+    "uncond_nofallback": (["--x", "100", "--algo", "uncond_nofallback",
+                           "--A", "1"],
+                          GenConfig(x=100, algorithm="uncond_nofallback",
+                                    A=1.0)),
+}
+
+
+@pytest.mark.parametrize("argv,cfg", EXACT_DIST_CASES.values(),
+                         ids=EXACT_DIST_CASES.keys())
+def test_exact_dist_prints_the_law_of_its_config(capsys, argv, cfg):
+    code, out, err = run_cli(capsys, "exact-dist", *argv)
     assert code == 0 and err == ""
-    dist = exact_dist_uncond_nofallback(100, 1.0)
+    dist = law(cfg)
     expected = dist_to_dict(dist)
     expected["metrics"] = {
         k: float(v) for k, v in asdict(metrics_of(dist)).items()
     }
     assert json.loads(out) == json.loads(json.dumps(expected))
+
+
+def test_exact_dist_refuses_miller_rabin(capsys):
+    # a MillerRabin config has no exact law
+    code, out, err = run_cli(
+        capsys, "exact-dist", "--x", "1000", "--algo", "basic",
+        "--epsilon", "0.3", "--mr-rounds", "1",
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ConfigError"
 
 
 def test_gap_census_cli(capsys):

@@ -20,6 +20,7 @@ from primelab.exactdist import (
     exact_dist_trivial,
     exact_dist_uncond,
     exact_dist_uncond_nofallback,
+    law,
 )
 from primelab.generators import (
     Algorithm,
@@ -57,6 +58,8 @@ from primelab.ntheory import (
 from primelab.rng import CountingBitSource, split_seed
 
 CFG = GenConfig(x=1000, algorithm=Algorithm.TRIVIAL)
+MR_CFG = GenConfig(x=1000, algorithm=Algorithm.TRIVIAL,
+                   primality=MillerRabin(rounds=1))
 T1K = sieve(1000)
 
 def parse_edited(field, value):
@@ -75,6 +78,11 @@ CASES = {
     "benchmark(trials=2.5)": (DomainError, lambda: benchmark(CFG, 2.5)),
     "sample_distribution(runs=2.5)":
         (DomainError, lambda: sample_distribution(CFG, 2.5)),
+    # a MillerRabin verdict is not the set of primes, so such a config
+    # has no exact law to give or to sample
+    "law(MillerRabin)": (ConfigError, lambda: law(MR_CFG)),
+    "sample_distribution(MillerRabin)":
+        (ConfigError, lambda: sample_distribution(MR_CFG, 2000)),
     "primeinc_audit(trials=2.5)":
         (DomainError, lambda: primeinc_audit(1000, 2.5)),
     "Modulus.from_int(2.5)": (DomainError, lambda: Modulus.from_int(2.5)),

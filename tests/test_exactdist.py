@@ -20,6 +20,7 @@ from primelab.exactdist import (
     exact_dist_trivial,
     exact_dist_uncond,
     exact_dist_uncond_nofallback,
+    law,
     primes_upto,
 )
 from primelab.generators import (
@@ -31,7 +32,7 @@ from primelab.generators import (
 )
 from primelab.harness import dist_to_dict, sample_distribution
 from primelab.metrics import metrics_of, tv_between
-from primelab.ntheory import Exact, residue_class_primes, sieve
+from primelab.ntheory import Exact, MillerRabin, residue_class_primes, sieve
 
 
 def exact_sum(dist):
@@ -293,6 +294,65 @@ def test_oracle_equivalence_uncond_nofallback():
 def test_table_bound_must_cover_x(table_1k):
     with pytest.raises(DomainError):
         exact_dist_trivial(2000, table_1k)
+
+
+T1K = sieve(1000)
+Q25 = dict(q=25, modulus_mode=ModulusMode.EXPLICIT)
+
+# config fields at x = 100, then the closed form and its arguments after x:
+# both unit methods, a derived (epsilon) and an explicit modulus, the
+# default budget and an overridden one, Exact() and Exact(table)
+LAW_CASES = {
+    "trivial": (dict(algorithm="trivial"), exact_dist_trivial, ()),
+    "trivial-table": (dict(algorithm="trivial", primality=Exact(T1K)),
+                      exact_dist_trivial, ()),
+    "primeinc-table": (dict(algorithm="primeinc", primality=Exact(T1K)),
+                       exact_dist_primeinc, ()),
+    "basic-epsilon": (dict(algorithm="basic", epsilon=0.3),
+                      exact_dist_basic, (6,)),
+    "basic-explicit-capped": (
+        dict(algorithm="basic", unit_method="rejection", max_iterations=50,
+             primality=Exact(T1K), **Q25),
+        exact_dist_basic, (25,)),
+    "erh_fallback-epsilon": (dict(algorithm="erh_fallback", epsilon=0.3),
+                             exact_dist_erh_fallback, (6, default_T(100))),
+    "erh_fallback-explicit-T": (
+        dict(algorithm="erh_fallback", unit_method="rejection",
+             T_override=2, **Q25),
+        exact_dist_erh_fallback, (25, 2)),
+    "uncond": (dict(algorithm="uncond", A=1.0),
+               exact_dist_uncond, (1.0, default_T(100))),
+    "uncond-T-table": (
+        dict(algorithm="uncond", A=1.0, T_override=2,
+             unit_method="rejection", primality=Exact(T1K)),
+        exact_dist_uncond, (1.0, 2)),
+    "uncond_nofallback": (dict(algorithm="uncond_nofallback", A=1.0),
+                          exact_dist_uncond_nofallback, (1.0,)),
+    "uncond_nofallback-capped": (
+        dict(algorithm="uncond_nofallback", A=1.0, max_iterations=50,
+             unit_method="rejection"),
+        exact_dist_uncond_nofallback, (1.0,)),
+}
+
+
+@pytest.mark.parametrize("fields,closed_form,args", LAW_CASES.values(),
+                         ids=LAW_CASES.keys())
+def test_law_is_the_closed_form_of_the_config(fields, closed_form, args):
+    """law(cfg) picks the closed form of cfg's algorithm with cfg's
+    modulus, A and budget; the no-fallback laws ignore the cap."""
+    cfg = GenConfig(x=100, **fields)
+    assert dist_to_dict(law(cfg)) == dist_to_dict(closed_form(100, *args))
+
+
+def test_law_and_sample_refuse_a_miller_rabin_config_alike():
+    cfg = GenConfig(x=1000, algorithm=Algorithm.TRIVIAL,
+                    primality=MillerRabin(rounds=1))
+    with pytest.raises(ConfigError) as refused_law:
+        law(cfg)
+    with pytest.raises(ConfigError) as refused_sample:
+        sample_distribution(cfg, 2000)
+    assert str(refused_law.value) == str(refused_sample.value)
+    assert "Exact" in str(refused_law.value)
 
 
 # sha256 of dist_to_dict (without schema_version, keys sorted, compact

@@ -1,11 +1,12 @@
 """Package layout: ntheory owns the prime table, whose flags only
 PrimeTable reads, generators does not reach up into exactdist (which
-imports generators), a FiniteDist has one exact representation, no
-public function takes a parameter that only tests would set, the CLI
-writes its output in one place, only generators chooses how trials run,
-its lane engine takes every verdict from ntheory.verdicts, whose rules
-are written once, and every public function and method is called from
-the package or the benchmark."""
+imports generators), only exactdist maps a config to its closed form, a
+FiniteDist has one exact representation, no public function takes a
+parameter that only tests would set, the CLI writes its output in one
+place, only generators chooses how trials run, its lane engine takes
+every verdict from ntheory.verdicts, whose rules are written once, and
+every public function and method is called from the package or the
+benchmark."""
 
 import ast
 import importlib
@@ -75,6 +76,16 @@ def test_generators_does_not_import_exactdist():
         elif isinstance(node, ast.Import):
             imported += [a.name for a in node.names]
     assert [m for m in imported if m.split(".")[-1] == "exactdist"] == []
+
+
+def test_only_exactdist_maps_an_algorithm_to_a_closed_form():
+    """exactdist.law alone picks the closed form of a config: no other
+    module of src/ but the package's re-exports names an exact_dist_*
+    function (cli and harness call law)."""
+    names = [f"{path.stem}: {w}" for path in sorted(SRC.glob("*.py"))
+             if path.stem not in ("exactdist", "__init__")
+             for w in _words(_tree(path)) if w.startswith("exact_dist_")]
+    assert names == []
 
 
 def test_table_helpers_keep_their_old_names():

@@ -19,14 +19,7 @@ from primelab.errors import (
     PrimelabError,
     ResourceLimitError,
 )
-from primelab.exactdist import (
-    exact_dist_basic,
-    exact_dist_erh_fallback,
-    exact_dist_primeinc,
-    exact_dist_trivial,
-    exact_dist_uncond,
-    exact_dist_uncond_nofallback,
-)
+from primelab.exactdist import law
 from primelab.generators import (
     _PICK_A,
     _PICK_Q,
@@ -67,27 +60,28 @@ X = 100
 T100 = sieve(X)
 Q25 = dict(q=25, modulus_mode=ModulusMode.EXPLICIT)
 
-# (algorithm, config fields, exact law, retry): at x = 100, modulus 25 has
-# unit classes without primes, and random moduli from (10, 20] do too
+# (algorithm, config fields, retry): at x = 100, modulus 25 has unit
+# classes without primes, and random moduli from (10, 20] do too
 CASES = {
-    "trivial": (Algorithm.TRIVIAL, {}, exact_dist_trivial(X, T100), False),
-    "primeinc": (Algorithm.PRIMEINC, {}, exact_dist_primeinc(X, T100), False),
-    "basic": (Algorithm.BASIC, Q25, exact_dist_basic(X, 25, T100), True),
-    "erh_fallback": (Algorithm.ERH_FALLBACK, dict(Q25, T_override=2),
-                     exact_dist_erh_fallback(X, 25, 2, T100), False),
-    "uncond": (Algorithm.UNCOND, dict(A=1.0, T_override=2),
-               exact_dist_uncond(X, 1.0, 2, T100), False),
+    "trivial": (Algorithm.TRIVIAL, {}, False),
+    "primeinc": (Algorithm.PRIMEINC, {}, False),
+    "basic": (Algorithm.BASIC, Q25, True),
+    "erh_fallback": (Algorithm.ERH_FALLBACK, dict(Q25, T_override=2), False),
+    "uncond": (Algorithm.UNCOND, dict(A=1.0, T_override=2), False),
     "uncond_nofallback": (Algorithm.UNCOND_NOFALLBACK,
-                          dict(A=1.0, max_iterations=50),
-                          exact_dist_uncond_nofallback(X, 1.0, T100), True),
+                          dict(A=1.0, max_iterations=50), True),
 }
 
 
+def config(name, seed=1):
+    algo, fields, _ = CASES[name]
+    return GenConfig(x=X, algorithm=algo, seed=seed, primality=Exact(T100),
+                     **fields)
+
+
 def sample(name, runs, seed=1):
-    algo, fields, _, retry = CASES[name]
-    cfg = GenConfig(x=X, algorithm=algo, seed=seed, primality=Exact(T100),
-                    **fields)
-    return sample_distribution(cfg, runs, T100, retry_nontermination=retry)
+    return sample_distribution(config(name, seed), runs, T100,
+                               retry_nontermination=CASES[name][2])
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -98,19 +92,19 @@ def test_same_seed_same_counts(name):
 
 @pytest.mark.parametrize("name", CASES)
 def test_observed_primes_have_exact_mass(name):
-    law = CASES[name][2].mass
+    mass = law(config(name)).mass
     _, counts = sample(name, 20_000)
     assert sum(counts.values()) == 20_000
-    assert all(law[p] > 0 for p in counts)
+    assert all(mass[p] > 0 for p in counts)
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_chi_square_against_exact_law(name):
     runs = 10**5
     empirical, counts = sample(name, runs)
-    law = CASES[name][2]
-    assert chi2_z(counts, law.mass, runs) < 5
-    assert float(tv_between(empirical, law)) < 3 * (25 / runs) ** 0.5
+    exact = law(config(name))
+    assert chi2_z(counts, exact.mass, runs) < 5
+    assert float(tv_between(empirical, exact)) < 3 * (25 / runs) ** 0.5
 
 
 @pytest.mark.parametrize("name", ["erh_fallback", "uncond"])
@@ -120,7 +114,7 @@ def test_calls_shorter_than_the_lanes_are_unbiased(name):
     counts = Counter()
     for seed in range(200):
         counts.update(sample(name, 300, seed)[1])
-    assert chi2_z(counts, CASES[name][2].mass, 300 * 200) < 5
+    assert chi2_z(counts, law(config(name)).mass, 300 * 200) < 5
 
 
 def test_empty_class_raises_at_once():
@@ -146,10 +140,10 @@ def test_empty_classes_redrawn_match_conditioned_law():
     runs = 10**5
     empirical, counts = sample_distribution(cfg, runs, t30,
                                             retry_nontermination=True)
-    law = exact_dist_basic(30, 25, t30)
-    assert law.meta["conditional"]
-    assert chi2_z(counts, law.mass, runs) < 5
-    assert float(tv_between(empirical, law)) < 3 * (9 / runs) ** 0.5
+    exact = law(cfg)
+    assert exact.meta["conditional"]
+    assert chi2_z(counts, exact.mass, runs) < 5
+    assert float(tv_between(empirical, exact)) < 3 * (9 / runs) ** 0.5
 
 
 def test_table_resolved_before_the_first_draw():
